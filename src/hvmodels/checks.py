@@ -7,7 +7,7 @@ laws live in exactly one place.
 """
 
 from dataclasses import dataclass, field
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from . import hset as hs
 from . import transfer as tr
 from .errors import HvError, NotAFrame, NotJoinPreserving, NotMeetPreserving
 from .formula import parse_formula
-from .lattice import HeytingAlgebra, make_boolean, make_chain
+from .lattice import BUILTIN_ALGEBRAS, HeytingAlgebra, make_chain
 from .names import (
     NameStore,
     check_project,
@@ -106,11 +106,7 @@ class CheckReport:
 
 def test_algebras():
     """The three standard algebras used across the suites."""
-    return {
-        "chain2": make_chain(2),
-        "chain3": make_chain(3),
-        "four": make_boolean(2),
-    }
+    return {name: BUILTIN_ALGEBRAS[name]() for name in ("chain2", "chain3", "four")}
 
 
 def standard_morphisms(algebras=None):
@@ -348,7 +344,7 @@ POSITIVE_BOUNDED_FAMILY = (
 )
 
 
-def _sweep_pool(store, morphism_name, rank, max_domain):
+def _sweep_pool(store, rank, max_domain):
     # the two-chain pool stays uncapped (it is finite and small); the
     # larger algebras use the domain cap
     if store.algebra.n == 2:
@@ -370,7 +366,7 @@ def preservation_suite(rank=2, max_domain=2, positive_bounded=True):
         m = morphisms[mname]
         sa, sb = NameStore(m.source), NameStore(m.target)
         ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)
-        pool = _sweep_pool(sa, mname, rank, max_domain)
+        pool = _sweep_pool(sa, rank, max_domain)
         pairs = [(x, tr.lift(m, x, sa, sb).image) for x in pool]
         sub = tr.check_atomic_preservation(m, pairs, sa, sb, ctx_a, ctx_b)
         fam = rep.family(f"atomic preservation along {mname}"
@@ -409,7 +405,7 @@ def functoriality_suite(rank=2, max_domain=2):
     for aname, algebra in alg.items():
         store = NameStore(algebra)
         ctx = EvalContext(store)
-        pool = _sweep_pool(store, aname, rank, max_domain)
+        pool = _sweep_pool(store, rank, max_domain)
         ident = tr.identity_morphism(algebra)
         fam = rep.family(f"identity lift over {aname}")
         interned = True
@@ -445,20 +441,11 @@ def small_hf_sets():
         seen = list(level)
         extra = []
         for r in range(1, min(3, len(seen)) + 1):
-            extra.extend(
-                frozenset(c)
-                for c in _combinations(seen, r)
-            )
+            extra.extend(frozenset(c) for c in combinations(seen, r))
         for x in extra:
             if x not in level:
                 level.append(x)
     return level
-
-
-def _combinations(items, r):
-    from itertools import combinations
-
-    return combinations(items, r)
 
 
 def immersion_suite():

@@ -19,19 +19,9 @@ from . import checks
 from . import transfer as tr
 from .errors import CrossAlgebra, HvError, ParseError
 from .formula import parse_formula
-from .lattice import is_boolean, load_algebra, make_boolean, make_chain
+from .lattice import BUILTIN_ALGEBRAS, is_boolean, load_algebra, text_lines
 from .names import NameStore, parse_name_literal
 from .valuation import EvalContext
-
-
-def _builtin_algebra(name):
-    return {
-        "chain2": lambda: make_chain(2),
-        "two": lambda: make_chain(2),
-        "chain3": lambda: make_chain(3),
-        "four": lambda: make_boolean(2),
-        "boolean4": lambda: make_boolean(2),
-    }.get(name, lambda: None)()
 
 
 def _load_algebra_file(path):
@@ -46,37 +36,38 @@ class Session:
     def __init__(self, args):
         self.algebras = {}
         for spec in args.algebra or []:
-            if "=" in spec:
-                name, _, path = spec.partition("=")
-                alg = _load_algebra_file(path)
-                alg.name = name
-                self.algebras[name] = alg
+            name, eq, path = spec.partition("=")
+            if eq:
+                self.algebras[name] = _load_algebra_file(path)
+                self.algebras[name].name = name
+            elif name in BUILTIN_ALGEBRAS:
+                self.resolve(name)
             else:
-                alg = _builtin_algebra(spec)
-                if alg is None:
-                    raise ParseError(f"unknown algebra {spec!r}; use NAME=PATH")
-                alg.name = spec
-                self.algebras[spec] = alg
+                raise ParseError(f"unknown algebra {spec!r}; use NAME=PATH")
         self.selected = [s.partition("=")[0] for s in (args.algebra or [])]
         self.rank = getattr(args, "rank", 2)
         self.max_domain = getattr(args, "max_domain", 2)
         self.budget = getattr(args, "budget", None)
         self.seed = getattr(args, "seed", checks.DEFAULT_SEED)
 
-    def resolve(self, name, near=None):
-        if name in self.algebras:
-            return self.algebras[name]
-        alg = _builtin_algebra(name)
-        if alg is not None:
-            alg.name = name
-            self.algebras[name] = alg
-            return alg
-        if near is not None:
-            candidate = Path(near).parent / f"{name}.alg"
-            if candidate.exists():
+    def find(self, name, near=None):
+        """The algebra called `name`: registered, built in, or loaded from
+        NAME.alg next to the file `near`.  KeyError when there is none."""
+        if name not in self.algebras:
+            if name in BUILTIN_ALGEBRAS:
+                self.algebras[name] = BUILTIN_ALGEBRAS[name]()
+                self.algebras[name].name = name
+            elif near is not None and (candidate := Path(near).parent / f"{name}.alg").exists():
                 self.algebras[name] = _load_algebra_file(candidate)
-                return self.algebras[name]
-        raise ParseError(f"cannot resolve algebra {name!r}")
+            else:
+                raise KeyError(name)
+        return self.algebras[name]
+
+    def resolve(self, name, near=None):
+        try:
+            return self.find(name, near)
+        except KeyError:
+            raise ParseError(f"cannot resolve algebra {name!r}") from None
 
     def config(self, command):
         return {
@@ -161,47 +152,45 @@ def _run_script(session, path):
     evals = []
     lift_target = None
     algebra_name = None
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if head == "algebra":
-            algebra = session.resolve(rest, near=path)
-            algebra_name = rest
-            store = NameStore(algebra)
-            ctx = EvalContext(store)
-            continue
-        if store is None:
-            raise ParseError("script must start with 'algebra IDENT'", lineno)
-        if head == "let":
-            name, _, literal = rest.partition("=")
-            name = name.strip()
-            if not name.isidentifier():
-                raise ParseError(f"bad binding name {name!r}", lineno)
-            bindings[name] = parse_name_literal(store, literal.strip(), bindings)
-            continue
-        if head == "fragment":
-            for ident in rest.split():
-                if ident not in bindings:
-                    raise ParseError(f"unknown name {ident!r}", lineno)
-                fragment.append(bindings[ident])
-            ctx = EvalContext(store, fragment=tuple(fragment))
-            continue
-        if head == "eval":
-            text = rest.strip()
-            if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-                text = text[1:-1]
-            phi = parse_formula(text, constants=bindings)
-            evals.append((text, phi, lineno))
-            continue
-        if head == "lift":
-            if rest not in bindings:
-                raise ParseError(f"unknown name {rest!r}", lineno)
-            lift_target = rest
-            continue
-        raise ParseError(f"unrecognized line {line!r}", lineno)
+    for lineno, line in text_lines(Path(path).read_text()):
+        with ParseError.on_line(lineno):
+            head, _, rest = line.partition(" ")
+            rest = rest.strip()
+            if head == "algebra":
+                algebra = session.resolve(rest, near=path)
+                algebra_name = rest
+                store = NameStore(algebra)
+                ctx = EvalContext(store)
+                continue
+            if store is None:
+                raise ParseError("script must start with 'algebra IDENT'")
+            if head == "let":
+                name, _, literal = rest.partition("=")
+                name = name.strip()
+                if not name.isidentifier():
+                    raise ParseError(f"bad binding name {name!r}")
+                bindings[name] = parse_name_literal(store, literal.strip(), bindings)
+                continue
+            if head == "fragment":
+                for ident in rest.split():
+                    if ident not in bindings:
+                        raise ParseError(f"unknown name {ident!r}")
+                    fragment.append(bindings[ident])
+                ctx = EvalContext(store, fragment=tuple(fragment))
+                continue
+            if head == "eval":
+                text = rest.strip()
+                if text.startswith('"') and text.endswith('"') and len(text) >= 2:
+                    text = text[1:-1]
+                phi = parse_formula(text, constants=bindings)
+                evals.append((text, phi))
+                continue
+            if head == "lift":
+                if rest not in bindings:
+                    raise ParseError(f"unknown name {rest!r}")
+                lift_target = rest
+                continue
+            raise ParseError(f"unrecognized line {line!r}")
     if store is None:
         raise ParseError("script must declare an algebra")
     return {
@@ -220,7 +209,7 @@ def cmd_eval(args, session):
     algebra = store.algebra
     results = []
     lines = []
-    for text, phi, lineno in script["evals"]:
+    for text, phi in script["evals"]:
         value = ctx.eval(phi)
         results.append({"formula": text, "value": algebra.labels[value]})
         lines.append(f"{text}  =  {algebra.labels[value]}")
@@ -285,26 +274,16 @@ def cmd_lift(args, session):
     return 0
 
 
-class _MorphismAlgebras(dict):
+class _MorphismAlgebras:
     """Mapping view that resolves algebra identifiers lazily, looking for
     IDENT.alg next to the morphism file when IDENT is not known."""
 
     def __init__(self, session, near):
-        super().__init__()
         self.session = session
         self.near = near
 
-    def __contains__(self, name):
-        try:
-            self[name]
-            return True
-        except HvError:
-            return False
-
-    def __missing__(self, name):
-        alg = self.session.resolve(name, near=self.near)
-        self[name] = alg
-        return alg
+    def __getitem__(self, name):
+        return self.session.find(name, near=self.near)
 
 
 def cmd_check(args, session):

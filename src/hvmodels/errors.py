@@ -4,6 +4,8 @@ Every structured failure carries enough context (labels, witnesses) to
 reconstruct the violation without re-running the computation.
 """
 
+from contextlib import contextmanager
+
 
 class HvError(Exception):
     """Base class for all package errors."""
@@ -13,12 +15,27 @@ class ParseError(HvError):
     """Malformed input text (algebra, morphism, name, formula or script)."""
 
     def __init__(self, message, line=None, column=None):
+        super().__init__(message)
+        self.message = message
         self.line = line
         self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", col {column})" if column is not None else ")")
-        super().__init__(message + where)
+
+    def __str__(self):
+        where = ", ".join(f"{key} {val}" for key, val in (("line", self.line), ("col", self.column))
+                          if val is not None)
+        return f"{self.message} ({where})" if where else self.message
+
+    @staticmethod
+    @contextmanager
+    def on_line(lineno):
+        """Give a ParseError raised in the block, and carrying no line
+        yet, the line number `lineno`."""
+        try:
+            yield
+        except ParseError as ex:
+            if ex.line is None:
+                ex.line = lineno
+            raise
 
 
 class NotAPoset(HvError):

@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
 )
 from . import names as names_mod
+from .lattice import split_arrow_header, text_lines
 from .valuation import EvalContext, make_function_predicate
 
 SINGLETON_BUDGET = 1 << 16
@@ -473,67 +474,60 @@ def parse_hset_file(text, algebras):
             morphisms[mname] = HSetMorphism(X, Y, phi)
         current = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("hset "):
-            finish()
-            parts = line.split()
-            if len(parts) != 4 or parts[2] != "over":
-                raise ParseError("expected 'hset NAME over ALGEBRA'", lineno)
-            if parts[3] not in algebras:
-                raise ParseError(f"unknown algebra {parts[3]!r}", lineno)
-            current = ("hset", parts[1], algebras[parts[3]], None, {})
-            continue
-        if line.startswith("morphism "):
-            finish()
-            head = line[len("morphism "):]
+    for lineno, line in text_lines(text):
+        if line.startswith(("hset ", "morphism ")):
+            finish()  # errors in the finished block carry no line
+        with ParseError.on_line(lineno):
+            if line.startswith("hset "):
+                parts = line.split()
+                if len(parts) != 4 or parts[2] != "over":
+                    raise ParseError("expected 'hset NAME over ALGEBRA'")
+                if parts[3] not in algebras:
+                    raise ParseError(f"unknown algebra {parts[3]!r}")
+                current = ("hset", parts[1], algebras[parts[3]], None, {})
+                continue
+            if line.startswith("morphism "):
+                mname, src, tgt = split_arrow_header(
+                    line[len("morphism "):], "morphism NAME : X -> Y")
+                for hname in (src, tgt):
+                    if hname not in hsets:
+                        raise ParseError(f"unknown hset {hname!r}")
+                current = ("mor", mname, src, tgt, {})
+                continue
+            if current is None:
+                raise ParseError(f"unrecognized line {line!r}")
+            if line.startswith("points:") and current[0] == "hset":
+                pts = [s for s in re.split(r"[,\s]+", line[len("points:"):].strip()) if s]
+                if len(set(pts)) != len(pts):
+                    raise ParseError("duplicate point names")
+                current = (current[0], current[1], current[2], pts, current[4])
+                continue
+            if line.startswith("delta:") and current[0] == "hset":
+                body, kind = line[len("delta:"):], "delta"
+            elif line.startswith("phi:") and current[0] == "mor":
+                body, kind = line[len("phi:"):], "phi"
+            else:
+                raise ParseError(f"unrecognized line {line!r}")
             try:
-                mname, arrow = head.split(":", 1)
-                src, tgt = arrow.split("->", 1)
+                pair_part, val_part = body.split("=", 1)
+                p, q = [s.strip() for s in pair_part.split(",", 1)]
             except ValueError:
-                raise ParseError("expected 'morphism NAME : X -> Y'", lineno)
-            mname, src, tgt = mname.strip(), src.strip(), tgt.strip()
-            for hname in (src, tgt):
-                if hname not in hsets:
-                    raise ParseError(f"unknown hset {hname!r}", lineno)
-            current = ("mor", mname, src, tgt, {})
-            continue
-        if current is None:
-            raise ParseError(f"unrecognized line {line!r}", lineno)
-        if line.startswith("points:") and current[0] == "hset":
-            pts = [s for s in re.split(r"[,\s]+", line[len("points:"):].strip()) if s]
-            if len(set(pts)) != len(pts):
-                raise ParseError("duplicate point names", lineno)
-            current = (current[0], current[1], current[2], pts, current[4])
-            continue
-        if line.startswith("delta:") and current[0] == "hset":
-            body, kind = line[len("delta:"):], "delta"
-        elif line.startswith("phi:") and current[0] == "mor":
-            body, kind = line[len("phi:"):], "phi"
-        else:
-            raise ParseError(f"unrecognized line {line!r}", lineno)
-        try:
-            pair_part, val_part = body.split("=", 1)
-            p, q = [s.strip() for s in pair_part.split(",", 1)]
-        except ValueError:
-            raise ParseError(f"expected '{kind}: p,q = label'", lineno)
-        alg = current[2] if current[0] == "hset" else hsets[current[2]].algebra
-        try:
-            v = alg.index(val_part.strip())
-        except KeyError:
-            raise ParseError(f"unknown element label {val_part.strip()!r}", lineno)
-        if current[0] == "hset":
-            if current[3] is None or p not in current[3] or q not in current[3]:
-                raise ParseError(f"unknown point in {p!r},{q!r}", lineno)
-            prev = current[4].get((p, q), current[4].get((q, p)))
-            if prev is not None and prev != v:
-                raise ParseError(f"conflicting delta for ({p},{q})", lineno)
-        else:
-            X, Y = hsets[current[2]], hsets[current[3]]
-            if p not in X.index or q not in Y.index:
-                raise ParseError(f"unknown point in {p!r},{q!r}", lineno)
-        current[4][(p, q)] = v
+                raise ParseError(f"expected '{kind}: p,q = label'")
+            alg = current[2] if current[0] == "hset" else hsets[current[2]].algebra
+            try:
+                v = alg.index(val_part.strip())
+            except KeyError:
+                raise ParseError(f"unknown element label {val_part.strip()!r}")
+            if current[0] == "hset":
+                if current[3] is None or p not in current[3] or q not in current[3]:
+                    raise ParseError(f"unknown point in {p!r},{q!r}")
+                prev = current[4].get((p, q), current[4].get((q, p)))
+                if prev is not None and prev != v:
+                    raise ParseError(f"conflicting delta for ({p},{q})")
+            else:
+                X, Y = hsets[current[2]], hsets[current[3]]
+                if p not in X.index or q not in Y.index:
+                    raise ParseError(f"unknown point in {p!r},{q!r}")
+            current[4][(p, q)] = v
     finish()
     return hsets, morphisms

@@ -275,13 +275,39 @@ def make_boolean(atom_count, name=None):
     return HeytingAlgebra(labels, leq, name=name or f"boolean{n}")
 
 
+# -- built-in algebras ----------------------------------------------------
+
+BUILTIN_ALGEBRAS = {
+    "chain2": lambda: make_chain(2),
+    "two": lambda: make_chain(2),
+    "chain3": lambda: make_chain(3),
+    "four": lambda: make_boolean(2),
+    "boolean4": lambda: make_boolean(2),
+}
+
+
 # -- text format -----------------------------------------------------------
 
 
-def _strip(line):
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
+def text_lines(text):
+    """Yield (lineno, line) for each line of a line-based file format,
+    numbered from 1, with its `#` comment and surrounding blanks stripped;
+    lines left empty are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def split_arrow_header(head, usage):
+    """Split the `NAME : A -> B` part of a header line into its three
+    stripped fields; `usage` is the whole header quoted on error."""
+    try:
+        name, arrow = head.split(":", 1)
+        a, b = arrow.split("->", 1)
+    except ValueError:
+        raise ParseError(f"expected {usage!r}")
+    return name.strip(), a.strip(), b.strip()
 
 
 def load_algebra(source, name=None):
@@ -294,37 +320,35 @@ def load_algebra(source, name=None):
     labels = None
     mode = None  # 'order' or 'hasse'
     rel = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        if line.startswith("elements:"):
-            if labels is not None:
-                raise ParseError("duplicate elements line", lineno)
-            labels = [s.strip() for s in line[len("elements:"):].split(",") if s.strip()]
-            if not labels:
-                raise ParseError("empty element list", lineno)
-            continue
-        if labels is None:
-            raise ParseError("expected an elements: line first", lineno)
-        if line.startswith("order:"):
-            kind, body, sep = "order", line[len("order:"):], "<="
-        elif line.startswith("hasse:"):
-            kind, body, sep = "hasse", line[len("hasse:"):], "<"
-        else:
-            raise ParseError(f"unrecognized line {line!r}", lineno)
-        if mode is None:
-            mode = kind
-        elif mode != kind:
-            raise ParseError("cannot mix order: and hasse: lines", lineno)
-        parts = body.split(sep)
-        if len(parts) != 2:
-            raise ParseError(f"expected <a>{sep}<b>", lineno)
-        a, b = parts[0].strip(), parts[1].strip()
-        for s in (a, b):
-            if s not in labels:
-                raise ParseError(f"unknown element {s!r}", lineno)
-        rel.append((a, b))
+    for lineno, line in text_lines(source):
+        with ParseError.on_line(lineno):
+            if line.startswith("elements:"):
+                if labels is not None:
+                    raise ParseError("duplicate elements line")
+                labels = [s.strip() for s in line[len("elements:"):].split(",") if s.strip()]
+                if not labels:
+                    raise ParseError("empty element list")
+                continue
+            if labels is None:
+                raise ParseError("expected an elements: line first")
+            if line.startswith("order:"):
+                kind, body, sep = "order", line[len("order:"):], "<="
+            elif line.startswith("hasse:"):
+                kind, body, sep = "hasse", line[len("hasse:"):], "<"
+            else:
+                raise ParseError(f"unrecognized line {line!r}")
+            if mode is None:
+                mode = kind
+            elif mode != kind:
+                raise ParseError("cannot mix order: and hasse: lines")
+            parts = body.split(sep)
+            if len(parts) != 2:
+                raise ParseError(f"expected <a>{sep}<b>")
+            a, b = parts[0].strip(), parts[1].strip()
+            for s in (a, b):
+                if s not in labels:
+                    raise ParseError(f"unknown element {s!r}")
+            rel.append((a, b))
     if labels is None:
         raise ParseError("missing elements: line")
     n = len(labels)

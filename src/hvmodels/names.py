@@ -84,10 +84,6 @@ class NameStore:
         return "{" + inner + "}"
 
 
-def make_name(store, entries):
-    return store.intern(entries)
-
-
 def rank(store, nid):
     return store.rank(nid)
 

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .formula import Const, is_positive_bounded
 from .hset import HSet, HSetMorphism, from_name
+from .lattice import split_arrow_header, text_lines
 from .names import pad_equivalent
 from .valuation import EvalContext, eq_matrix, mem_matrix
 
@@ -242,44 +243,20 @@ def witnessed_lift_with(f, x, tau, store_a, store_b, ctx_b=None):
     return WitnessedLift(x=x, image=image, witness=tuple((u, tau[u]) for u, _ in entries))
 
 
-def is_generalized_related(f, x, xp, store_a, store_b, ctx_b=None, budget=None):
-    """Decide the generalized relation.
+def is_generalized_related(f, x, xp, store_a, store_b, ctx_b=None):
+    """Decide the generalized relation by its equivalence-closure clause
+    against the canonical representative: [x' = lift(f,x).image] = top.
 
-    The main test is the equivalence-closure clause against the
-    canonical representative, [x' = lift(f,x).image] = top.  A direct
-    surjection search (recursive clause checked through canonical child
-    representatives) backs it up for witnesses the closure clause could
-    not justify on its own; the two agree on every tested pool.
+    No surjection search is needed on top of it.  Suppose a surjection
+    eps of domains commutes with f on values and every child u has
+    [lift(f,u).image = eps(u)] = top.  By transitivity of internal
+    equality, and because each equivalence pad is equal with value top
+    to the name it pads, every entry of x' lies below [. in lift(f,x).image]
+    and every entry of lift(f,x).image lies below [. in x'].  Hence
+    [x' = lift(f,x).image] = top, and the clause above already holds.
     """
     ctx_b = ctx_b or EvalContext(store_b)
-    top = store_b.algebra.top
-    if ctx_b.atomic_eq(xp, lift(f, x, store_a, store_b).image) == top:
-        return True
-    ea = store_a.entries(x)
-    eb = store_b.entries(xp)
-    if not ea:
-        return xp == store_b.empty
-    if len(ea) > SURJECTION_DOMAIN_CAP:
-        raise BudgetExceeded(
-            f"surjection search over a domain of {len(ea)} exceeds the cap"
-        )
-    dom_a = [u for u, _ in ea]
-    vals_a = [v for _, v in ea]
-    dom_b = [u for u, _ in eb]
-    vals_b = [v for _, v in eb]
-    count = 0
-    for eps in _surjections(len(dom_a), len(dom_b)):
-        count += 1
-        if budget is not None and count > budget:
-            raise BudgetExceeded("surjection search budget exhausted")
-        if any(vals_b[eps[i]] != f(vals_a[i]) for i in range(len(dom_a))):
-            continue
-        if all(
-            ctx_b.atomic_eq(lift(f, dom_a[i], store_a, store_b).image, dom_b[eps[i]]) == top
-            for i in range(len(dom_a))
-        ):
-            return True
-    return False
+    return ctx_b.atomic_eq(xp, lift(f, x, store_a, store_b).image) == store_b.algebra.top
 
 
 # -- reports --------------------------------------------------------------------------
@@ -491,46 +468,39 @@ def parse_morphism(text, algebras):
     name = None
     src = tgt = None
     mapping = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("morphism"):
-            if name is not None:
-                raise ParseError("duplicate morphism header", lineno)
-            head = line[len("morphism"):]
-            try:
-                name_part, arrow = head.split(":", 1)
-                a_part, b_part = arrow.split("->", 1)
-            except ValueError:
-                raise ParseError("expected 'morphism NAME : A -> B'", lineno)
-            name = name_part.strip()
-            for ident in (a_part.strip(), b_part.strip()):
-                if ident not in algebras:
-                    raise ParseError(f"unknown algebra {ident!r}", lineno)
-            src, tgt = algebras[a_part.strip()], algebras[b_part.strip()]
-            continue
-        if line.startswith("map:"):
-            if name is None:
-                raise ParseError("map: line before morphism header", lineno)
-            try:
-                a_lab, b_lab = line[len("map:"):].split("->", 1)
-            except ValueError:
-                raise ParseError("expected 'map: a -> b'", lineno)
-            a_lab, b_lab = a_lab.strip(), b_lab.strip()
-            try:
-                a = src.index(a_lab)
-            except KeyError:
-                raise ParseError(f"unknown source element {a_lab!r}", lineno)
-            try:
-                b = tgt.index(b_lab)
-            except KeyError:
-                raise ParseError(f"unknown target element {b_lab!r}", lineno)
-            if a in mapping:
-                raise ParseError(f"duplicate map for {a_lab!r}", lineno)
-            mapping[a] = b
-            continue
-        raise ParseError(f"unrecognized line {line!r}", lineno)
+    for lineno, line in text_lines(text):
+        with ParseError.on_line(lineno):
+            if line.startswith("morphism"):
+                if name is not None:
+                    raise ParseError("duplicate morphism header")
+                name, a_ident, b_ident = split_arrow_header(
+                    line[len("morphism"):], "morphism NAME : A -> B")
+                try:
+                    src, tgt = algebras[a_ident], algebras[b_ident]
+                except KeyError as ex:
+                    raise ParseError(f"unknown algebra {ex.args[0]!r}") from None
+                continue
+            if line.startswith("map:"):
+                if name is None:
+                    raise ParseError("map: line before morphism header")
+                try:
+                    a_lab, b_lab = line[len("map:"):].split("->", 1)
+                except ValueError:
+                    raise ParseError("expected 'map: a -> b'")
+                a_lab, b_lab = a_lab.strip(), b_lab.strip()
+                try:
+                    a = src.index(a_lab)
+                except KeyError:
+                    raise ParseError(f"unknown source element {a_lab!r}")
+                try:
+                    b = tgt.index(b_lab)
+                except KeyError:
+                    raise ParseError(f"unknown target element {b_lab!r}")
+                if a in mapping:
+                    raise ParseError(f"duplicate map for {a_lab!r}")
+                mapping[a] = b
+                continue
+            raise ParseError(f"unrecognized line {line!r}")
     if name is None:
         raise ParseError("missing morphism header")
     if len(mapping) != src.n:

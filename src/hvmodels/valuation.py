@@ -186,26 +186,6 @@ def rebind(sigma, var, nid):
     return out
 
 
-def atomic_mem(ctx, x, y):
-    return ctx.atomic_mem(x, y)
-
-
-def atomic_eq(ctx, x, y):
-    return ctx.atomic_eq(x, y)
-
-
-def atomic_ni(ctx, x, y):
-    return ctx.atomic_ni(x, y)
-
-
-def eval_formula(ctx, phi, sigma=None):
-    return ctx.eval(phi, sigma)
-
-
-def models(ctx, phi, sigma=None):
-    return ctx.models(phi, sigma)
-
-
 # -- bulk helpers for sweeps ---------------------------------------------------
 
 

@@ -6,7 +6,11 @@ import sys
 
 import pytest
 
-from hvmodels.cli import main
+from hvmodels.cli import Session, _run_script, build_parser, main
+from hvmodels.errors import ParseError
+from hvmodels.hset import parse_hset_file
+from hvmodels.lattice import load_algebra, make_boolean, make_chain
+from hvmodels.transfer import parse_morphism
 
 
 def run(capsys, *argv):
@@ -47,6 +51,14 @@ def test_eval_script(capsys, fixtures_dir):
     ]
 
 
+def test_eval_error_names_line_and_column(capsys, tmp_path):
+    script = tmp_path / "bad.eval"
+    script.write_text("algebra chain3\nlet a = {({}, zz)}\n")
+    code, _, err = run(capsys, "eval", str(script))
+    assert code == 1
+    assert err == "error: ParseError: unknown element label 'zz' (line 2, col 6)\n"
+
+
 def test_eval_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "eval", str(tmp_path / "nope.eval"))
     assert code == 1 and err.startswith("error:")
@@ -80,6 +92,15 @@ def test_lift_unknown_binding(capsys, fixtures_dir):
         "--name", "zz",
     )
     assert code == 1 and "error: ParseError" in err
+
+
+def test_lift_reports_the_real_error_of_an_adjacent_algebra(capsys, tmp_path, fixtures_dir):
+    (tmp_path / "bad.alg").write_text((fixtures_dir / "m3.alg").read_text())
+    mor = tmp_path / "g.mor"
+    mor.write_text("morphism g : bad -> two\nmap: 0 -> 0\n")
+    code, _, err = run(capsys, "lift", str(mor), str(fixtures_dir / "x.names"))
+    assert code == 1
+    assert err.startswith("error: NotAFrame")
 
 
 def test_lift_cross_algebra(capsys, fixtures_dir):
@@ -153,3 +174,30 @@ def test_module_entry_point(fixtures_dir):
     )
     assert proc.returncode == 0
     assert "valid frame with 2 elements" in proc.stdout
+
+
+def _eval_script(text, tmp_path):
+    path = tmp_path / "bad.eval"
+    path.write_text(text)
+    return _run_script(Session(build_parser().parse_args(["eval", str(path)])), path)
+
+
+# each text has its first error on line 3; a comment line and a blank
+# line must not shift the count
+BAD_LINE_3 = {
+    "alg": ("elements: 0, 1\n# no order yet\norder: 0 <= 2\n",
+            lambda text, _: load_algebra(text)),
+    "mor": ("morphism f : four -> two\n\nmap: a -> zz\n",
+            lambda text, _: parse_morphism(text, {"four": make_boolean(2), "two": make_chain(2)})),
+    "hset": ("hset X over chain3\npoints: p\ndelta: p,p = zz\n",
+             lambda text, _: parse_hset_file(text, {"chain3": make_chain(3)})),
+    "eval": ('algebra chain3\nlet a = {}\neval "a in"\n', _eval_script),
+}
+
+
+@pytest.mark.parametrize("suffix", sorted(BAD_LINE_3))
+def test_parse_errors_carry_the_line(suffix, tmp_path):
+    text, parse = BAD_LINE_3[suffix]
+    with pytest.raises(ParseError) as err:
+        parse(text, tmp_path)
+    assert err.value.line == 3

@@ -280,12 +280,18 @@ def test_generalized_closed_oracle_spot_checks(morphisms):
 
 
 def test_generalized_budget(morphisms):
+    # a domain above SURJECTION_DOMAIN_CAP is decided by the closure
+    # clause alone, without a surjection search
     f = morphisms["f"]
     sa, sb = NameStore(f.source), NameStore(f.target)
     e = sa.empty
     wide = sa.intern({sa.intern({e: v}): 3 for v in range(4)} | {e: 3})
-    with pytest.raises(BudgetExceeded):
-        is_generalized_related(f, wide, sb.empty, sa, sb)
+    assert len(sa.entries(wide)) == 5
+    ctx_b = EvalContext(sb)
+    assert is_generalized_related(f, wide, lift(f, wide, sa, sb).image, sa, sb, ctx_b)
+    pool_b = enumerate_names(sb, max_rank=2)
+    assert not brute_generalized_closed(f, sa, sb, wide, sb.empty, pool_b, ctx_b.atomic_eq)
+    assert not is_generalized_related(f, wide, sb.empty, sa, sb, ctx_b)
 
 
 # -- preservation bounds -------------------------------------------------------------
