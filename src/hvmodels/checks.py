@@ -7,6 +7,7 @@ laws live in exactly one place.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations, product as iproduct
 
 import numpy as np
@@ -142,17 +143,94 @@ def valuation_property_suite(algebra, rank=2, max_domain=2, budget=None,
     store = NameStore(algebra)
     ctx = EvalContext(store)
     pool = enumerate_names(store, max_rank=rank, max_domain=max_domain, budget=budget)
-    n = len(pool)
-    idx = {nid: k for k, nid in enumerate(pool)}
     EQ = eq_matrix(ctx, pool)
     MEM = mem_matrix(ctx, pool)
+    rep = CheckReport(
+        title=f"valuation laws over {algebra.name or algebra.n}",
+        config=_config(algebra, rank=rank, max_domain=max_domain, pool=len(pool)),
+    )
+    return valuation_law_families(rep, store, pool, EQ, MEM, ctx, eval_samples)
+
+
+def _planes(algebra, values):
+    """One boolean plane per join-irreducible p, made as it is needed:
+    where p <= values."""
+    return (algebra.leq[p][values] for p in algebra.join_irreducibles)
+
+
+def _element_dtype(algebra):
+    return np.min_scalar_type(algebra.n - 1)
+
+
+def _from_planes(algebra, shape, planes):
+    """The element array whose join-irreducibles below are given by one
+    plane per join-irreducible: the join of the p whose plane holds."""
+    out = np.full(shape, algebra.bottom, dtype=_element_dtype(algebra))
+    for p, plane in zip(algebra.join_irreducibles, planes):
+        out[plane] = algebra.join_table[out[plane], p]
+    return out
+
+
+def _count(A, B):
+    """(A @ B)[i, j] for boolean planes: the number of k with A[i, k]
+    and B[k, j].  float32 keeps the product in BLAS and is exact for
+    counts below 2^24."""
+    return A.astype(np.float32) @ B.astype(np.float32)
+
+
+def _failing_middles(A, B, C):
+    """Middles k of A[i, k] /\\ B[k, j] <= C[i, j] that fail for some
+    i, j, on one plane: B[k, j] and (A^T @ ~C)[k, j] > 0."""
+    return ((_count(A.T, ~C) > 0) & B).any(axis=1)
+
+
+def _unequal_columns(E, F):
+    """Columns k where E[i, j] holds but F[i, k] != F[j, k] for some
+    i, j, on one plane.  Row i's E-neighbours j all have F[j, k] set iff
+    their count in E @ F is the row degree of E, and none iff it is 0."""
+    count = _count(E, F)
+    degree = E.sum(axis=1)[:, None]
+    return np.where(F, count != degree, count != 0).any(axis=0)
+
+
+def fragment_forms(algebra, MEM):
+    """The unbounded quantifier forms over the whole pool as fragment:
+    fex[x, z] = \\/_w [w in x] /\\ [w in z] and
+    ffa[x, z] = /\\_w [w in x] -> [w in z].
+
+    On p's plane fex is M_p^T @ M_p > 0.  p <= a -> b iff q <= a
+    implies q <= b for every join-irreducible q <= p, so ffa holds on
+    p's plane where no such q has a w with M_q[w, x] and not M_q[w, z].
+    """
+    leq, J = algebra.leq, algebra.join_irreducibles
+    fex = _from_planes(algebra, MEM.shape,
+                       (_count(M.T, M) > 0 for M in _planes(algebra, MEM)))
+    escapes = [_count(M.T, ~M) > 0 for M in _planes(algebra, MEM)]
+    ffa = _from_planes(algebra, MEM.shape, (
+        ~reduce(np.logical_or, [esc for q, esc in zip(J, escapes) if leq[q, p]])
+        for p in J))
+    return fex, ffa
+
+
+def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
+    """Add the eleven law families over `pool`, given its [x = y] and
+    [x in y] matrices, to the report `rep` and return it.
+
+    The order laws 5, 6, 7 and 9 quantify over a middle name k, n^2
+    checks per middle.  They are decided on join-irreducible bitplanes
+    (Birkhoff): a /\\ b <= c holds iff for every join-irreducible p,
+    p <= a and p <= b imply p <= c, and a = b iff they have the same
+    join-irreducibles below.  With E_p = (p <= EQ) and M_p = (p <= MEM)
+    each family is a few 0/1 matrix products per p, and each product
+    also names the failing middles.
+    """
+    algebra = store.algebra
+    ctx = ctx or EvalContext(store)
+    n = len(pool)
+    idx = {nid: k for k, nid in enumerate(pool)}
     mt, jt, it, leq = (algebra.meet_table, algebra.join_table,
                        algebra.impl_table, algebra.leq)
     top, bottom = algebra.top, algebra.bottom
-    rep = CheckReport(
-        title=f"valuation laws over {algebra.name or algebra.n}",
-        config=_config(algebra, rank=rank, max_domain=max_domain, pool=n),
-    )
 
     fam = rep.family("1 reflexivity [x = x] = top")
     fam.bulk(n, EQ.diagonal() == top, "diagonal below top")
@@ -174,20 +252,25 @@ def valuation_property_suite(algebra, rank=2, max_domain=2, budget=None,
         fam.bulk(n, np.array_equal(row, MEM[:, i]),
                  {"x": store.to_literal(x)})
 
-    fam = rep.family("5 equality transitive")
-    for k in range(n):
-        lhs = mt[EQ[:, k][:, None], EQ[k, :][None, :]]
-        fam.bulk(n * n, leq[lhs, EQ].all(), {"middle": store.to_literal(pool[k])})
+    # family 9 substitutes into w in z, z in w and w = z: on a plane the
+    # value at (w, z) is M[w, z], M^T[w, z] and E[w, z]
+    substituted = ("w in z", "z in w", "w = z")
+    fail5, fail6, fail7 = (np.zeros(n, dtype=bool) for _ in range(3))
+    fail9 = np.zeros((len(substituted), n), dtype=bool)
+    for E, M in zip(_planes(algebra, EQ), _planes(algebra, MEM)):
+        fail5 |= _failing_middles(E, E, E)
+        fail6 |= _failing_middles(E, M, M)
+        fail7 |= _failing_middles(M, E, M)
+        for t, F in enumerate((M, M.T, E)):
+            fail9[t] |= _unequal_columns(E, F)
 
-    fam = rep.family("6 equality then membership")
-    for k in range(n):
-        lhs = mt[EQ[:, k][:, None], MEM[k, :][None, :]]
-        fam.bulk(n * n, leq[lhs, MEM].all(), {"middle": store.to_literal(pool[k])})
-
-    fam = rep.family("7 membership then equality")
-    for k in range(n):
-        lhs = mt[MEM[:, k][:, None], EQ[k, :][None, :]]
-        fam.bulk(n * n, leq[lhs, MEM].all(), {"middle": store.to_literal(pool[k])})
+    for name, fail in (("5 equality transitive", fail5),
+                       ("6 equality then membership", fail6),
+                       ("7 membership then equality", fail7)):
+        fam = rep.family(name)
+        fam.checked += n * n * n
+        fam.violations.extend({"middle": store.to_literal(pool[k])}
+                              for k in np.flatnonzero(fail))
 
     fam = rep.family("8 equality carries entries")
     for i, x in enumerate(pool):
@@ -196,27 +279,19 @@ def valuation_property_suite(algebra, rank=2, max_domain=2, budget=None,
                      {"x": store.to_literal(x), "u": store.to_literal(u)})
 
     fam = rep.family("9 substitution under equality")
-    for k in range(n):
-        for tag, phi in (("w in z", MEM[:, k]), ("z in w", MEM[k, :]),
-                         ("w = z", EQ[:, k])):
-            lhs = mt[EQ, phi[:, None]]
-            rhs = mt[EQ, phi[None, :]]
-            fam.bulk(n * n, np.array_equal(lhs, rhs),
-                     {"family": tag, "z": store.to_literal(pool[k])})
+    fam.checked += len(substituted) * n * n * n
+    fam.violations.extend({"family": substituted[t], "z": store.to_literal(pool[k])}
+                          for k, t in np.argwhere(fail9.T))
 
     # bounded-quantifier expansion over dom x, with the value of the
     # unbounded form over the full pool as fragment for comparison
-    bex = np.full((n, n), bottom, dtype=np.int64)
-    bfa = np.full((n, n), top, dtype=np.int64)
+    bex = np.full((n, n), bottom, dtype=_element_dtype(algebra))
+    bfa = np.full((n, n), top, dtype=_element_dtype(algebra))
     for i, x in enumerate(pool):
         for u, v in store.entries(x):
             bex[i, :] = jt[bex[i, :], mt[v, MEM[idx[u], :]]]
             bfa[i, :] = mt[bfa[i, :], it[v, MEM[idx[u], :]]]
-    fex = np.full((n, n), bottom, dtype=np.int64)
-    ffa = np.full((n, n), top, dtype=np.int64)
-    for w in range(n):
-        fex = jt[fex, mt[MEM[w, :][:, None], MEM[w, :][None, :]]]
-        ffa = mt[ffa, it[MEM[w, :][:, None], MEM[w, :][None, :]]]
+    fex, ffa = fragment_forms(algebra, MEM)
 
     sample = pool[:: max(1, n // eval_samples)]
     frag_ctx = EvalContext(store, fragment=pool)

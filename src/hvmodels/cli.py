@@ -152,7 +152,13 @@ def _run_script(session, path):
     evals = []
     lift_target = None
     algebra_name = None
-    for lineno, line in text_lines(Path(path).read_text()):
+    text = Path(path).read_text()
+    raw_lines = text.splitlines()
+    for lineno, line in text_lines(text):
+        # a suffix `part` of the stripped line starts at column
+        # end - len(part) of the raw line
+        raw = raw_lines[lineno - 1]
+        end = len(raw) - len(raw.lstrip()) + len(line)
         with ParseError.on_line(lineno):
             head, _, rest = line.partition(" ")
             rest = rest.strip()
@@ -169,7 +175,9 @@ def _run_script(session, path):
                 name = name.strip()
                 if not name.isidentifier():
                     raise ParseError(f"bad binding name {name!r}")
-                bindings[name] = parse_name_literal(store, literal.strip(), bindings)
+                literal = literal.lstrip()
+                with ParseError.from_column(end - len(literal)):
+                    bindings[name] = parse_name_literal(store, literal, bindings)
                 continue
             if head == "fragment":
                 for ident in rest.split():
@@ -179,11 +187,12 @@ def _run_script(session, path):
                 ctx = EvalContext(store, fragment=tuple(fragment))
                 continue
             if head == "eval":
-                text = rest.strip()
-                if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-                    text = text[1:-1]
-                phi = parse_formula(text, constants=bindings)
-                evals.append((text, phi))
+                formula, start = rest, end - len(rest)
+                if formula.startswith('"') and formula.endswith('"') and len(formula) >= 2:
+                    formula, start = formula[1:-1], start + 1
+                with ParseError.from_column(start):
+                    phi = parse_formula(formula, constants=bindings)
+                evals.append((formula, phi))
                 continue
             if head == "lift":
                 if rest not in bindings:

@@ -37,6 +37,18 @@ class ParseError(HvError):
                 ex.line = lineno
             raise
 
+    @staticmethod
+    @contextmanager
+    def from_column(offset):
+        """Shift the column of a ParseError raised in the block by
+        `offset`, for text that starts at that column of its line."""
+        try:
+            yield
+        except ParseError as ex:
+            if ex.column is not None:
+                ex.column += offset
+            raise
+
 
 class NotAPoset(HvError):
     """The given order relation is not reflexive/antisymmetric/transitive."""

@@ -204,9 +204,10 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}",
-                                 column=pos)
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r}",
+                                 column=len(text) - len(rest))
             break
         tokens.append((m.group(1), m.start(1)))
         pos = m.end()

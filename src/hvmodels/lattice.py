@@ -9,6 +9,7 @@ to the frame law a /\ \/S = \/{a /\ s : s in S}.
 """
 
 import hashlib
+from functools import cached_property
 
 import numpy as np
 
@@ -141,6 +142,19 @@ class HeytingAlgebra:
                     v = int(self.join_table[v, c])
                 impl[a, b] = v
         return impl
+
+    @cached_property
+    def join_irreducibles(self):
+        """The join-irreducible elements in index order: those with
+        exactly one lower cover (bottom has none, and an element with two
+        or more is their join).  By Birkhoff's representation a <= b iff
+        every join-irreducible below a is below b, and in a distributive
+        lattice p <= \\/S iff p <= s for some s in S.  Computed on first
+        use, not at construction."""
+        strict = self.leq & ~np.eye(self.n, dtype=bool)
+        s = strict.astype(np.float32)
+        covers = strict & ~((s @ s) > 0)
+        return tuple(int(p) for p in np.flatnonzero(covers.sum(axis=0) == 1))
 
     # -- scalar operations ----------------------------------------------
 

@@ -13,7 +13,18 @@ memo table so deep names cannot overflow the interpreter stack.
 Equality is memoized under a symmetric key: the defining expression is
 literally symmetric in its arguments, and the symmetry is additionally
 guarded against a non-memoized reference implementation in the tests.
+
+`eq_matrix` and `mem_matrix` compute whole blocks with an array kernel
+instead: the downward closure of the requested names is laid out by
+rank as padded child-position and child-value arrays, the equality
+matrix is filled one rank level at a time with table lookups over
+whole blocks (every sub-pair lies at a lower level), and membership is
+derived from it with one gather per child slot.  The returned cells are
+left in the context's memo, so later one-off queries hit it.
 """
+
+from bisect import bisect_left
+from itertools import repeat
 
 import numpy as np
 
@@ -189,23 +200,122 @@ def rebind(sigma, var, nid):
 # -- bulk helpers for sweeps ---------------------------------------------------
 
 
+def _eq_kernel(ctx, ids_row, ids_col):
+    r"""[u = v] over the downward closure of both id lists, as one array.
+
+    Returns (rows, cols, EQ, K, V).  The names of the closure have
+    positions ordered by rank; `rows` and `cols` are the positions of
+    the two lists, and EQ is indexed by position.  Row p of K holds the
+    positions of the children of name p, row p of V their values; both
+    are padded to the widest domain with child 0 and value bottom, which
+    is neutral in both formulas (bottom /\ a = bottom joins to nothing,
+    bottom -> a = top meets to nothing).
+
+    A pair's level is max(rank x, rank y), and every sub-pair the
+    recursion reads lies at a strictly lower level.  The positions of
+    rank <= r are a prefix, so level r fills the square block over that
+    prefix from entries of the block below it, which are final.  For the
+    y side the block is
+
+        P[x, y] = /\_b (V[y, b] -> \/_a V[x, a] /\ EQ[K[x, a], K[y, b]])
+
+    and the x side is its transpose, so EQ = P /\ P^T.
+    """
+    store, A = ctx.store, ctx.algebra
+    mt, jt, it = A.meet_table, A.join_table, A.impl_table
+    seen = set()
+    stack = [store.check_id(u) for u in (*ids_row, *ids_col)]
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack.extend(k for k, _ in store.entries(u))
+    nodes = sorted(seen, key=lambda u: (store.rank(u), u))
+    pos = {u: p for p, u in enumerate(nodes)}
+    n = len(nodes)
+    width = max([len(store.entries(u)) for u in nodes] + [1])
+    K = np.zeros((n, width), dtype=np.intp)
+    V = np.full((n, width), A.bottom, dtype=np.intp)
+    ends = []
+    for p, u in enumerate(nodes):
+        for s, (k, v) in enumerate(store.entries(u)):
+            K[p, s] = pos[k]
+            V[p, s] = v
+        if p + 1 == n or store.rank(nodes[p + 1]) != store.rank(u):
+            ends.append(p + 1)
+    EQ = np.full((n, n), A.top, dtype=np.intp)
+    for end in ends:
+        k, v = K[:end], V[:end]
+        P = np.full((end, end), A.top, dtype=np.intp)
+        for b in range(width):
+            ni = np.full((end, end), A.bottom, dtype=np.intp)
+            for a in range(width):
+                sub = EQ[k[:, a][:, None], k[:, b][None, :]]
+                ni = jt[ni, mt[v[:, a][:, None], sub]]
+            P = mt[P, it[v[:, b][None, :], ni]]
+        EQ[:end, :end] = mt[P, P.T]
+    rows = np.array([pos[u] for u in ids_row], dtype=np.intp)
+    cols = np.array([pos[v] for v in ids_col], dtype=np.intp)
+    return rows, cols, EQ, K, V
+
+
+def _seed(memo, ids_row, ids_col, out, symmetric):
+    """Store every cell of `out` in `memo` as a Python int; equality
+    cells go under the symmetric key (min id, max id).  Rows are
+    converted one at a time, so no list of the whole matrix is built."""
+    ids_col = list(ids_col)
+    if not symmetric:
+        for u, row in zip(ids_row, out):
+            memo.update(zip(zip(repeat(u), ids_col), row.tolist()))
+        return
+    order = sorted(range(len(ids_col)), key=ids_col.__getitem__)
+    cols = [ids_col[j] for j in order]
+    for u, row in zip(ids_row, out[:, order]):
+        q = bisect_left(cols, u)
+        row = row.tolist()
+        memo.update(zip(zip(cols[:q], repeat(u)), row[:q]))
+        memo.update(zip(zip(repeat(u), cols[q:]), row[q:]))
+
+
+# The cells are computed apart from eq_matrix / mem_matrix so that the
+# kernel's arrays are freed before the memo fills, which keeps them out
+# of the peak memory of a sweep.
+
+
+def _eq_cells(ctx, ids_row, ids_col):
+    rows, cols, EQ, _, _ = _eq_kernel(ctx, ids_row, ids_col)
+    return EQ[np.ix_(rows, cols)].astype(np.int64)
+
+
+def _mem_cells(ctx, ids_row, ids_col):
+    # [u in v] = \/_b V[v, b] /\ [u = K[v, b]]: one gather per child slot
+    rows, cols, EQ, K, V = _eq_kernel(ctx, ids_row, ids_col)
+    A = ctx.algebra
+    out = np.full((len(rows), len(cols)), A.bottom, dtype=np.int64)
+    eq_rows = EQ[rows]
+    for b in range(K.shape[1]):
+        kids = K[cols, b]
+        out = A.join_table[out, A.meet_table[V[cols, b][None, :], eq_rows[:, kids]]]
+    return out
+
+
 def eq_matrix(ctx, ids_row, ids_col=None):
-    """Matrix of [u = v] values; symmetric when both id lists coincide."""
+    """Matrix of [u = v] values; symmetric when both id lists coincide.
+
+    Computed by the array kernel over the downward closure of both
+    lists; every returned cell is left in `ctx`'s memo."""
     ids_col = ids_row if ids_col is None else ids_col
-    out = np.empty((len(ids_row), len(ids_col)), dtype=np.int64)
-    for i, u in enumerate(ids_row):
-        for j, v in enumerate(ids_col):
-            out[i, j] = ctx.atomic_eq(u, v)
+    out = _eq_cells(ctx, ids_row, ids_col)
+    _seed(ctx._eq, ids_row, ids_col, out, symmetric=True)
     return out
 
 
 def mem_matrix(ctx, ids_row, ids_col=None):
-    """Matrix of [u in v] values."""
+    """Matrix of [u in v] values, derived from the equality kernel; every
+    returned cell is left in `ctx`'s memo."""
     ids_col = ids_row if ids_col is None else ids_col
-    out = np.empty((len(ids_row), len(ids_col)), dtype=np.int64)
-    for i, u in enumerate(ids_row):
-        for j, v in enumerate(ids_col):
-            out[i, j] = ctx.atomic_mem(u, v)
+    out = _mem_cells(ctx, ids_row, ids_col)
+    _seed(ctx._mem, ids_row, ids_col, out, symmetric=False)
     return out
 
 

@@ -56,7 +56,20 @@ def test_eval_error_names_line_and_column(capsys, tmp_path):
     script.write_text("algebra chain3\nlet a = {({}, zz)}\n")
     code, _, err = run(capsys, "eval", str(script))
     assert code == 1
-    assert err == "error: ParseError: unknown element label 'zz' (line 2, col 6)\n"
+    assert err == "error: ParseError: unknown element label 'zz' (line 2, col 14)\n"
+
+
+@pytest.mark.parametrize("line,col", [
+    ('eval "a = = a"', 10),
+    ("eval a in $ a", 10),
+    ("  let b = {(a, 1), (a, q)}", 23),
+])
+def test_script_error_columns_count_from_the_line_start(capsys, tmp_path, line, col):
+    script = tmp_path / "bad.eval"
+    script.write_text(f"algebra chain3\nlet a = {{}}\n{line}  # note\n")
+    code, _, err = run(capsys, "eval", str(script))
+    assert code == 1
+    assert err.endswith(f"(line 3, col {col})\n"), err
 
 
 def test_eval_missing_file(capsys, tmp_path):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +12,7 @@ from hvmodels.errors import (
     ParseError,
 )
 from hvmodels.lattice import (
+    BUILTIN_ALGEBRAS,
     HeytingAlgebra,
     big_join,
     big_meet,
@@ -222,3 +225,58 @@ def test_chains_have_goedel_implication(n):
         for b in range(n):
             expected = A.top if a <= b else b
             assert A.impl_table[a, b] == expected
+
+
+# -- join-irreducibles and Birkhoff's representation ------------------------
+
+DIAMOND_ON_TOP = "elements: 0, a, b, ab, 1\nhasse: 0 < a\nhasse: 0 < b\n" \
+                 "hasse: a < ab\nhasse: b < ab\nhasse: ab < 1\n"
+
+
+def _frames():
+    """The built-ins, the fixture frames, and a frame that is neither a
+    chain nor Boolean: 0 < a, b < ab < 1."""
+    out = {name: make() for name, make in BUILTIN_ALGEBRAS.items()}
+    out.update({"chain5": make_chain(5), "boolean8": make_boolean(3),
+                "diamond_on_top": load_algebra(DIAMOND_ON_TOP)})
+    for path in sorted((Path(__file__).parent.parent / "fixtures").glob("*.alg")):
+        try:
+            out[path.name] = load_algebra(path.read_text())
+        except NotAFrame:
+            pass
+    return out
+
+
+def brute_join_irreducibles(A):
+    # p != bottom and p is not the join of the elements strictly below it
+    out = []
+    for p in range(A.n):
+        below = [q for q in range(A.n) if q != p and A.leq[q, p]]
+        if p != A.bottom and big_join(A, below) != p:
+            out.append(p)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(_frames()))
+def test_join_irreducibles_match_the_definition(name):
+    A = _frames()[name]
+    assert A.join_irreducibles == brute_join_irreducibles(A)
+
+
+@pytest.mark.parametrize("name", sorted(_frames()))
+def test_birkhoff_order_is_inclusion_of_join_irreducibles(name):
+    A = _frames()[name]
+    J = A.join_irreducibles
+    below = {a: {p for p in J if A.leq[p, a]} for a in range(A.n)}
+    for a in range(A.n):
+        for b in range(A.n):
+            assert bool(A.leq[a, b]) == (below[a] <= below[b])
+
+
+def test_join_irreducibles_are_computed_on_first_use():
+    A = make_chain(4)
+    assert "join_irreducibles" not in vars(A)
+    assert A.join_irreducibles == (1, 2, 3)
+    assert "join_irreducibles" in vars(A)
+    assert make_boolean(3).join_irreducibles == (1, 2, 4)
+    assert load_algebra(DIAMOND_ON_TOP).join_irreducibles == (1, 2, 4)

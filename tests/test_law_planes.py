@@ -1,0 +1,207 @@
+r"""The bitplane law families against the per-middle loops they replace.
+
+`reference_families` is the earlier form of the eleven valuation law
+families, kept frozen here: families 5, 6, 7 and 9 loop over every
+middle name k, and the fragment forms of 10 and 11 loop over every
+fragment name w.  `checks.valuation_law_families` decides the same laws
+on join-irreducible bitplanes.  Both run on intact [x = y] / [x in y]
+matrices and on seeded corruptions of them, and must agree on every
+family's name, check count and violation list, order included.
+"""
+
+import random
+import time
+
+import numpy as np
+import pytest
+
+from hvmodels.checks import (
+    CheckReport,
+    fragment_forms,
+    valuation_law_families,
+    valuation_property_suite,
+)
+from hvmodels.formula import parse_formula
+from hvmodels.lattice import load_algebra, make_boolean, make_chain
+from hvmodels.names import NameStore, enumerate_names
+from hvmodels.valuation import EvalContext, eq_matrix, mem_matrix
+
+
+def reference_fragment_forms(algebra, MEM):
+    n = MEM.shape[0]
+    mt, jt, it = algebra.meet_table, algebra.join_table, algebra.impl_table
+    fex = np.full((n, n), algebra.bottom, dtype=np.int64)
+    ffa = np.full((n, n), algebra.top, dtype=np.int64)
+    for w in range(n):
+        fex = jt[fex, mt[MEM[w, :][:, None], MEM[w, :][None, :]]]
+        ffa = mt[ffa, it[MEM[w, :][:, None], MEM[w, :][None, :]]]
+    return fex, ffa
+
+
+def reference_families(store, pool, EQ, MEM, ctx, eval_samples):
+    algebra = store.algebra
+    n = len(pool)
+    idx = {nid: k for k, nid in enumerate(pool)}
+    mt, jt, it, leq = (algebra.meet_table, algebra.join_table,
+                       algebra.impl_table, algebra.leq)
+    top, bottom = algebra.top, algebra.bottom
+    rep = CheckReport("reference")
+    fam = rep.family("1 reflexivity [x = x] = top")
+    fam.bulk(n, EQ.diagonal() == top, "diagonal below top")
+
+    fam = rep.family("2 entry value below membership")
+    for j, y in enumerate(pool):
+        for u, v in store.entries(y):
+            fam.record(bool(leq[v, MEM[idx[u], j]]),
+                       {"y": store.to_literal(y), "u": store.to_literal(u)})
+
+    fam = rep.family("3 symmetry [x = y] = [y = x]")
+    fam.bulk(n * n, np.array_equal(EQ, EQ.T), "asymmetric pair")
+
+    fam = rep.family("4 mirrored membership [x in y] = [y ni x]")
+    for i, x in enumerate(pool):
+        row = np.full(n, bottom, dtype=np.int64)
+        for u, v in store.entries(x):
+            row = jt[row, mt[v, EQ[idx[u], :]]]
+        fam.bulk(n, np.array_equal(row, MEM[:, i]), {"x": store.to_literal(x)})
+
+    fam = rep.family("5 equality transitive")
+    for k in range(n):
+        lhs = mt[EQ[:, k][:, None], EQ[k, :][None, :]]
+        fam.bulk(n * n, leq[lhs, EQ].all(), {"middle": store.to_literal(pool[k])})
+
+    fam = rep.family("6 equality then membership")
+    for k in range(n):
+        lhs = mt[EQ[:, k][:, None], MEM[k, :][None, :]]
+        fam.bulk(n * n, leq[lhs, MEM].all(), {"middle": store.to_literal(pool[k])})
+
+    fam = rep.family("7 membership then equality")
+    for k in range(n):
+        lhs = mt[MEM[:, k][:, None], EQ[k, :][None, :]]
+        fam.bulk(n * n, leq[lhs, MEM].all(), {"middle": store.to_literal(pool[k])})
+
+    fam = rep.family("8 equality carries entries")
+    for i, x in enumerate(pool):
+        for u, v in store.entries(x):
+            fam.bulk(n, leq[mt[EQ[i, :], v], MEM[idx[u], :]].all(),
+                     {"x": store.to_literal(x), "u": store.to_literal(u)})
+
+    fam = rep.family("9 substitution under equality")
+    for k in range(n):
+        for tag, phi in (("w in z", MEM[:, k]), ("z in w", MEM[k, :]),
+                         ("w = z", EQ[:, k])):
+            lhs = mt[EQ, phi[:, None]]
+            rhs = mt[EQ, phi[None, :]]
+            fam.bulk(n * n, np.array_equal(lhs, rhs),
+                     {"family": tag, "z": store.to_literal(pool[k])})
+
+    bex = np.full((n, n), bottom, dtype=np.int64)
+    bfa = np.full((n, n), top, dtype=np.int64)
+    for i, x in enumerate(pool):
+        for u, v in store.entries(x):
+            bex[i, :] = jt[bex[i, :], mt[v, MEM[idx[u], :]]]
+            bfa[i, :] = mt[bfa[i, :], it[v, MEM[idx[u], :]]]
+    fex, ffa = reference_fragment_forms(algebra, MEM)
+
+    sample = pool[:: max(1, n // eval_samples)]
+    frag_ctx = EvalContext(store, fragment=pool)
+    bounded_ex = parse_formula("exists u in X . u in Z", free=("X", "Z"))
+    unbounded_ex = parse_formula("exists u . u in X /\\ u in Z", free=("X", "Z"))
+    bounded_fa = parse_formula("forall u in X . u in Z", free=("X", "Z"))
+    unbounded_fa = parse_formula("forall u . u in X -> u in Z", free=("X", "Z"))
+
+    fam = rep.family("10 bounded exists expands over the domain")
+    fam.bulk(n * n, np.array_equal(bex, fex), "fragment form differs")
+    for x in sample:
+        for z in sample:
+            sigma = {"X": x, "Z": z}
+            b = ctx.eval(bounded_ex, sigma)
+            u = frag_ctx.eval(unbounded_ex, sigma)
+            fam.record(b == bex[idx[x], idx[z]] == u,
+                       {"x": store.to_literal(x), "z": store.to_literal(z)})
+
+    fam = rep.family("11 bounded forall expands over the domain")
+    fam.bulk(n * n, np.array_equal(bfa, ffa), "fragment form differs")
+    for x in sample:
+        for z in sample:
+            sigma = {"X": x, "Z": z}
+            b = ctx.eval(bounded_fa, sigma)
+            u = frag_ctx.eval(unbounded_fa, sigma)
+            fam.record(b == bfa[idx[x], idx[z]] == u,
+                       {"x": store.to_literal(x), "z": store.to_literal(z)})
+    return rep
+
+
+DIAMOND_ON_TOP = load_algebra(
+    "elements: 0, a, b, ab, 1\nhasse: 0 < a\nhasse: 0 < b\n"
+    "hasse: a < ab\nhasse: b < ab\nhasse: ab < 1\n", name="diamond_on_top")
+
+# (algebra, domain cap at rank 2, corruption seeds); seed 0 leaves the
+# matrices intact
+CASES = [
+    (make_chain(5), 1, range(8)),
+    (make_boolean(2), 2, range(3)),
+    (make_boolean(3), 1, range(6)),
+    (DIAMOND_ON_TOP, 1, range(8)),
+]
+
+
+def _corrupt(algebra, EQ, MEM, seed):
+    """Copies of the matrices with a few cells overwritten by seeded
+    random elements: EQ only, MEM only, or both, and for some seeds
+    EQ symmetrically."""
+    EQ, MEM = EQ.copy(), MEM.copy()
+    if seed == 0:
+        return EQ, MEM
+    rng = random.Random(seed)
+    n = EQ.shape[0]
+    targets = [(EQ,), (MEM,), (EQ, MEM)][seed % 3]
+    for mat in targets:
+        for _ in range(rng.randint(1, 4)):
+            i, j, a = rng.randrange(n), rng.randrange(n), rng.randrange(algebra.n)
+            mat[i, j] = a
+            if mat is EQ and seed % 2:
+                mat[j, i] = a
+    return EQ, MEM
+
+
+def _matrices(algebra, cap):
+    store = NameStore(algebra)
+    pool = enumerate_names(store, max_rank=2, max_domain=cap)
+    ctx = EvalContext(store)
+    return store, pool, eq_matrix(ctx, pool), mem_matrix(ctx, pool)
+
+
+def _summary(rep):
+    return [(f.name, f.checked, f.violations) for f in rep.families]
+
+
+@pytest.mark.parametrize("algebra,cap,seeds", CASES, ids=[c[0].name for c in CASES])
+def test_bitplane_families_match_the_per_middle_reference(algebra, cap, seeds):
+    store, pool, EQ0, MEM0 = _matrices(algebra, cap)
+    failing = set()
+    for seed in seeds:
+        EQ, MEM = _corrupt(algebra, EQ0, MEM0, seed)
+        want = _summary(reference_families(store, pool, EQ, MEM,
+                                           EvalContext(store), eval_samples=3))
+        got = _summary(valuation_law_families(CheckReport("planes"), store, pool, EQ, MEM,
+                                              EvalContext(store), eval_samples=3))
+        assert got == want, f"seed {seed}"
+        assert [np.array_equal(a, b) for a, b in zip(
+            fragment_forms(algebra, MEM), reference_fragment_forms(algebra, MEM))] \
+            == [True, True]
+        if seed == 0:
+            assert all(not v for _, _, v in got)
+        failing |= {name for name, _, v in got if v}
+    # the corruptions reach every family decided on bitplanes
+    for prefix in ("5 ", "6 ", "7 ", "9 ", "10 ", "11 "):
+        assert any(name.startswith(prefix) for name in failing), prefix
+
+
+def test_bigger_sweep_boolean4_domain_cap_3():
+    started = time.perf_counter()
+    rep = valuation_property_suite(make_boolean(2), rank=2, max_domain=3)
+    elapsed = time.perf_counter() - started
+    assert rep.config["pool"] == 821
+    assert len(rep.families) == 11 and rep.ok, rep.render_text()
+    assert elapsed < 60.0

@@ -8,9 +8,11 @@ text round-trips.
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hvmodels.checks import counterexample_names, standard_morphisms
 from hvmodels.errors import (
     EmptyFragment,
     ParseError,
@@ -36,7 +38,8 @@ from hvmodels.formula import (
     to_text,
 )
 from hvmodels.lattice import make_boolean, make_chain
-from hvmodels.names import NameStore, enumerate_names, ordered_pair_h
+from hvmodels.names import NameStore, enumerate_names, ordered_pair_h, pad_equivalent
+from hvmodels.transfer import lift
 from hvmodels.valuation import EvalContext, eq_matrix, mem_matrix
 
 from oracles import ref_eq, ref_mem, ref_ni
@@ -84,6 +87,87 @@ def test_matrix_helpers_agree_with_loops(store2):
             assert E[i, j] == ctx.atomic_eq(x, y)
             assert M[i, j] == ctx.atomic_mem(x, y)
     assert (E == E.T).all()
+
+
+# -- the array kernel behind eq_matrix / mem_matrix against the oracles -------
+
+
+def _assert_matrices_match_oracle(store, rows, cols):
+    """eq_matrix / mem_matrix on a fresh context equal the naive
+    recursion cell by cell, and leave every returned cell in the memo
+    as a Python int equal to a cold atomic query."""
+    ctx = EvalContext(store)
+    E = eq_matrix(ctx, rows, cols)
+    M = mem_matrix(ctx, rows, cols)
+    assert E.shape == M.shape == (len(rows), len(cols))
+    assert E.dtype == M.dtype == np.int64
+    for i, u in enumerate(rows):
+        for j, v in enumerate(cols):
+            assert E[i, j] == ref_eq(store, u, v)
+            assert M[i, j] == ref_mem(store, u, v)
+            hit = ctx._eq[(u, v) if u <= v else (v, u)]
+            assert type(hit) is int and hit == EvalContext(store).atomic_eq(u, v)
+            hit = ctx._mem[(u, v)]
+            assert type(hit) is int and hit == EvalContext(store).atomic_mem(u, v)
+
+
+def test_kernel_matches_oracle_on_the_shared_pools(pools):
+    for store, _, pool in pools.values():
+        sample = _sample(pool, 24)
+        ctx = EvalContext(store)
+        E, M = eq_matrix(ctx, pool), mem_matrix(ctx, pool)
+        at = [pool.index(u) for u in sample]
+        for i, u in zip(at, sample):
+            for j, v in zip(at, sample):
+                assert E[i, j] == ref_eq(store, u, v)
+                assert M[i, j] == ref_mem(store, u, v)
+        assert len(ctx._eq) == len(pool) * (len(pool) + 1) // 2
+        assert len(ctx._mem) == len(pool) ** 2
+        _assert_matrices_match_oracle(store, sample[::2], sample[1::2])
+
+
+def test_kernel_on_lift_images_that_are_not_downward_closed():
+    # the images along f of a rank-2 pool over four, padded where two
+    # children collide; neither the image list nor rows/cols below is
+    # downward closed
+    f = standard_morphisms()["f"]
+    sa, sb = NameStore(f.source), NameStore(f.target)
+    pool = enumerate_names(sa, max_rank=2, max_domain=2)
+    images = sorted({lift(f, x, sa, sb).image for x in pool[::7]}
+                    | {lift(f, counterexample_names(sa), sa, sb).image})
+    children = {k for u in images for k, _ in sb.entries(u)}
+    w = sb.intern({sb.empty: f.target.bottom})
+    assert pad_equivalent(sb, w, 1) in children
+    assert not children <= set(images)
+    _assert_matrices_match_oracle(sb, images, images)
+    _assert_matrices_match_oracle(sb, images[::3], images[1::2])
+    _assert_matrices_match_oracle(sb, [], images[:3])
+
+
+ALGEBRAS = (make_chain(3), make_boolean(2), make_chain(5))
+
+
+@st.composite
+def _names(draw):
+    """A store over one of ALGEBRAS with up to a dozen hypothesis-built
+    names, and row and column lists drawn from it (duplicates allowed)."""
+    algebra = draw(st.sampled_from(ALGEBRAS))
+    store = NameStore(algebra)
+    ids = [store.empty]
+    for _ in range(draw(st.integers(1, 12))):
+        kids = draw(st.lists(st.sampled_from(ids), max_size=3))
+        vals = draw(st.lists(st.integers(0, algebra.n - 1),
+                             min_size=len(kids), max_size=len(kids)))
+        ids.append(store.intern(dict(zip(kids, vals))))
+    rows = draw(st.lists(st.sampled_from(ids), max_size=6))
+    cols = draw(st.lists(st.sampled_from(ids), max_size=6))
+    return store, rows, cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(_names())
+def test_kernel_matches_oracle_on_generated_names(case):
+    _assert_matrices_match_oracle(*case)
 
 
 # -- parser ------------------------------------------------------------------
