@@ -1,9 +1,12 @@
 """Executable law suites.
 
-Each suite returns a CheckReport made of named families; a family counts
-its checks and collects violations.  The command line prints and
-serializes these reports, and the test suite asserts on them, so the
-laws live in exactly one place.
+Each suite returns a CheckReport made of named families.  A family is an
+`errors.Family`, the one report type for a single law: it counts its
+checks and collects violations.  The preservation checkers of
+`transfer` and the validators of `hset` return the same type, so a
+suite appends or reads their families as they are.  The command line
+prints and serializes these reports, and the test suite asserts on
+them, so the laws live in exactly one place.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +17,7 @@ import numpy as np
 
 from . import hset as hs
 from . import transfer as tr
-from .errors import HvError, NotAFrame, NotJoinPreserving, NotMeetPreserving
+from .errors import Family, HvError, NotAFrame, NotJoinPreserving, NotMeetPreserving
 from .formula import parse_formula
 from .lattice import BUILTIN_ALGEBRAS, HeytingAlgebra, make_chain
 from .names import (
@@ -27,32 +30,6 @@ from .names import (
 from .valuation import EvalContext, eq_matrix, make_function_predicate, mem_matrix
 
 DEFAULT_SEED = 1729
-
-
-@dataclass
-class Family:
-    name: str
-    checked: int = 0
-    violations: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def record(self, ok, detail=None):
-        self.checked += 1
-        if not ok:
-            self.violations.append(detail)
-
-    def bulk(self, count, ok_mask_or_bool, detail=None):
-        """Count `count` checks at once; on failure store one witness."""
-        self.checked += count
-        if isinstance(ok_mask_or_bool, np.ndarray):
-            if not ok_mask_or_bool.all():
-                self.violations.append(detail)
-        elif not ok_mask_or_bool:
-            self.violations.append(detail)
 
 
 @dataclass
@@ -238,7 +215,8 @@ def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
     fam = rep.family("2 entry value below membership")
     for j, y in enumerate(pool):
         for u, v in store.entries(y):
-            fam.record(bool(leq[v, MEM[idx[u], j]]),
+            ok = leq[v, MEM[idx[u], j]]
+            fam.record(ok, None if ok else
                        {"y": store.to_literal(y), "u": store.to_literal(u)})
 
     fam = rep.family("3 symmetry [x = y] = [y = x]")
@@ -249,8 +227,8 @@ def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
         row = np.full(n, bottom, dtype=np.int64)
         for u, v in store.entries(x):
             row = jt[row, mt[v, EQ[idx[u], :]]]
-        fam.bulk(n, np.array_equal(row, MEM[:, i]),
-                 {"x": store.to_literal(x)})
+        ok = np.array_equal(row, MEM[:, i])
+        fam.bulk(n, ok, None if ok else {"x": store.to_literal(x)})
 
     # family 9 substitutes into w in z, z in w and w = z: on a plane the
     # value at (w, z) is M[w, z], M^T[w, z] and E[w, z]
@@ -275,7 +253,8 @@ def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
     fam = rep.family("8 equality carries entries")
     for i, x in enumerate(pool):
         for u, v in store.entries(x):
-            fam.bulk(n, leq[mt[EQ[i, :], v], MEM[idx[u], :]].all(),
+            ok = leq[mt[EQ[i, :], v], MEM[idx[u], :]].all()
+            fam.bulk(n, ok, None if ok else
                      {"x": store.to_literal(x), "u": store.to_literal(u)})
 
     fam = rep.family("9 substitution under equality")
@@ -307,7 +286,8 @@ def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
             sigma = {"X": x, "Z": z}
             b = ctx.eval(bounded_ex, sigma)
             u = frag_ctx.eval(unbounded_ex, sigma)
-            fam.record(b == bex[idx[x], idx[z]] == u,
+            ok = b == bex[idx[x], idx[z]] == u
+            fam.record(ok, None if ok else
                        {"x": store.to_literal(x), "z": store.to_literal(z)})
 
     fam = rep.family("11 bounded forall expands over the domain")
@@ -317,7 +297,8 @@ def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
             sigma = {"X": x, "Z": z}
             b = ctx.eval(bounded_fa, sigma)
             u = frag_ctx.eval(unbounded_fa, sigma)
-            fam.record(b == bfa[idx[x], idx[z]] == u,
+            ok = b == bfa[idx[x], idx[z]] == u
+            fam.record(ok, None if ok else
                        {"x": store.to_literal(x), "z": store.to_literal(z)})
 
     return rep
@@ -443,13 +424,9 @@ def preservation_suite(rank=2, max_domain=2, positive_bounded=True):
         ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)
         pool = _sweep_pool(sa, rank, max_domain)
         pairs = [(x, tr.lift(m, x, sa, sb).image) for x in pool]
-        sub = tr.check_atomic_preservation(m, pairs, sa, sb, ctx_a, ctx_b)
-        fam = rep.family(f"atomic preservation along {mname}"
-                         + (" (equality)" if sub.equality_asserted else ""))
-        fam.checked += sub.checked
-        fam.violations.extend(sub.violations[:20])
+        fam = tr.check_atomic_preservation(m, pairs, sa, sb, ctx_a, ctx_b)
         fam.notes["pairs"] = len(pairs)
-        fam.notes["equality_asserted"] = sub.equality_asserted
+        rep.families.append(fam)
         if positive_bounded:
             fam = rep.family(f"positive bounded preservation along {mname}")
             tuples = [
@@ -776,7 +753,8 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2):
         wl = tr.lift(f, x, sa, sb)
         em = tr.epsilon_hset_morphism(f, wl, sa, sb, ctx_a, ctx_b)
         v = hs.validate_morphism(em)
-        fam.record(bool(v), {"x": sa.to_literal(x), "failures": v.failures[:2]})
+        fam.record(v.ok, None if v.ok else
+                   {"x": sa.to_literal(x), "violations": v.violations[:2]})
         probe = tr.mono_epi_experiment(em)
         mono += probe["mono"]
         epi += probe["epi"]

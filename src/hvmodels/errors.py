@@ -1,10 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types and the law report shared across the package.
 
 Every structured failure carries enough context (labels, witnesses) to
-reconstruct the violation without re-running the computation.
+reconstruct the violation without re-running the computation.  A law
+that is checked rather than enforced reports through `Family`, which
+counts its checks and collects the witnesses of those that fail.
 """
 
 from contextlib import contextmanager
+from dataclasses import dataclass, field
+
+import numpy as np
+
+# The deepest nesting a name literal or a formula may have; the
+# recursive printers and the evaluator stay well inside Python's
+# recursion limit below it.
+MAX_NESTING = 100
 
 
 class HvError(Exception):
@@ -159,3 +169,35 @@ class NotAFunctionName(HvError):
 
 class NotComposable(HvError):
     """Morphism endpoints do not match."""
+
+
+@dataclass
+class Family:
+    """The report of one law: how many checks ran and a witness for each
+    that failed.  Truthy when no check failed."""
+
+    name: str
+    checked: int = 0
+    violations: list = field(default_factory=list)
+    notes: dict = field(default_factory=dict)
+
+    @property
+    def ok(self):
+        return not self.violations
+
+    def __bool__(self):
+        return self.ok
+
+    def record(self, ok, detail=None):
+        self.checked += 1
+        if not ok:
+            self.violations.append(detail)
+
+    def bulk(self, count, ok_mask_or_bool, detail=None):
+        """Count `count` checks at once; on failure store one witness."""
+        self.checked += count
+        if isinstance(ok_mask_or_bool, np.ndarray):
+            if not ok_mask_or_bool.all():
+                self.violations.append(detail)
+        elif not ok_mask_or_bool:
+            self.violations.append(detail)

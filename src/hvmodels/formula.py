@@ -16,12 +16,16 @@ quantifier variable, else to a constant binding supplied by the caller.
 Quantifiers with an "in" bound range over the domain of the bound name;
 without one they range over an explicit universe fragment at evaluation
 time.
+
+A formula may nest "~", parentheses, quantifiers and "->" at most
+`errors.MAX_NESTING` deep, and its syntax tree may be at most that high,
+so a long "/\\" or "\\/" chain counts one level per operator.
 """
 
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, UnknownConstant
+from .errors import MAX_NESTING, ParseError, UnknownConstant
 
 # -- terms -------------------------------------------------------------------
 
@@ -222,6 +226,7 @@ class _Parser:
         self.constants = constants
         self.free = set(free)
         self.scope = []
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos][0]
@@ -233,6 +238,14 @@ class _Parser:
         self.pos += 1
         return tok, col
 
+    def nest(self, col):
+        """Go one level deeper for the construct at column `col`; the
+        caller restores the depth it started from."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"formula nests deeper than {MAX_NESTING} levels",
+                             column=col)
+
     def is_ident(self, tok):
         return tok is not None and re.fullmatch(r"[A-Za-z0-9_]+", tok) and tok not in _KEYWORDS
 
@@ -242,7 +255,7 @@ class _Parser:
         return self.impl()
 
     def quant(self):
-        word, _ = self.take()
+        word, wcol = self.take()
         var, col = self.take()
         if not self.is_ident(var):
             raise ParseError(f"expected a variable after {word!r}", column=col)
@@ -252,7 +265,9 @@ class _Parser:
             bound = self.term()
         self.take(".")
         self.scope.append(var)
+        self.nest(wcol)
         body = self.formula()
+        self.depth -= 1
         self.scope.pop()
         if word == "forall":
             return BForall(var, bound, body) if bound is not None else UForall(var, body)
@@ -261,8 +276,10 @@ class _Parser:
     def impl(self):
         left = self.or_()
         if self.peek() == "->":
-            self.take()
-            return Implies(left, self.impl())
+            self.nest(self.take()[1])
+            right = self.impl()
+            self.depth -= 1
+            return Implies(left, right)
         return left
 
     def or_(self):
@@ -281,15 +298,16 @@ class _Parser:
 
     def unary(self):
         tok = self.peek()
+        if tok not in ("~", "("):
+            return self.atom()
+        self.nest(self.take()[1])
         if tok == "~":
-            self.take()
-            return Not(self.unary())
-        if tok == "(":
-            self.take()
+            node = Not(self.unary())
+        else:
             node = self.formula()
             self.take(")")
-            return node
-        return self.atom()
+        self.depth -= 1
+        return node
 
     def atom(self):
         left = self.term()
@@ -311,6 +329,18 @@ class _Parser:
         raise UnknownConstant(f"{tok!r} is neither bound nor a known constant (col {col})")
 
 
+def _height(phi):
+    """Height of a syntax tree, atoms at 0, counted without recursion."""
+    best, stack = 0, [(phi, 0)]
+    while stack:
+        node, h = stack.pop()
+        best = max(best, h)
+        if not isinstance(node, ATOMS):
+            stack.extend((getattr(node, attr), h + 1)
+                         for attr in ("left", "right", "body") if hasattr(node, attr))
+    return best
+
+
 def parse_formula(text, constants=None, free=()):
     """Parse a formula; identifiers resolve via quantifier scope, the
     `free` variable whitelist, then the `constants` mapping to name ids."""
@@ -319,4 +349,6 @@ def parse_formula(text, constants=None, free=()):
     tok, col = p.take()
     if tok is not None:
         raise ParseError(f"trailing input {tok!r}", column=col)
+    if _height(node) > MAX_NESTING:
+        raise ParseError(f"formula nests deeper than {MAX_NESTING} levels", column=0)
     return node

@@ -7,10 +7,13 @@ relations.  The bridges: from_name turns a name u into the H-set
 (or morphism) into a name; lambda tables give the canonical
 isomorphisms between from_name images of equal names and the morphism
 induced by an internal function name.
+
+The validators return an `errors.Family`, the one report type for a
+single law, whose violations are `{"law", "witness", "values"}` dicts.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
@@ -18,6 +21,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     CrossAlgebra,
+    Family,
     NotAFunctionName,
     NotComposable,
     NotEquivalent,
@@ -68,19 +72,6 @@ class Singleton:
     sigma: tuple
 
 
-@dataclass
-class ValidationReport:
-    ok: bool = True
-    failures: list = field(default_factory=list)
-
-    def fail(self, law, witness, values):
-        self.ok = False
-        self.failures.append({"law": law, "witness": witness, "values": values})
-
-    def __bool__(self):
-        return self.ok
-
-
 def hsets_equal(X, Y):
     return (
         X.algebra is Y.algebra
@@ -92,34 +83,42 @@ def hsets_equal(X, Y):
 # -- validators -----------------------------------------------------------------
 
 
+def _fail(rep, law, witness, values):
+    rep.violations.append({"law": law, "witness": witness, "values": values})
+
+
 def validate_hset(X):
+    """Symmetry and transitivity of delta, one check per cell or triple;
+    each law reports its first failure."""
     A = X.algebra
-    rep = ValidationReport()
     d = X.delta
     n = len(X)
+    rep = Family("H-set laws", checked=n * n + n * n * n)
     bad = np.argwhere(d != d.T)
     for i, j in bad[:1]:
-        rep.fail("symmetry", (X.points[i], X.points[j]),
-                 (A.labels[d[i, j]], A.labels[d[j, i]]))
+        _fail(rep, "symmetry", (X.points[i], X.points[j]),
+              (A.labels[d[i, j]], A.labels[d[j, i]]))
     mt, leq = A.meet_table, A.leq
     for y in range(n):
         lhs = mt[d[:, y][:, None], d[y, :][None, :]]
         viol = ~leq[lhs, d]
         if viol.any():
             i, k = map(int, np.argwhere(viol)[0])
-            rep.fail("transitivity", (X.points[i], X.points[y], X.points[k]),
-                     (A.labels[lhs[i, k]], A.labels[d[i, k]]))
+            _fail(rep, "transitivity", (X.points[i], X.points[y], X.points[k]),
+                  (A.labels[lhs[i, k]], A.labels[d[i, k]]))
             break
     return rep
 
 
 def validate_morphism(m):
+    """The four morphism laws, one check per cell they quantify over;
+    each law reports its first failure."""
     A = m.source.algebra
     if A is not m.target.algebra:
         raise CrossAlgebra("morphism endpoints live over different algebras")
-    rep = ValidationReport()
     ds, dt, phi = m.source.delta, m.target.delta, m.phi
     ns, nt = len(m.source), len(m.target)
+    rep = Family("H-set morphism laws", checked=2 * ns * nt * nt + ns * ns * nt + ns)
     mt, leq = A.meet_table, A.leq
     for x in range(ns):
         # 1. delta'(x',y') /\ phi(x,y') <= phi(x,x')
@@ -127,8 +126,8 @@ def validate_morphism(m):
         viol = ~leq[lhs, phi[x][:, None]]
         if viol.any():
             xp, yp = map(int, np.argwhere(viol)[0])
-            rep.fail("target congruence", (m.source.points[x], m.target.points[xp], m.target.points[yp]),
-                     (A.labels[lhs[xp, yp]], A.labels[phi[x, xp]]))
+            _fail(rep, "target congruence", (m.source.points[x], m.target.points[xp], m.target.points[yp]),
+                  (A.labels[lhs[xp, yp]], A.labels[phi[x, xp]]))
             break
     for x in range(ns):
         # 2. delta(x,y) /\ phi(x,y') <= phi(y,y')
@@ -136,8 +135,8 @@ def validate_morphism(m):
         viol = ~leq[lhs, phi]
         if viol.any():
             y, yp = map(int, np.argwhere(viol)[0])
-            rep.fail("source congruence", (m.source.points[x], m.source.points[y], m.target.points[yp]),
-                     (A.labels[lhs[y, yp]], A.labels[phi[y, yp]]))
+            _fail(rep, "source congruence", (m.source.points[x], m.source.points[y], m.target.points[yp]),
+                  (A.labels[lhs[y, yp]], A.labels[phi[y, yp]]))
             break
     for x in range(ns):
         # 3. phi(x,x') /\ phi(x,y') <= delta'(x',y')
@@ -145,15 +144,15 @@ def validate_morphism(m):
         viol = ~leq[lhs, dt]
         if viol.any():
             xp, yp = map(int, np.argwhere(viol)[0])
-            rep.fail("single-valuedness", (m.source.points[x], m.target.points[xp], m.target.points[yp]),
-                     (A.labels[lhs[xp, yp]], A.labels[dt[xp, yp]]))
+            _fail(rep, "single-valuedness", (m.source.points[x], m.target.points[xp], m.target.points[yp]),
+                  (A.labels[lhs[xp, yp]], A.labels[dt[xp, yp]]))
             break
     for x in range(ns):
         # 4. \/_{z'} phi(x,z') = delta(x,x)
         v = A.big_join(phi[x])
         if v != ds[x, x]:
-            rep.fail("totality", (m.source.points[x],),
-                     (A.labels[v], A.labels[ds[x, x]]))
+            _fail(rep, "totality", (m.source.points[x],),
+                  (A.labels[v], A.labels[ds[x, x]]))
             break
     return rep
 

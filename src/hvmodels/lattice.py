@@ -84,7 +84,10 @@ class HeytingAlgebra:
         if both.any():
             i, j = map(int, np.argwhere(both)[0])
             raise NotAPoset("antisymmetry", (self.labels[i], self.labels[j]))
-        reach = (leq.astype(np.uint8) @ leq.astype(np.uint8)) > 0
+        # count the middles k of i <= k <= j in a dtype that holds n
+        # without wrapping
+        as_int = leq.astype(np.int32)
+        reach = (as_int @ as_int) > 0
         if (reach & ~leq).any():
             i, j = map(int, np.argwhere(reach & ~leq)[0])
             raise NotAPoset("transitivity", (self.labels[i], self.labels[j]))

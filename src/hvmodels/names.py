@@ -10,6 +10,7 @@ import math
 from itertools import combinations, product
 
 from .errors import (
+    MAX_NESTING,
     BudgetExceeded,
     CrossAlgebra,
     ParseError,
@@ -223,7 +224,8 @@ def _tokenize_literal(text):
 
 
 def parse_name_literal(store, text, bindings=None):
-    """Parse `{}` / `{(N, v), ...}` literals; identifiers refer to bindings."""
+    """Parse `{}` / `{(N, v), ...}` literals; identifiers refer to bindings.
+    Braces may nest at most `errors.MAX_NESTING` deep."""
     bindings = bindings or {}
     tokens = _tokenize_literal(text)
     pos = [0]
@@ -238,16 +240,19 @@ def parse_name_literal(store, text, bindings=None):
         pos[0] += 1
         return tok, col
 
-    def parse_name():
+    def parse_name(depth):
         tok, col = take()
         if tok == "{":
+            if depth == MAX_NESTING:
+                raise ParseError(f"name literal nests deeper than {MAX_NESTING} levels",
+                                 column=col)
             entries = []
             if peek() == "}":
                 take()
                 return store.intern(())
             while True:
                 take("(")
-                key = parse_name()
+                key = parse_name(depth + 1)
                 take(",")
                 lab, lcol = take()
                 if lab is None or lab in "{}(),":
@@ -273,7 +278,7 @@ def parse_name_literal(store, text, bindings=None):
             return bindings[tok]
         raise ParseError(f"unknown name binding {tok!r}", column=col)
 
-    nid = parse_name()
+    nid = parse_name(0)
     tok, col = take()
     if tok is not None:
         raise ParseError(f"trailing input {tok!r}", column=col)

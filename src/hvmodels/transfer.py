@@ -13,9 +13,13 @@ joins.  The induced map on names comes in two flavors:
   children receive the same interned image the later one is replaced by
   an equivalence-padded variant, so the witness is a bijection and the
   image is a genuine mapping.
+
+The preservation checkers report through `errors.Family`, the one report
+type for a single law, so the suites append their results as they are.
+Functoriality of lifting is checked by `checks.functoriality_suite`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
 
 import numpy as np
@@ -24,6 +28,7 @@ from .errors import (
     BottomNotPreserved,
     BudgetExceeded,
     CrossAlgebra,
+    Family,
     NotJoinPreserving,
     NotMeetPreserving,
     NotPositiveBounded,
@@ -259,46 +264,7 @@ def is_generalized_related(f, x, xp, store_a, store_b, ctx_b=None):
     return ctx_b.atomic_eq(xp, lift(f, x, store_a, store_b).image) == store_b.algebra.top
 
 
-# -- reports --------------------------------------------------------------------------
-
-
-@dataclass
-class LiftReport:
-    title: str
-    checked: int = 0
-    equality_asserted: bool = False
-    violations: list = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def record(self, ok, detail):
-        self.checked += 1
-        if not ok:
-            self.violations.append(detail)
-
-    def to_json_dict(self):
-        return {
-            "title": self.title,
-            "checked": self.checked,
-            "equality_asserted": self.equality_asserted,
-            "ok": self.ok,
-            "violations": self.violations,
-            "notes": self.notes,
-        }
-
-    def render_text(self):
-        lines = [f"{self.title}: {'PASS' if self.ok else 'FAIL'} "
-                 f"({self.checked} checks"
-                 + (", equality asserted" if self.equality_asserted else "")
-                 + ")"]
-        for v in self.violations[:20]:
-            lines.append(f"  violation: {v}")
-        for k in sorted(self.notes):
-            lines.append(f"  note: {k} = {self.notes[k]}")
-        return "\n".join(lines)
+# -- preservation ---------------------------------------------------------------------
 
 
 def check_atomic_preservation(f, pairs, store_a, store_b, ctx_a=None, ctx_b=None):
@@ -311,10 +277,9 @@ def check_atomic_preservation(f, pairs, store_a, store_b, ctx_a=None, ctx_b=None
     strict = preserves_implication(f)
     xs = [x for x, _ in pairs]
     xps = [xp for _, xp in pairs]
-    rep = LiftReport(
-        title=f"atomic preservation along {f.name or 'f'}",
-        equality_asserted=strict,
-    )
+    rep = Family(f"atomic preservation along {f.name or 'f'}"
+                 + (" (equality)" if strict else ""))
+    rep.notes["equality_asserted"] = strict
     for kind, mat_a, mat_b in (
         ("in", mem_matrix(ctx_a, xs), mem_matrix(ctx_b, xps)),
         ("=", eq_matrix(ctx_a, xs), eq_matrix(ctx_b, xps)),
@@ -351,7 +316,7 @@ def check_positive_bounded_preservation(f, phi, tuples, store_a, store_b,
     ctx_a = ctx_a or EvalContext(store_a)
     ctx_b = ctx_b or EvalContext(store_b)
     B = f.target
-    rep = LiftReport(title=title or "positive bounded preservation")
+    rep = Family(title or "positive bounded preservation")
     for sigma_a, sigma_b in tuples:
         va = f(ctx_a.eval(phi, sigma_a))
         vb = ctx_b.eval(phi, sigma_b)
@@ -372,42 +337,6 @@ def _has_const(phi):
         for attr in ("left", "right", "bound", "body")
         if (child := getattr(phi, attr, None)) is not None
     )
-
-
-def check_functoriality(f, g, sample, store_a, store_b, store_c,
-                        ctx_a=None, ctx_c=None):
-    """Identity law on the source sample and the composition law for the
-    composable pair (f then g), both up to internal equality with value
-    top."""
-    ctx_a = ctx_a or EvalContext(store_a)
-    ctx_c = ctx_c or EvalContext(store_c)
-    ida = identity_morphism(f.source)
-    gf = compose_locale(g, f)
-    rep = LiftReport(title=f"functoriality of lifting ({f.name or 'f'}, {g.name or 'g'})")
-    top_a = f.source.top
-    interned_identity = True
-    for x in sample:
-        wl = lift(ida, x, store_a, store_a)
-        ok = ctx_a.atomic_eq(wl.image, x) == top_a
-        interned_identity &= wl.image == x
-        rep.record(ok, None if ok else {
-            "law": "identity",
-            "x": store_a.to_literal(x),
-            "image": store_a.to_literal(wl.image),
-        })
-    top_c = g.target.top
-    for x in sample:
-        via_b = lift(g, lift(f, x, store_a, store_b).image, store_b, store_c).image
-        direct = lift(gf, x, store_a, store_c).image
-        ok = ctx_c.atomic_eq(via_b, direct) == top_c
-        rep.record(ok, None if ok else {
-            "law": "composition",
-            "x": store_a.to_literal(x),
-            "two_step": store_c.to_literal(via_b),
-            "one_step": store_c.to_literal(direct),
-        })
-    rep.notes["identity_images_interned_equal"] = interned_identity
-    return rep
 
 
 # -- the induced H-set morphism ----------------------------------------------------

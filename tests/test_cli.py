@@ -1,13 +1,14 @@
 """Command-line interface tests, driven through main(argv)."""
 
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
 from hvmodels.cli import Session, _run_script, build_parser, main
-from hvmodels.errors import ParseError
+from hvmodels.errors import MAX_NESTING, ParseError
 from hvmodels.hset import parse_hset_file
 from hvmodels.lattice import load_algebra, make_boolean, make_chain
 from hvmodels.transfer import parse_morphism
@@ -70,6 +71,39 @@ def test_script_error_columns_count_from_the_line_start(capsys, tmp_path, line, 
     code, _, err = run(capsys, "eval", str(script))
     assert code == 1
     assert err.endswith(f"(line 3, col {col})\n"), err
+
+
+DEEP = 3000
+
+
+@pytest.mark.parametrize("line", [
+    'eval "' + "~" * DEEP + 'a = a"',
+    'eval "' + "(" * DEEP + "a = a" + ")" * DEEP + '"',
+    "let b = " + "{(" * DEEP + "{}" + ", 1)}" * DEEP,
+], ids=["negations", "parentheses", "name-literal"])
+def test_deep_input_is_a_parse_error(capsys, tmp_path, line):
+    script = tmp_path / "deep.eval"
+    script.write_text(f"algebra chain3\nlet a = {{}}\n{line}\n")
+    code, out, err = run(capsys, "eval", str(script))
+    assert code == 1 and out == ""
+    assert re.fullmatch(r"error: ParseError: [^\n]* \(line 3, col \d+\)\n", err), err[:300]
+
+
+def test_input_at_the_nesting_limit_evaluates_and_prints(capsys, tmp_path):
+    n = MAX_NESTING
+    script = tmp_path / "limit.eval"
+    script.write_text(
+        "algebra chain3\nlet a = {}\n"
+        "let b = " + "{(" * (n - 1) + "{}" + ", 1)}" * (n - 1) + "\n"
+        'eval "' + "~" * n + 'a = a"\n'
+        'eval "' + "(" * n + "b = b" + ")" * n + '"\n'
+        'eval "' + " /\\ ".join(["a in b"] * (n + 1)) + '"\n'
+    )
+    code, out, err = run(capsys, "eval", str(script), "--json", str(tmp_path / "out.json"))
+    assert code == 0, err
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert [r["value"] for r in payload["results"]] == ["1", "1", "0"]
+    assert payload["bindings"]["b"].count("{") == n
 
 
 def test_eval_missing_file(capsys, tmp_path):

@@ -1,0 +1,23 @@
+"""Every narrated demo runs to completion against the package in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_demos_exist():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
+                          env=env, cwd=ROOT, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -47,7 +47,7 @@ from hvmodels.valuation import EvalContext
 
 
 def laws(report):
-    return {f["law"] for f in report.failures}
+    return {f["law"] for f in report.violations}
 
 
 # -- validators ----------------------------------------------------------------
@@ -63,14 +63,14 @@ def test_validate_hset_symmetry_witness(chain3):
     rep = validate_hset(X)
     assert not rep
     assert laws(rep) == {"symmetry"}
-    assert rep.failures[0]["witness"] == ("a", "b")
+    assert rep.violations[0]["witness"] == ("a", "b")
 
 
 def test_validate_hset_transitivity_witness(chain3):
     X = HSet(chain3, ["a", "b", "c"], [[2, 2, 0], [2, 2, 2], [0, 2, 2]])
     rep = validate_hset(X)
     assert laws(rep) == {"transitivity"}
-    law, values = rep.failures[0]["law"], rep.failures[0]["values"]
+    law, values = rep.violations[0]["law"], rep.violations[0]["values"]
     assert law == "transitivity" and values == ("1", "0")
 
 
@@ -79,7 +79,7 @@ def test_validate_morphism_totality(chain3):
     Y = HSet(chain3, ["y"], [[2]])
     rep = validate_morphism(HSetMorphism(X, Y, [[1]]))
     assert laws(rep) == {"totality"}
-    assert rep.failures[0]["values"] == ("m", "1")
+    assert rep.violations[0]["values"] == ("m", "1")
 
 
 def test_validate_morphism_single_valuedness(chain3):

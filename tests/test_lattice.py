@@ -136,6 +136,19 @@ def test_not_a_poset_transitivity():
     assert err.value.law == "transitivity"
 
 
+def test_not_a_poset_transitivity_with_256_middles():
+    # 0 <= m <= 1 for 256 middles m but not 0 <= 1: a count of the
+    # middles that wraps at 256 would see none
+    n = 258
+    leq = np.eye(n, dtype=bool)
+    leq[0, 2:] = leq[2:, 1] = True
+    labels = ["0", "1"] + [f"m{k}" for k in range(256)]
+    with pytest.raises(NotAPoset) as err:
+        HeytingAlgebra(labels, leq)
+    assert err.value.law == "transitivity"
+    assert err.value.witness == ("0", "1")
+
+
 def test_not_a_lattice_reports_kind_and_witness():
     # two incomparable tops: no join of the two atoms
     labels = ["0", "x", "y", "p", "q"]

@@ -26,7 +26,6 @@ from hvmodels.names import NameStore, enumerate_names, pad_equivalent
 from hvmodels.transfer import (
     LocaleMorphism,
     check_atomic_preservation,
-    check_functoriality,
     check_positive_bounded_preservation,
     compose_locale,
     epsilon_hset_morphism,
@@ -306,7 +305,7 @@ def test_atomic_preservation_is_equality_for_f(morphisms):
     f = morphisms["f"]
     sa, sb = NameStore(f.source), NameStore(f.target)
     rep = check_atomic_preservation(f, _lift_pairs(f, sa, sb), sa, sb)
-    assert rep.ok and rep.equality_asserted
+    assert rep.ok and rep.notes["equality_asserted"]
     assert rep.checked > 0
 
 
@@ -314,7 +313,7 @@ def test_atomic_preservation_is_an_inequality_for_collapse0(morphisms):
     g = morphisms["collapse0"]
     sa, sb = NameStore(g.source), NameStore(g.target)
     rep = check_atomic_preservation(g, _lift_pairs(g, sa, sb, step=4), sa, sb)
-    assert rep.ok and not rep.equality_asserted
+    assert rep.ok and not rep.notes["equality_asserted"]
     # and the bound really is strict somewhere: x = {({}, m)} against {}
     ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)
     x = sa.intern({sa.empty: 1})
@@ -359,15 +358,21 @@ def test_positive_bounded_preservation(morphisms):
 
 
 def test_functoriality_report(morphisms, four):
-    f, g = morphisms["f"], morphisms["i"]
+    # f then i; checks.functoriality_suite covers i then f
+    f, i = morphisms["f"], morphisms["i"]
     sa = NameStore(four)
     sb = NameStore(f.target)
-    sc = NameStore(g.target)
+    sc = NameStore(i.target)
+    ctx_a, ctx_c = EvalContext(sa), EvalContext(sc)
+    ident = identity_morphism(four)
+    i_after_f = compose_locale(i, f)
     sample = enumerate_names(sa, max_rank=2, max_domain=2)[::9]
-    rep = check_functoriality(f, g, sample, sa, sb, sc)
-    assert rep.ok
-    assert rep.notes["identity_images_interned_equal"] is True
-    assert rep.checked == 2 * len(sample)
+    for x in sample:
+        image = lift(ident, x, sa, sa).image
+        assert image == x and ctx_a.atomic_eq(image, x) == four.top
+        two_step = lift(i, lift(f, x, sa, sb).image, sb, sc).image
+        one_step = lift(i_after_f, x, sa, sc).image
+        assert ctx_c.atomic_eq(two_step, one_step) == four.top
 
 
 # -- the induced H-set morphism -------------------------------------------------------
