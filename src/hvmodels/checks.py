@@ -27,7 +27,13 @@ from .names import (
     hat_embed,
     pad_equivalent,
 )
-from .valuation import EvalContext, eq_matrix, make_function_predicate, mem_matrix
+from .valuation import (
+    EvalContext,
+    eq_matrix,
+    eval_grid,
+    make_function_predicate,
+    mem_matrix,
+)
 
 DEFAULT_SEED = 1729
 
@@ -429,14 +435,10 @@ def preservation_suite(rank=2, max_domain=2, positive_bounded=True):
         rep.families.append(fam)
         if positive_bounded:
             fam = rep.family(f"positive bounded preservation along {mname}")
-            tuples = [
-                ({"X": a, "Y": b}, {"X": pa, "Y": pb})
-                for (a, pa), (b, pb) in iproduct(pairs, pairs)
-            ]
             for text in POSITIVE_BOUNDED_FAMILY:
                 phi = parse_formula(text, free=("X", "Y"))
                 sub = tr.check_positive_bounded_preservation(
-                    m, phi, tuples, sa, sb, ctx_a, ctx_b, title=text)
+                    m, phi, pairs, sa, sb, ctx_a, ctx_b, title=text)
                 fam.checked += sub.checked
                 if sub.violations:
                     fam.violations.append({"formula": text,
@@ -670,7 +672,7 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2):
             h = hs.dagger_morphism(store, hs.identity(X))
             xd = hs.dagger_hset(store, X)
             pred = make_function_predicate(h, xd, xd)
-            fam_fun.record(ctx.eval(pred) == algebra.top,
+            fam_fun.record(eval_grid(ctx, pred, {}) == algebra.top,
                            {"algebra": aname, "points": len(X)})
 
     fam = rep.family("completion is complete and idempotent")

@@ -76,13 +76,26 @@ class NameStore:
         return self._ranks[self.check_id(nid)]
 
     def to_literal(self, nid):
-        """Render a name in the `{(N, v), ...}` literal syntax."""
-        entries = self.entries(nid)
-        if not entries:
-            return "{}"
+        """Render a name in the `{(N, v), ...}` literal syntax.
+
+        Built bottom-up with an explicit stack, so a name of any rank
+        renders, and a subname shared by several entries is rendered once."""
         labels = self.algebra.labels
-        inner = ", ".join(f"({self.to_literal(k)}, {labels[v]})" for k, v in entries)
-        return "{" + inner + "}"
+        done = {}
+        stack = [self.check_id(nid)]
+        while stack:
+            cur = stack[-1]
+            if cur in done:
+                stack.pop()
+                continue
+            entries = self._entries[cur]
+            missing = [k for k, _ in entries if k not in done]
+            if missing:
+                stack.extend(missing)
+                continue
+            done[cur] = "{" + ", ".join(f"({done[k]}, {labels[v]})" for k, v in entries) + "}"
+            stack.pop()
+        return done[nid]
 
 
 def rank(store, nid):

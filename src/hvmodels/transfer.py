@@ -35,11 +35,11 @@ from .errors import (
     ParseError,
     TopNotPreserved,
 )
-from .formula import Const, is_positive_bounded
+from .formula import Const, free_vars, is_positive_bounded
 from .hset import HSet, HSetMorphism, from_name
 from .lattice import split_arrow_header, text_lines
 from .names import pad_equivalent
-from .valuation import EvalContext, eq_matrix, mem_matrix
+from .valuation import EvalContext, eq_matrix, eval_grid, mem_matrix
 
 SURJECTION_DOMAIN_CAP = 4
 
@@ -300,11 +300,14 @@ def check_atomic_preservation(f, pairs, store_a, store_b, ctx_a=None, ctx_b=None
     return rep
 
 
-def check_positive_bounded_preservation(f, phi, tuples, store_a, store_b,
+def check_positive_bounded_preservation(f, phi, pairs, store_a, store_b,
                                         ctx_a=None, ctx_b=None, title=None):
-    """f([phi(a)]) <= [phi(a')] for positive bounded phi and lifted
-    assignment pairs (sigma_A, sigma_B).  Parameters must come through
-    the assignments: constants are rejected."""
+    """f([phi(a)]) <= [phi(a')] for positive bounded phi, where each free
+    variable of phi, in sorted order, ranges over the lifted pairs
+    (a, a').  Both sides are evaluated over the whole grid at once with
+    `eval_grid`; checks and violations run in row-major order of the
+    grid.  Parameters must come through the pairs: constants are
+    rejected."""
     if not is_positive_bounded(phi):
         raise NotPositiveBounded(
             "formula uses negation, implication or an unbounded quantifier"
@@ -316,15 +319,19 @@ def check_positive_bounded_preservation(f, phi, tuples, store_a, store_b,
     ctx_a = ctx_a or EvalContext(store_a)
     ctx_b = ctx_b or EvalContext(store_b)
     B = f.target
-    rep = Family(title or "positive bounded preservation")
-    for sigma_a, sigma_b in tuples:
-        va = f(ctx_a.eval(phi, sigma_a))
-        vb = ctx_b.eval(phi, sigma_b)
-        ok = bool(B.leq[va, vb])
-        rep.record(ok, None if ok else {
-            "assignment": {k: store_a.to_literal(v) for k, v in sigma_a.items()},
-            "f_of_source_value": B.labels[va],
-            "target_value": B.labels[vb],
+    names = sorted(free_vars(phi))
+    xs = [x for x, _ in pairs]
+    xps = [xp for _, xp in pairs]
+    fa = f.table[eval_grid(ctx_a, phi, dict.fromkeys(names, xs))]
+    vb = eval_grid(ctx_b, phi, dict.fromkeys(names, xps))
+    ok = B.leq[fa, vb]
+    rep = Family(title or "positive bounded preservation", checked=ok.size)
+    for point in np.argwhere(~ok):
+        point = tuple(point)
+        rep.violations.append({
+            "assignment": {v: store_a.to_literal(xs[i]) for v, i in zip(names, point)},
+            "f_of_source_value": B.labels[fa[point]],
+            "target_value": B.labels[vb[point]],
         })
     return rep
 

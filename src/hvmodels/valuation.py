@@ -21,14 +21,20 @@ matrix is filled one rank level at a time with table lookups over
 whole blocks (every sub-pair lies at a lower level), and membership is
 derived from it with one gather per child slot.  The returned cells are
 left in the context's memo, so later one-off queries hit it.
+
+`eval_grid` evaluates a whole formula for every assignment of a grid of
+columns on the same kernel: each subformula is an array over its free
+variables, connectives are table lookups and bounded quantifiers are
+reductions over child slots.  `EvalContext.eval` stays the path for one
+assignment, where compiling a grid would cost more than it saves.
 """
 
 from bisect import bisect_left
-from itertools import repeat
+from itertools import product as iproduct, repeat
 
 import numpy as np
 
-from .errors import EmptyFragment, UnboundVariable
+from .errors import BudgetExceeded, EmptyFragment, UnboundVariable
 from .formula import (
     And,
     BExists,
@@ -317,6 +323,317 @@ def mem_matrix(ctx, ids_row, ids_col=None):
     out = _mem_cells(ctx, ids_row, ids_col)
     _seed(ctx._mem, ids_row, ids_col, out, symmetric=False)
     return out
+
+
+# -- whole-grid evaluation --------------------------------------------------------
+
+GRID_BUDGET = 1 << 24
+"""Cells of the largest array `eval_grid` builds at once; above it the
+grid is evaluated in blocks of its first column."""
+
+
+def eval_grid(ctx, phi, columns):
+    r"""[phi] for every assignment of the grid of `columns`, as one array.
+
+    `columns` maps variables to lists of name ids; the axes of the result
+    follow the dict's order, and a closed formula over no columns gives
+    a 0-d array.  A column the formula does not use is a broadcast axis.
+
+    Every subformula is evaluated once, as an array over its own free
+    variables (a relation annotated by the algebra): atoms are gathers
+    from one `_eq_kernel` call over all the names involved, connectives
+    are broadcast lookups in the meet, join and implication tables, a
+    bounded quantifier is a meet or join reduction over the child slots
+    of its bound, padded with value bottom (bottom -> a = top and
+    bottom /\ a = bottom are neutral for the two reductions), and an
+    unbounded one reduces over the fragment.  See `_Grid` for how the
+    variables and their domains are laid out.
+
+    The largest intermediate array is predicted before anything is
+    built; above `GRID_BUDGET` cells the grid is evaluated in blocks of
+    rows of the first column, and when a single row is still too large
+    `BudgetExceeded` is raised.  When some assignment would make `eval`
+    raise (an unbound variable, an unbounded quantifier with no
+    fragment, an unknown id), the grid is evaluated assignment by
+    assignment instead, on a private context, so the same error comes
+    from the same assignment.  `ctx`'s memo is neither read nor written.
+    """
+    names = list(columns)
+    shape = tuple(len(columns[v]) for v in names)
+    if 0 in shape:
+        return np.zeros(shape, dtype=np.int64)
+    grid = _Grid(ctx, phi, names, [list(columns[v]) for v in names])
+    if grid.risky:
+        ref = EvalContext(ctx.store, ctx.fragment)
+        values = [ref.eval(phi, dict(zip(names, point)))
+                  for point in iproduct(*grid.domains[:len(names)])]
+        return np.array(values, dtype=np.int64).reshape(shape)
+    if grid.predict(shape[0] if shape else 1) <= GRID_BUDGET:
+        grid.prepare()
+        return grid.run(None)
+    row = grid.predict(1)
+    if row > GRID_BUDGET:
+        raise BudgetExceeded(
+            f"the formula needs an array of {row} cells"
+            f"{' for one row of its first column' if shape else ''}, "
+            f"over the {GRID_BUDGET}-cell budget",
+            predicted=row, budget=GRID_BUDGET)
+    grid.prepare()
+    step = grid.rows_per_block(GRID_BUDGET)
+    out = np.empty(shape, dtype=np.int64)
+    for lo in range(0, shape[0], step):
+        out[lo:lo + step] = grid.run(slice(lo, lo + step))
+    return out
+
+
+class _Grid:
+    r"""The plan of one `eval_grid` call.
+
+    Variables become integer axes: the columns first, in order, then one
+    axis per constant (of size one) and one per bound variable, renamed
+    apart, so shadowing is harmless.  Each axis has a domain, the list of
+    names it ranges over: a column its list, a constant itself, a
+    variable bound by `Q u in t` the sorted union of the children of
+    t's domain, an unboundedly quantified one the fragment.  Nodes are
+    tuples (formula class, free axes, ...) with the free axes sorted, so
+    the array of a node is laid out on exactly those axes in that order.
+
+    Compilation follows `eval`'s order and tracks whether a node can be
+    reached: the body of a bounded quantifier whose domain is empty is
+    never evaluated, by `eval` or here.  `risky` is set when a reachable
+    node would raise, and only reachable nodes count towards the size
+    prediction.
+    """
+
+    def __init__(self, ctx, phi, names, domains):
+        self.ctx = ctx
+        self.store, self.algebra = ctx.store, ctx.algebra
+        self.ncols = len(domains)
+        self.domains = domains
+        self.frees = []
+        self._const_axes = {}
+        self._children = {}
+        valid = range(len(self.store))
+        self.risky = not all(isinstance(u, int) and u in valid
+                             for dom in domains for u in dom)
+        if not self.risky:
+            self.root = self._compile(phi, dict(zip(names, range(self.ncols))), True)
+
+    # -- compilation --------------------------------------------------------
+
+    def _axis(self, domain):
+        self.domains.append(domain)
+        return len(self.domains) - 1
+
+    def _children_of(self, t):
+        """Sorted union of the children of t's domain."""
+        if t not in self._children:
+            kids = {k for u in self.domains[t] for k, _ in self.store.entries(u)}
+            self._children[t] = sorted(kids)
+        return self._children[t]
+
+    def _term(self, term, scope, reachable):
+        if isinstance(term, Var):
+            axis = scope.get(term.name)
+        elif isinstance(term, Const):
+            nid = term.nid
+            if isinstance(nid, int) and 0 <= nid < len(self.store):
+                axis = self._const_axes.get(nid)
+                if axis is None:
+                    axis = self._const_axes[nid] = self._axis([nid])
+            else:
+                axis = None
+        else:
+            raise TypeError(f"not a term: {term!r}")
+        if axis is None:  # eval raises here; a placeholder where it is never reached
+            self.risky |= reachable
+            axis = self._axis([])
+        return axis
+
+    def _compile(self, phi, scope, reachable):
+        node = self._node(phi, scope, reachable)
+        if reachable:
+            self.frees.append(node[1])
+        return node
+
+    def _node(self, phi, scope, reachable):
+        kind = type(phi)
+        if kind in (Eq, Member):
+            l = self._term(phi.left, scope, reachable)
+            r = self._term(phi.right, scope, reachable)
+            return (kind, tuple(sorted({l, r})), l, r)
+        if kind is Not:
+            body = self._compile(phi.body, scope, reachable)
+            return (kind, body[1], body)
+        if kind in (And, Or, Implies):
+            a = self._compile(phi.left, scope, reachable)
+            b = self._compile(phi.right, scope, reachable)
+            return (kind, tuple(sorted({*a[1], *b[1]})), a, b)
+        if kind in (BForall, BExists):
+            t = self._term(phi.bound, scope, reachable)
+            u = self._axis(self._children_of(t))
+            body = self._compile(phi.body, {**scope, phi.var: u},
+                                 reachable and bool(self.domains[u]))
+            # with no child anywhere the value is the unit, whatever the body
+            free = tuple(sorted({*body[1], t} - {u})) if self.domains[u] else (t,)
+            return (kind, free, u, t, body)
+        if kind in (UForall, UExists):
+            fragment = list(self.ctx.fragment)
+            self.risky |= reachable and not fragment
+            u = self._axis(fragment)
+            body = self._compile(phi.body, {**scope, phi.var: u},
+                                 reachable and bool(fragment))
+            return (kind, tuple(a for a in body[1] if a != u), u, body)
+        raise TypeError(f"not a formula: {phi!r}")
+
+    # -- sizes --------------------------------------------------------------
+
+    def _cells(self, free, rows):
+        cells = 1
+        for a in free:
+            cells *= rows if a == 0 else len(self.domains[a])
+        return cells
+
+    def predict(self, rows):
+        """Cells of the largest node array when the first column has
+        `rows` entries."""
+        return max(self._cells(free, rows) for free in self.frees)
+
+    def rows_per_block(self, budget):
+        """The most rows of the first column whose blocks fit the budget."""
+        return min(budget // self._cells(free, 1) for free in self.frees if 0 in free)
+
+    # -- evaluation ---------------------------------------------------------
+
+    def prepare(self):
+        """The atoms of every domain from one kernel call, and the tables
+        in the smallest element dtype."""
+        A = self.algebra
+        dtype = np.min_scalar_type(A.n - 1)
+        self.mt = A.meet_table.astype(dtype)
+        self.jt = A.join_table.astype(dtype)
+        self.it = A.impl_table.astype(dtype)
+        names = sorted({u for dom in self.domains for u in dom})
+        rows, _, EQ, self.K, self.V = _eq_kernel(self.ctx, names, ())
+        self.EQ = EQ.astype(dtype)
+        at = dict(zip(names, rows.tolist()))
+        self.pos = [np.array([at[u] for u in dom], dtype=np.intp) for dom in self.domains]
+
+    def run(self, block):
+        """The values over the columns, for the rows `block` of the first
+        column (all rows when None), as an int64 array."""
+        self.block = slice(None) if block is None else block
+        self.slots = {}
+        self.sizes = [len(dom) for dom in self.domains]
+        if self.ncols:
+            self.sizes[0] = len(self.domains[0][self.block])
+        arr, free = self._eval(self.root), self.root[1]
+        # drop the size-one constant axes, then lay the rest out on the columns
+        kept = [a for a in free if a < self.ncols]
+        arr = arr.reshape([self.sizes[a] for a in kept])
+        arr = self._expand(arr, kept, range(self.ncols))
+        return np.broadcast_to(arr, self.sizes[:self.ncols]).astype(np.int64)
+
+    def _rows(self, axis, arr):
+        return arr[self.block] if axis == 0 else arr
+
+    def _at(self, vec, axis, free):
+        """`vec`, which runs along `axis`, shaped to broadcast over `free`."""
+        return vec.reshape([-1 if a == axis else 1 for a in free])
+
+    def _expand(self, arr, have, free):
+        """An array laid out on the axes `have`, reshaped to broadcast over
+        the axes `free`, which contain them in the same order."""
+        return arr.reshape([self.sizes[a] if a in have else 1 for a in free])
+
+    def _full(self, free, value):
+        return np.full([self.sizes[a] for a in free], value, dtype=self.mt.dtype)
+
+    def _slots(self, t):
+        """Child slots of the names of t's domain, as positions in the
+        sorted union of their children (the domain of any variable bound
+        by t) and values, padded with position 0 and value bottom."""
+        if t not in self.slots:
+            dom = self._rows(t, self.domains[t])
+            where = {k: i for i, k in enumerate(self._children[t])}
+            entries = [self.store.entries(x) for x in dom]
+            width = max(map(len, entries), default=0)
+            K = np.zeros((len(dom), width), dtype=np.intp)
+            V = np.full((len(dom), width), self.algebra.bottom, dtype=self.mt.dtype)
+            for i, row in enumerate(entries):
+                for s, (k, v) in enumerate(row):
+                    K[i, s], V[i, s] = where[k], v
+            self.slots[t] = K, V
+        return self.slots[t]
+
+    def _eval(self, node):
+        kind, free = node[0], node[1]
+        mt, jt, it = self.mt, self.jt, self.it
+        if kind is Eq:
+            l, r = node[2:]
+            pl, pr = self._rows(l, self.pos[l]), self._rows(r, self.pos[r])
+            return self.EQ[self._at(pl, l, free), self._at(pr, r, free)]
+        if kind is Member:
+            # [l in r] = \/_b V[r, b] /\ [l = K[r, b]]
+            l, r = node[2:]
+            pl, pr = self._rows(l, self.pos[l]), self._rows(r, self.pos[r])
+            il = self._at(pl, l, free)
+            out = self._full(free, self.algebra.bottom)
+            for b in range(self.K.shape[1]):
+                kids = self._at(self.K[pr, b], r, free)
+                vals = self._at(self.V[pr, b], r, free)
+                out = jt[out, mt[vals, self.EQ[il, kids]]]
+            return out
+        if kind is Not:
+            return it[self._eval(node[2]), self.algebra.bottom]
+        if kind in (And, Or, Implies):
+            a, b = node[2:]
+            table = {And: mt, Or: jt, Implies: it}[kind]
+            return table[self._expand(self._eval(a), a[1], free),
+                         self._expand(self._eval(b), b[1], free)]
+        if kind in (BForall, BExists):
+            return self._bounded(kind is BForall, free, *node[2:])
+        # unbounded: the fragment is not empty, or the plan is risky
+        u, body = node[2:]
+        arr, have = self._eval(body), body[1]
+        if u not in have:  # meet and join are idempotent
+            return arr
+        return _reduce(mt if kind is UForall else jt, arr, have.index(u))
+
+    def _bounded(self, forall, free, u, t, body):
+        A = self.algebra
+        K, V = self._slots(t)
+        out = self._full(free, A.top if forall else A.bottom)
+        if not K.shape[1]:  # no child anywhere: the body is never reached
+            return out
+        arr, have = self._eval(body), body[1]
+        if u not in have:
+            gathered = self._expand(arr, have, free)
+        for s in range(K.shape[1]):
+            if u in have:
+                # the bound's own axis indexes the diagonal when the body has it
+                index = tuple(
+                    self._at(K[:, s], t, free) if a == u
+                    else self._at(np.arange(self.sizes[a]), a, free)
+                    for a in have)
+                gathered = arr[index]
+            vals = self._at(V[:, s], t, free)
+            if forall:
+                out = self.mt[out, self.it[vals, gathered]]
+            else:
+                out = self.jt[out, self.mt[vals, gathered]]
+        return out
+
+
+def _reduce(table, arr, axis):
+    """Fold `arr` along `axis` with an associative, commutative table, by
+    halving: log2(n) whole-array lookups."""
+    arr = np.moveaxis(arr, axis, 0)
+    while len(arr) > 1:
+        half = len(arr) // 2
+        merged = table[arr[:half], arr[half:2 * half]]
+        arr = np.concatenate([merged, arr[2 * half:]]) if len(arr) % 2 else merged
+    return arr[0]
 
 
 # -- the functional-relation predicate ------------------------------------------

@@ -106,6 +106,22 @@ def test_input_at_the_nesting_limit_evaluates_and_prints(capsys, tmp_path):
     assert payload["bindings"]["b"].count("{") == n
 
 
+def test_deep_let_chain_evaluates_and_prints(capsys, tmp_path):
+    # each line is within every parse limit, but the last name has rank
+    # 600, and every binding is printed
+    n = 600
+    lines = ["algebra chain3", "let a0 = {}"]
+    lines += [f"let a{k} = {{(a{k - 1}, 1)}}" for k in range(1, n + 1)]
+    lines.append(f'eval "a{n - 1} in a{n}"')
+    script = tmp_path / "chain.eval"
+    script.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, "eval", str(script), "--json", str(tmp_path / "out.json"))
+    assert code == 0, err[-300:]
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert payload["bindings"][f"a{n}"] == "{(" * n + "{}" + ", 1)}" * n
+    assert [r["value"] for r in payload["results"]] == ["1"]
+
+
 def test_eval_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "eval", str(tmp_path / "nope.eval"))
     assert code == 1 and err.startswith("error:")

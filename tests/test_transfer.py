@@ -6,10 +6,16 @@ recursion, and the atomic preservation bounds against direct
 evaluation on both sides.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
-from hvmodels.checks import counterexample_names, standard_morphisms
+from hvmodels.checks import (
+    POSITIVE_BOUNDED_FAMILY,
+    counterexample_names,
+    standard_morphisms,
+)
 from hvmodels.errors import (
     BottomNotPreserved,
     BudgetExceeded,
@@ -20,7 +26,7 @@ from hvmodels.errors import (
     ParseError,
     TopNotPreserved,
 )
-from hvmodels.formula import parse_formula
+from hvmodels.formula import free_vars, parse_formula
 from hvmodels.hset import validate_morphism
 from hvmodels.names import NameStore, enumerate_names, pad_equivalent
 from hvmodels.transfer import (
@@ -340,21 +346,57 @@ def test_atomic_preservation_reports_violations(chain2, chain3):
 def test_positive_bounded_preservation(morphisms):
     f = morphisms["f"]
     sa, sb = NameStore(f.source), NameStore(f.target)
-    pairs = _lift_pairs(f, sa, sb, step=5)
+    pairs = _lift_pairs(f, sa, sb, step=5)[:6]
     phi = parse_formula("forall u in X . u in Y", free=("X", "Y"))
-    tuples = [
-        ({"X": x, "Y": y}, {"X": xp, "Y": yp})
-        for x, xp in pairs[:6]
-        for y, yp in pairs[:6]
-    ]
-    rep = check_positive_bounded_preservation(f, phi, tuples, sa, sb)
+    rep = check_positive_bounded_preservation(f, phi, pairs, sa, sb)
     assert rep.ok and rep.checked == 36
     with pytest.raises(NotPositiveBounded):
         check_positive_bounded_preservation(
-            f, parse_formula("~(X = Y)", free=("X", "Y")), tuples, sa, sb)
+            f, parse_formula("~(X = Y)", free=("X", "Y")), pairs, sa, sb)
     with pytest.raises(NotPositiveBounded):
         const_phi = parse_formula("e in X", constants={"e": sa.empty}, free=("X",))
-        check_positive_bounded_preservation(f, const_phi, tuples, sa, sb)
+        check_positive_bounded_preservation(f, const_phi, pairs, sa, sb)
+
+
+def _per_tuple_preservation(f, phi, names, pairs, sa, sb):
+    """The per-assignment loop the grid checker replaced: one `eval` per
+    side and tuple, the tuples in row-major order of `names`."""
+    ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)
+    B = f.target
+    checked, violations = 0, []
+    for point in itertools.product(pairs, repeat=len(names)):
+        sigma_a = {v: x for v, (x, _) in zip(names, point)}
+        sigma_b = {v: xp for v, (_, xp) in zip(names, point)}
+        va = f(ctx_a.eval(phi, sigma_a))
+        vb = ctx_b.eval(phi, sigma_b)
+        checked += 1
+        if not B.leq[va, vb]:
+            violations.append({
+                "assignment": {k: sa.to_literal(v) for k, v in sigma_a.items()},
+                "f_of_source_value": B.labels[va],
+                "target_value": B.labels[vb],
+            })
+    return checked, violations
+
+
+def test_positive_bounded_preservation_reports_violations(chain2, chain3):
+    # pairs lifted along a broken table, checked along another one
+    bogus = LocaleMorphism(chain3, chain2, np.array([0, 1, 1]), name="bogus")
+    broken = LocaleMorphism(chain3, chain2, np.array([0, 1, 0]), name="broken")
+    sa, sb = NameStore(chain3), NameStore(chain2)
+    pairs = [(x, lift(broken, x, sa, sb).image) for x, _ in _lift_pairs(bogus, sa, sb, step=4)]
+    texts = POSITIVE_BOUNDED_FAMILY + ("exists u in Z . u in X /\\ (forall v in u . v = Y)",
+                                       "forall u in X . u = u")
+    failing = 0
+    for text in texts:
+        phi = parse_formula(text, free=("X", "Y", "Z"))
+        names = sorted(free_vars(phi))
+        rep = check_positive_bounded_preservation(bogus, phi, pairs, sa, sb, title=text)
+        checked, violations = _per_tuple_preservation(bogus, phi, names, pairs, sa, sb)
+        assert rep.checked == checked == len(pairs) ** len(names)
+        assert rep.violations == violations
+        failing += bool(violations)
+    assert failing == 7
 
 
 def test_functoriality_report(morphisms, four):
