@@ -124,8 +124,8 @@ def valuation_property_suite(algebra, rank=2, max_domain=2, budget=None,
     eval()-path subsample through the parser.
     """
     store = NameStore(algebra)
-    ctx = EvalContext(store)
     pool = enumerate_names(store, max_rank=rank, max_domain=max_domain, budget=budget)
+    ctx = EvalContext(store, fragment=pool)
     EQ = eq_matrix(ctx, pool)
     MEM = mem_matrix(ctx, pool)
     rep = CheckReport(
@@ -206,9 +206,15 @@ def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
     join-irreducibles below.  With E_p = (p <= EQ) and M_p = (p <= MEM)
     each family is a few 0/1 matrix products per p, and each product
     also names the failing middles.
+
+    Families 10 and 11 also compare samples: the bounded form through
+    `ctx.eval`, and the unbounded form over `pool` as fragment through
+    one `eval_grid`.  `ctx` is a context over `store` whose fragment is
+    `pool`; one is made when it is missing or has another fragment.
     """
     algebra = store.algebra
-    ctx = ctx or EvalContext(store)
+    if ctx is None or ctx.fragment != tuple(pool):
+        ctx = EvalContext(store, fragment=pool)
     n = len(pool)
     idx = {nid: k for k, nid in enumerate(pool)}
     mt, jt, it, leq = (algebra.meet_table, algebra.join_table,
@@ -279,31 +285,20 @@ def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
     fex, ffa = fragment_forms(algebra, MEM)
 
     sample = pool[:: max(1, n // eval_samples)]
-    frag_ctx = EvalContext(store, fragment=pool)
-    bounded_ex = parse_formula("exists u in X . u in Z", free=("X", "Z"))
-    unbounded_ex = parse_formula("exists u . u in X /\\ u in Z", free=("X", "Z"))
-    bounded_fa = parse_formula("forall u in X . u in Z", free=("X", "Z"))
-    unbounded_fa = parse_formula("forall u . u in X -> u in Z", free=("X", "Z"))
-
-    fam = rep.family("10 bounded exists expands over the domain")
-    fam.bulk(n * n, np.array_equal(bex, fex), "fragment form differs")
-    for x in sample:
-        for z in sample:
-            sigma = {"X": x, "Z": z}
-            b = ctx.eval(bounded_ex, sigma)
-            u = frag_ctx.eval(unbounded_ex, sigma)
-            ok = b == bex[idx[x], idx[z]] == u
-            fam.record(ok, None if ok else
-                       {"x": store.to_literal(x), "z": store.to_literal(z)})
-
-    fam = rep.family("11 bounded forall expands over the domain")
-    fam.bulk(n * n, np.array_equal(bfa, ffa), "fragment form differs")
-    for x in sample:
-        for z in sample:
-            sigma = {"X": x, "Z": z}
-            b = ctx.eval(bounded_fa, sigma)
-            u = frag_ctx.eval(unbounded_fa, sigma)
-            ok = b == bfa[idx[x], idx[z]] == u
+    for name, value, form, bounded, unbounded in (
+        ("10 bounded exists expands over the domain", bex, fex,
+         "exists u in X . u in Z", "exists u . u in X /\\ u in Z"),
+        ("11 bounded forall expands over the domain", bfa, ffa,
+         "forall u in X . u in Z", "forall u . u in X -> u in Z"),
+    ):
+        bounded = parse_formula(bounded, free=("X", "Z"))
+        unbounded = eval_grid(ctx, parse_formula(unbounded, free=("X", "Z")),
+                              {"X": sample, "Z": sample})
+        fam = rep.family(name)
+        fam.bulk(n * n, np.array_equal(value, form), "fragment form differs")
+        for (i, x), (j, z) in iproduct(enumerate(sample), repeat=2):
+            b = ctx.eval(bounded, {"X": x, "Z": z})
+            ok = b == value[idx[x], idx[z]] == unbounded[i, j]
             fam.record(ok, None if ok else
                        {"x": store.to_literal(x), "z": store.to_literal(z)})
 

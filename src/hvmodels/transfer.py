@@ -21,6 +21,7 @@ Functoriality of lifting is checked by `checks.functoriality_suite`.
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class LocaleMorphism:
         self.table = np.asarray(table, dtype=np.int64)
         self.table.setflags(write=False)
         self.name = name
-        self._lift_cache = {}
+        self._lift_cache = WeakKeyDictionary()
 
     def __call__(self, a):
         return int(self.table[a])
@@ -195,9 +196,10 @@ def lift(f, x, store_a, store_b):
     equivalence pads until fresh.  Deterministic: equal inputs produce
     equal witnesses and images.
     """
-    # keyed by the stores themselves: holding them alive keeps the cached
-    # name ids valid for the lifetime of the morphism
-    cache = f._lift_cache.setdefault((store_a, store_b), {})
+    # keyed weakly by the stores themselves: the cached name ids are valid
+    # exactly as long as both stores live, and the morphism keeps neither
+    by_target = f._lift_cache.setdefault(store_a, WeakKeyDictionary())
+    cache = by_target.setdefault(store_b, {})
     if x in cache:
         return cache[x]
     stack = [store_a.check_id(x)]

@@ -14,23 +14,23 @@ Equality is memoized under a symmetric key: the defining expression is
 literally symmetric in its arguments, and the symmetry is additionally
 guarded against a non-memoized reference implementation in the tests.
 
-`eq_matrix` and `mem_matrix` compute whole blocks with an array kernel
-instead: the downward closure of the requested names is laid out by
-rank as padded child-position and child-value arrays, the equality
-matrix is filled one rank level at a time with table lookups over
-whole blocks (every sub-pair lies at a lower level), and membership is
-derived from it with one gather per child slot.  The returned cells are
-left in the context's memo, so later one-off queries hit it.
-
-`eval_grid` evaluates a whole formula for every assignment of a grid of
-columns on the same kernel: each subformula is an array over its free
-variables, connectives are table lookups and bounded quantifiers are
-reductions over child slots.  `EvalContext.eval` stays the path for one
-assignment, where compiling a grid would cost more than it saves.
+`eval_grid` is the one bulk path: it evaluates a whole formula for
+every assignment of a grid of columns, each subformula as an array over
+its free variables.  Atoms are gathers from an array kernel: the
+downward closure of the names involved is laid out by rank as padded
+child-position and child-value arrays, the equality matrix is filled
+one rank level at a time with table lookups over whole blocks (every
+sub-pair lies at a lower level), and membership is one gather per child
+slot.  Connectives are table lookups and bounded quantifiers are
+reductions over child slots.  `eq_matrix` and `mem_matrix` are
+`eval_grid` on a single atom.  The context keeps its last kernel and
+reuses it while the requested names lie in its closure; no cell of a
+bulk result goes into the memo, which only the one-off path fills.
+`EvalContext.eval` stays the path for one assignment, where compiling a
+grid would cost more than it saves.
 """
 
-from bisect import bisect_left
-from itertools import product as iproduct, repeat
+from itertools import product as iproduct
 
 import numpy as np
 
@@ -52,12 +52,18 @@ from .formula import (
 
 
 class EvalContext:
-    """Valuation context: one name store, one memo table, one fragment.
+    """Valuation context: one name store, one memo table, one fragment,
+    and one equality kernel.
 
     `fragment` is the finite list of names that unbounded quantifiers
     range over; it approximates the proper-class quantifier of the
     underlying semantics (existentials from below, universals from
     above), and is exact for formulas whose quantifiers are bounded.
+
+    The memo is filled by the one-off path (`atomic_eq`, `atomic_mem`
+    and `eval`).  The kernel is the one `eval_grid` last built, and
+    with it `eq_matrix` and `mem_matrix`; it is reused while the names a
+    grid asks for lie in its closure, and replaced otherwise.
     """
 
     def __init__(self, store, fragment=()):
@@ -66,6 +72,7 @@ class EvalContext:
         self.fragment = tuple(store.check_id(u) for u in fragment)
         self._eq = {}
         self._mem = {}
+        self._kernel = None
 
     # -- atomic values ---------------------------------------------------
 
@@ -203,19 +210,54 @@ def rebind(sigma, var, nid):
     return out
 
 
-# -- bulk helpers for sweeps ---------------------------------------------------
+# -- bulk valuation: whole grids on one kernel per context ---------------------
+
+GRID_BUDGET = 1 << 24
+"""Cells of the largest array `eval_grid` or the equality kernel builds
+at once; above it a grid is evaluated in blocks of its first column, and
+a kernel is refused."""
 
 
-def _eq_kernel(ctx, ids_row, ids_col):
-    r"""[u = v] over the downward closure of both id lists, as one array.
+def eq_matrix(ctx, ids_row, ids_col=None):
+    """Matrix of [u = v] values as an int64 array, symmetric when both id
+    lists coincide: `eval_grid` on the atom x = y, so it comes from the
+    context's kernel and leaves nothing in its memo."""
+    ids_col = ids_row if ids_col is None else ids_col
+    return eval_grid(ctx, Eq(Var("x"), Var("y")), {"x": ids_row, "y": ids_col})
 
-    Returns (rows, cols, EQ, K, V).  The names of the closure have
-    positions ordered by rank; `rows` and `cols` are the positions of
-    the two lists, and EQ is indexed by position.  Row p of K holds the
-    positions of the children of name p, row p of V their values; both
-    are padded to the widest domain with child 0 and value bottom, which
-    is neutral in both formulas (bottom /\ a = bottom joins to nothing,
-    bottom -> a = top meets to nothing).
+
+def mem_matrix(ctx, ids_row, ids_col=None):
+    """Matrix of [u in v] values as an int64 array: `eval_grid` on the
+    atom x in y, so it comes from the context's kernel and leaves nothing
+    in its memo."""
+    ids_col = ids_row if ids_col is None else ids_col
+    return eval_grid(ctx, Member(Var("x"), Var("y")), {"x": ids_row, "y": ids_col})
+
+
+def _eq_kernel(ctx, ids):
+    """The kernel of `ctx` when its closure holds every id of `ids`;
+    otherwise one built over the closure of `ids`, which replaces it.
+
+    The context keeps one kernel.  A kept kernel is never stale: the
+    store is append-only and the entries of a name never change.
+    """
+    kernel = ctx._kernel
+    if kernel is None or not all(u in kernel[0] for u in ids):
+        ctx._kernel = None  # free the old arrays before the new ones exist
+        ctx._kernel = kernel = _build_kernel(ctx.store, ids)
+    return kernel
+
+
+def _build_kernel(store, ids):
+    r"""[u = v] over the downward closure of `ids`, as one array.
+
+    Returns (pos, EQ, K, V).  The names of the closure have positions
+    ordered by rank, and `pos` maps each name to its position; EQ is
+    indexed by position and holds elements in the smallest dtype.  Row p
+    of K holds the positions of the children of name p, row p of V their
+    values; both are padded to the widest domain with child 0 and value
+    bottom, which is neutral in both formulas (bottom /\ a = bottom joins
+    to nothing, bottom -> a = top meets to nothing).
 
     A pair's level is max(rank x, rank y), and every sub-pair the
     recursion reads lies at a strictly lower level.  The positions of
@@ -226,22 +268,31 @@ def _eq_kernel(ctx, ids_row, ids_col):
         P[x, y] = /\_b (V[y, b] -> \/_a V[x, a] /\ EQ[K[x, a], K[y, b]])
 
     and the x side is its transpose, so EQ = P /\ P^T.
+
+    The n^2 cells of EQ are predicted from the closure before any array
+    is allocated; above `GRID_BUDGET` `BudgetExceeded` is raised.
     """
-    store, A = ctx.store, ctx.algebra
-    mt, jt, it = A.meet_table, A.join_table, A.impl_table
+    A = store.algebra
     seen = set()
-    stack = [store.check_id(u) for u in (*ids_row, *ids_col)]
+    stack = list(ids)
     while stack:
         u = stack.pop()
         if u not in seen:
             seen.add(u)
             stack.extend(k for k, _ in store.entries(u))
     nodes = sorted(seen, key=lambda u: (store.rank(u), u))
-    pos = {u: p for p, u in enumerate(nodes)}
     n = len(nodes)
+    if n * n > GRID_BUDGET:
+        raise BudgetExceeded(
+            f"the equality kernel over {n} names needs {n * n} cells, "
+            f"over the {GRID_BUDGET}-cell budget",
+            predicted=n * n, budget=GRID_BUDGET)
+    dtype = np.min_scalar_type(A.n - 1)
+    mt, jt, it = (t.astype(dtype) for t in (A.meet_table, A.join_table, A.impl_table))
+    pos = {u: p for p, u in enumerate(nodes)}
     width = max([len(store.entries(u)) for u in nodes] + [1])
     K = np.zeros((n, width), dtype=np.intp)
-    V = np.full((n, width), A.bottom, dtype=np.intp)
+    V = np.full((n, width), A.bottom, dtype=dtype)
     ends = []
     for p, u in enumerate(nodes):
         for s, (k, v) in enumerate(store.entries(u)):
@@ -249,87 +300,18 @@ def _eq_kernel(ctx, ids_row, ids_col):
             V[p, s] = v
         if p + 1 == n or store.rank(nodes[p + 1]) != store.rank(u):
             ends.append(p + 1)
-    EQ = np.full((n, n), A.top, dtype=np.intp)
+    EQ = np.full((n, n), A.top, dtype=dtype)
     for end in ends:
         k, v = K[:end], V[:end]
-        P = np.full((end, end), A.top, dtype=np.intp)
+        P = np.full((end, end), A.top, dtype=dtype)
         for b in range(width):
-            ni = np.full((end, end), A.bottom, dtype=np.intp)
+            ni = np.full((end, end), A.bottom, dtype=dtype)
             for a in range(width):
                 sub = EQ[k[:, a][:, None], k[:, b][None, :]]
                 ni = jt[ni, mt[v[:, a][:, None], sub]]
             P = mt[P, it[v[:, b][None, :], ni]]
         EQ[:end, :end] = mt[P, P.T]
-    rows = np.array([pos[u] for u in ids_row], dtype=np.intp)
-    cols = np.array([pos[v] for v in ids_col], dtype=np.intp)
-    return rows, cols, EQ, K, V
-
-
-def _seed(memo, ids_row, ids_col, out, symmetric):
-    """Store every cell of `out` in `memo` as a Python int; equality
-    cells go under the symmetric key (min id, max id).  Rows are
-    converted one at a time, so no list of the whole matrix is built."""
-    ids_col = list(ids_col)
-    if not symmetric:
-        for u, row in zip(ids_row, out):
-            memo.update(zip(zip(repeat(u), ids_col), row.tolist()))
-        return
-    order = sorted(range(len(ids_col)), key=ids_col.__getitem__)
-    cols = [ids_col[j] for j in order]
-    for u, row in zip(ids_row, out[:, order]):
-        q = bisect_left(cols, u)
-        row = row.tolist()
-        memo.update(zip(zip(cols[:q], repeat(u)), row[:q]))
-        memo.update(zip(zip(repeat(u), cols[q:]), row[q:]))
-
-
-# The cells are computed apart from eq_matrix / mem_matrix so that the
-# kernel's arrays are freed before the memo fills, which keeps them out
-# of the peak memory of a sweep.
-
-
-def _eq_cells(ctx, ids_row, ids_col):
-    rows, cols, EQ, _, _ = _eq_kernel(ctx, ids_row, ids_col)
-    return EQ[np.ix_(rows, cols)].astype(np.int64)
-
-
-def _mem_cells(ctx, ids_row, ids_col):
-    # [u in v] = \/_b V[v, b] /\ [u = K[v, b]]: one gather per child slot
-    rows, cols, EQ, K, V = _eq_kernel(ctx, ids_row, ids_col)
-    A = ctx.algebra
-    out = np.full((len(rows), len(cols)), A.bottom, dtype=np.int64)
-    eq_rows = EQ[rows]
-    for b in range(K.shape[1]):
-        kids = K[cols, b]
-        out = A.join_table[out, A.meet_table[V[cols, b][None, :], eq_rows[:, kids]]]
-    return out
-
-
-def eq_matrix(ctx, ids_row, ids_col=None):
-    """Matrix of [u = v] values; symmetric when both id lists coincide.
-
-    Computed by the array kernel over the downward closure of both
-    lists; every returned cell is left in `ctx`'s memo."""
-    ids_col = ids_row if ids_col is None else ids_col
-    out = _eq_cells(ctx, ids_row, ids_col)
-    _seed(ctx._eq, ids_row, ids_col, out, symmetric=True)
-    return out
-
-
-def mem_matrix(ctx, ids_row, ids_col=None):
-    """Matrix of [u in v] values, derived from the equality kernel; every
-    returned cell is left in `ctx`'s memo."""
-    ids_col = ids_row if ids_col is None else ids_col
-    out = _mem_cells(ctx, ids_row, ids_col)
-    _seed(ctx._mem, ids_row, ids_col, out, symmetric=False)
-    return out
-
-
-# -- whole-grid evaluation --------------------------------------------------------
-
-GRID_BUDGET = 1 << 24
-"""Cells of the largest array `eval_grid` builds at once; above it the
-grid is evaluated in blocks of its first column."""
+    return pos, EQ, K, V
 
 
 def eval_grid(ctx, phi, columns):
@@ -341,7 +323,7 @@ def eval_grid(ctx, phi, columns):
 
     Every subformula is evaluated once, as an array over its own free
     variables (a relation annotated by the algebra): atoms are gathers
-    from one `_eq_kernel` call over all the names involved, connectives
+    from the context's kernel over all the names involved, connectives
     are broadcast lookups in the meet, join and implication tables, a
     bounded quantifier is a meet or join reduction over the child slots
     of its bound, padded with value bottom (bottom -> a = top and
@@ -352,11 +334,13 @@ def eval_grid(ctx, phi, columns):
     The largest intermediate array is predicted before anything is
     built; above `GRID_BUDGET` cells the grid is evaluated in blocks of
     rows of the first column, and when a single row is still too large
-    `BudgetExceeded` is raised.  When some assignment would make `eval`
-    raise (an unbound variable, an unbounded quantifier with no
-    fragment, an unknown id), the grid is evaluated assignment by
-    assignment instead, on a private context, so the same error comes
-    from the same assignment.  `ctx`'s memo is neither read nor written.
+    `BudgetExceeded` is raised; so it is when the kernel's n^2 cells
+    over the closure of the names involved exceed the budget.  When
+    some assignment would make `eval` raise (an unbound variable, an
+    unbounded quantifier with no fragment, an unknown id), the grid is
+    evaluated assignment by assignment instead, on a private context,
+    so the same error comes from the same assignment.  `ctx`'s memo is
+    neither read nor written; its kernel is reused or replaced.
     """
     names = list(columns)
     shape = tuple(len(columns[v]) for v in names)
@@ -506,17 +490,15 @@ class _Grid:
     # -- evaluation ---------------------------------------------------------
 
     def prepare(self):
-        """The atoms of every domain from one kernel call, and the tables
-        in the smallest element dtype."""
+        """The atoms of every domain from the context's kernel, and the
+        tables in the smallest element dtype, which is the kernel's."""
         A = self.algebra
         dtype = np.min_scalar_type(A.n - 1)
         self.mt = A.meet_table.astype(dtype)
         self.jt = A.join_table.astype(dtype)
         self.it = A.impl_table.astype(dtype)
-        names = sorted({u for dom in self.domains for u in dom})
-        rows, _, EQ, self.K, self.V = _eq_kernel(self.ctx, names, ())
-        self.EQ = EQ.astype(dtype)
-        at = dict(zip(names, rows.tolist()))
+        names = {u for dom in self.domains for u in dom}
+        at, self.EQ, self.K, self.V = _eq_kernel(self.ctx, names)
         self.pos = [np.array([at[u] for u in dom], dtype=np.intp) for dom in self.domains]
 
     def run(self, block):

@@ -205,3 +205,17 @@ def test_bigger_sweep_boolean4_domain_cap_3():
     assert rep.config["pool"] == 821
     assert len(rep.families) == 11 and rep.ok, rep.render_text()
     assert elapsed < 60.0
+
+
+@pytest.mark.parametrize("algebra,cap,names", [
+    (make_chain(5), 3, 2906),
+    (make_boolean(3), 2, 2377),
+], ids=["chain5-cap3", "boolean8-cap2"])
+def test_big_sweeps_within_the_bound(algebra, cap, names):
+    # both pools build their kernel under the real GRID_BUDGET
+    started = time.perf_counter()
+    rep = valuation_property_suite(algebra, rank=2, max_domain=cap)
+    elapsed = time.perf_counter() - started
+    assert rep.config["pool"] == names
+    assert len(rep.families) == 11 and rep.ok, rep.render_text()
+    assert elapsed < 60.0

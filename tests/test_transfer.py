@@ -6,7 +6,9 @@ recursion, and the atomic preservation bounds against direct
 evaluation on both sides.
 """
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +192,20 @@ def test_lift_is_deterministic_and_cached(morphisms, four, chain2):
     f2 = validate_locale_morphism(four, chain2, [0, 0, 1, 1], name="f")
     wl2 = lift(f2, x, sa, sb)
     assert (wl1.image, wl1.witness) == (wl2.image, wl2.witness)
+
+
+def test_lift_cache_does_not_keep_stores_alive(four, chain2):
+    f = validate_locale_morphism(four, chain2, [0, 0, 1, 1], name="f")
+    refs = []
+    for _ in range(3):
+        sa, sb = NameStore(four), NameStore(chain2)
+        for x in enumerate_names(sa, max_rank=1):
+            lift(f, x, sa, sb)
+        refs += [weakref.ref(sa), weakref.ref(sb)]
+    del sa, sb
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert len(f._lift_cache) == 0
 
 
 def test_lift_pads_on_collision(morphisms):

@@ -12,8 +12,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hvmodels.checks import counterexample_names, standard_morphisms
+from hvmodels import valuation
+from hvmodels.checks import (
+    counterexample_names,
+    preservation_suite,
+    standard_morphisms,
+    valuation_property_suite,
+)
 from hvmodels.errors import (
+    BudgetExceeded,
     EmptyFragment,
     ParseError,
     UnboundVariable,
@@ -40,7 +47,7 @@ from hvmodels.formula import (
 from hvmodels.lattice import make_boolean, make_chain
 from hvmodels.names import NameStore, enumerate_names, ordered_pair_h, pad_equivalent
 from hvmodels.transfer import lift
-from hvmodels.valuation import EvalContext, eq_matrix, mem_matrix
+from hvmodels.valuation import EvalContext, eq_matrix, eval_grid, mem_matrix
 
 from oracles import ref_eq, ref_mem, ref_ni
 
@@ -94,8 +101,7 @@ def test_matrix_helpers_agree_with_loops(store2):
 
 def _assert_matrices_match_oracle(store, rows, cols):
     """eq_matrix / mem_matrix on a fresh context equal the naive
-    recursion cell by cell, and leave every returned cell in the memo
-    as a Python int equal to a cold atomic query."""
+    recursion cell by cell, and leave the context's memo empty."""
     ctx = EvalContext(store)
     E = eq_matrix(ctx, rows, cols)
     M = mem_matrix(ctx, rows, cols)
@@ -105,10 +111,7 @@ def _assert_matrices_match_oracle(store, rows, cols):
         for j, v in enumerate(cols):
             assert E[i, j] == ref_eq(store, u, v)
             assert M[i, j] == ref_mem(store, u, v)
-            hit = ctx._eq[(u, v) if u <= v else (v, u)]
-            assert type(hit) is int and hit == EvalContext(store).atomic_eq(u, v)
-            hit = ctx._mem[(u, v)]
-            assert type(hit) is int and hit == EvalContext(store).atomic_mem(u, v)
+    assert not ctx._eq and not ctx._mem
 
 
 def test_kernel_matches_oracle_on_the_shared_pools(pools):
@@ -121,8 +124,7 @@ def test_kernel_matches_oracle_on_the_shared_pools(pools):
             for j, v in zip(at, sample):
                 assert E[i, j] == ref_eq(store, u, v)
                 assert M[i, j] == ref_mem(store, u, v)
-        assert len(ctx._eq) == len(pool) * (len(pool) + 1) // 2
-        assert len(ctx._mem) == len(pool) ** 2
+        assert not ctx._eq and not ctx._mem
         _assert_matrices_match_oracle(store, sample[::2], sample[1::2])
 
 
@@ -168,6 +170,95 @@ def _names(draw):
 @given(_names())
 def test_kernel_matches_oracle_on_generated_names(case):
     _assert_matrices_match_oracle(*case)
+
+
+# -- one kernel per context ----------------------------------------------------
+
+
+def _count_builds(monkeypatch):
+    """The id lists the kernel is built over, one per build."""
+    builds = []
+    build = valuation._build_kernel
+
+    def counted(store, ids):
+        builds.append(sorted(ids))
+        return build(store, ids)
+
+    monkeypatch.setattr(valuation, "_build_kernel", counted)
+    return builds
+
+
+GRID_FORMULA = parse_formula("exists w in Y . X = w \\/ X in w", free=("X", "Y"))
+
+
+def test_one_kernel_serves_a_pool_until_a_new_name(four, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    store = NameStore(four)
+    pool = enumerate_names(store, max_rank=2, max_domain=2)
+    ctx = EvalContext(store)
+    eq_matrix(ctx, pool)
+    mem_matrix(ctx, pool)
+    eval_grid(ctx, GRID_FORMULA, {"X": pool, "Y": pool[::5]})
+    eq_matrix(ctx, pool[::3], pool[1::4])
+    assert len(builds) == 1
+    # a name interned after the build lies outside the kept closure
+    x = store.intern({pool[-1]: four.top, pool[-2]: 1})
+    rows, cols = [x, *pool[::40]], [x, *pool[7::50]]
+    E, M = eq_matrix(ctx, rows, cols), mem_matrix(ctx, rows, cols)
+    assert len(builds) == 2 and x in builds[1]
+    for i, u in enumerate(rows):
+        for j, v in enumerate(cols):
+            assert E[i, j] == ref_eq(store, u, v)
+            assert M[i, j] == ref_mem(store, u, v)
+    assert not ctx._eq and not ctx._mem
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_interleaved_requests_match_fresh_contexts(data):
+    algebra = data.draw(st.sampled_from(ALGEBRAS))
+    store = NameStore(algebra)
+    ids = [store.empty]
+    ctx = EvalContext(store)
+    for _ in range(data.draw(st.integers(1, 10))):
+        step = data.draw(st.sampled_from(("intern", "eq", "mem", "grid")))
+        if step == "intern":
+            kids = data.draw(st.lists(st.sampled_from(ids), max_size=3))
+            vals = data.draw(st.lists(st.integers(0, algebra.n - 1),
+                                      min_size=len(kids), max_size=len(kids)))
+            ids.append(store.intern(dict(zip(kids, vals))))
+            continue
+        rows = data.draw(st.lists(st.sampled_from(ids), max_size=5))
+        cols = data.draw(st.lists(st.sampled_from(ids), max_size=5))
+        request = {
+            "eq": lambda c: eq_matrix(c, rows, cols),
+            "mem": lambda c: mem_matrix(c, rows, cols),
+            "grid": lambda c: eval_grid(c, GRID_FORMULA, {"X": rows, "Y": cols}),
+        }[step]
+        assert np.array_equal(request(ctx), request(EvalContext(store)))
+
+
+def test_kernel_budget_is_checked_before_building(store3, monkeypatch):
+    e = store3.empty
+    u = store3.intern({e: 1})
+    x = store3.intern({u: 2, e: 0})  # closure {e, u, x}: 9 cells
+    ctx = EvalContext(store3)
+    monkeypatch.setattr(valuation, "GRID_BUDGET", 8)
+    with pytest.raises(BudgetExceeded) as err:
+        eq_matrix(ctx, [x])
+    assert (err.value.predicted, err.value.budget) == (9, 8)
+    assert ctx._kernel is None
+    monkeypatch.setattr(valuation, "GRID_BUDGET", 9)
+    assert eq_matrix(ctx, [x])[0, 0] == store3.algebra.top
+
+
+def test_suites_build_one_kernel_per_context(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    valuation_property_suite(make_chain(3))
+    assert len(builds) == 1
+    builds.clear()
+    preservation_suite()
+    assert len(builds) == 8  # one per side of each of the four morphisms
 
 
 # -- parser ------------------------------------------------------------------
