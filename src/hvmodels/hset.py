@@ -14,7 +14,7 @@ single law, whose violations are `{"law", "witness", "values"}` dicts.
 
 import re
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 
 import numpy as np
 
@@ -384,7 +384,7 @@ def dagger_points(store, X):
     of the point's position ordinal, values are the delta row."""
     if X.algebra is not store.algebra:
         raise CrossAlgebra("H-set and store algebras differ")
-    tags = [names_mod.hat_embed(store, names_mod.ord_hf(i)) for i in range(len(X))]
+    tags = list(islice(names_mod.ordinal_tags(store), len(X)))
     return [
         store.intern(tuple(zip(tags, (int(v) for v in X.delta[i]))))
         for i in range(len(X))

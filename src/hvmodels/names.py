@@ -7,7 +7,7 @@ DAG and structural recursion on entries always terminates.
 """
 
 import math
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .errors import (
     MAX_NESTING,
@@ -76,26 +76,32 @@ class NameStore:
         return self._ranks[self.check_id(nid)]
 
     def to_literal(self, nid):
-        """Render a name in the `{(N, v), ...}` literal syntax.
-
-        Built bottom-up with an explicit stack, so a name of any rank
-        renders, and a subname shared by several entries is rendered once."""
+        """Render a name in the `{(N, v), ...}` literal syntax, of any rank,
+        rendering a subname shared by several entries once."""
         labels = self.algebra.labels
-        done = {}
-        stack = [self.check_id(nid)]
-        while stack:
-            cur = stack[-1]
-            if cur in done:
-                stack.pop()
-                continue
-            entries = self._entries[cur]
-            missing = [k for k, _ in entries if k not in done]
-            if missing:
-                stack.extend(missing)
-                continue
-            done[cur] = "{" + ", ".join(f"({done[k]}, {labels[v]})" for k, v in entries) + "}"
-            stack.pop()
-        return done[nid]
+        return _fold_dag(
+            self.check_id(nid), self.domain,
+            lambda cur, done: "{" + ", ".join(
+                f"({done[k]}, {labels[v]})" for k, v in self._entries[cur]) + "}")
+
+
+def _fold_dag(root, children, build, done=None):
+    """Fold the DAG below `root` bottom-up, without recursion: `build(node,
+    done)` runs once for each node not yet in `done`, once `done` maps
+    every child of it to its result.  Unfinished children are taken last
+    first; a caller whose ids leak into its output relies on this order."""
+    done = {} if done is None else done
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node in done:
+            continue
+        missing = [k for k in children(node) if k not in done]
+        if missing:
+            stack += [node, *missing]
+        else:
+            done[node] = build(node, done)
+    return done[root]
 
 
 def rank(store, nid):
@@ -141,8 +147,18 @@ def enumerate_names(store, max_rank, max_domain=None, budget=None):
 
 
 def as_hf(obj):
-    """Normalize nested iterables into a nested-frozenset HF set."""
-    return frozenset(as_hf(m) for m in obj)
+    """Normalize nested iterables into a nested-frozenset HF set, each
+    distinct frozenset subterm once."""
+    memo = {}
+
+    def norm(o):
+        if not isinstance(o, frozenset):
+            return frozenset(map(norm, o))
+        if o not in memo:
+            memo[o] = frozenset(map(norm, o))
+        return memo[o]
+
+    return norm(obj)
 
 
 def ord_hf(k):
@@ -154,20 +170,31 @@ def ord_hf(k):
 
 
 def hat_embed(store, x):
-    """The canonical name of an HF set: every membership gets value top."""
-    x = as_hf(x)
+    """The canonical name of an HF set: every membership gets value top.
+    Each distinct subterm is interned once."""
     top = store.algebra.top
-    return store.intern(tuple((hat_embed(store, y), top) for y in x))
+    return _fold_dag(as_hf(x), list,
+                    lambda y, done: store.intern(tuple((done[z], top) for z in y)))
+
+
+def ordinal_tags(store):
+    """hat_embed(store, ord_hf(k)) for k = 0, 1, 2, ...: each ordinal is
+    interned from the names of the ones before it, so tag k costs k."""
+    top = store.algebra.top
+    tags = []
+    while True:
+        tags.append(store.intern(tuple((t, top) for t in tags)))
+        yield tags[-1]
 
 
 def check_project(store, nid):
-    """Left inverse of hat_embed; defined over the two-element algebra only."""
+    """Left inverse of hat_embed; defined over the two-element algebra only.
+    Each distinct name is projected once."""
     if store.algebra.n != 2:
         raise WrongAlgebra("check_project is defined over the two-chain only")
     top = store.algebra.top
-    return frozenset(
-        check_project(store, k) for k, v in store.entries(nid) if v == top
-    )
+    return _fold_dag(nid, store.domain, lambda k, done: frozenset(
+        done[j] for j, v in store.entries(k) if v == top))
 
 
 # -- internal pairing --------------------------------------------------------
@@ -200,14 +227,7 @@ def pad_equivalent(store, nid, fresh_count):
     if fresh_count < 1:
         raise ParseError("fresh_count must be >= 1")
     dom = set(store.domain(nid))
-    tags = []
-    k = 0
-    while len(tags) < fresh_count:
-        t = hat_embed(store, ord_hf(k))
-        k += 1
-        if t in dom:
-            continue
-        tags.append(t)
+    tags = islice((t for t in ordinal_tags(store) if t not in dom), fresh_count)
     bottom = store.algebra.bottom
     return store.intern(store.entries(nid) + tuple((t, bottom) for t in tags))
 

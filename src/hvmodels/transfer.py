@@ -39,7 +39,7 @@ from .errors import (
 from .formula import Const, free_vars, is_positive_bounded
 from .hset import HSet, HSetMorphism, from_name
 from .lattice import split_arrow_header, text_lines
-from .names import pad_equivalent
+from .names import _fold_dag, pad_equivalent
 from .valuation import EvalContext, eq_matrix, eval_grid, mem_matrix
 
 SURJECTION_DOMAIN_CAP = 4
@@ -200,22 +200,11 @@ def lift(f, x, store_a, store_b):
     # exactly as long as both stores live, and the morphism keeps neither
     by_target = f._lift_cache.setdefault(store_a, WeakKeyDictionary())
     cache = by_target.setdefault(store_b, {})
-    if x in cache:
-        return cache[x]
-    stack = [store_a.check_id(x)]
-    while stack:
-        cur = stack[-1]
-        if cur in cache:
-            stack.pop()
-            continue
-        entries = store_a.entries(cur)
-        missing = [u for u, _ in entries if u not in cache]
-        if missing:
-            stack.extend(missing)
-            continue
+
+    def lift_entries(cur, cache):
         image_entries = {}
         witness = []
-        for u, val in entries:
+        for u, val in store_a.entries(cur):
             target = cache[u].image
             k = 1
             while target in image_entries:
@@ -223,11 +212,11 @@ def lift(f, x, store_a, store_b):
                 k += 1
             image_entries[target] = f(val)
             witness.append((u, target))
-        cache[cur] = WitnessedLift(
+        return WitnessedLift(
             x=cur, image=store_b.intern(image_entries), witness=tuple(witness)
         )
-        stack.pop()
-    return cache[x]
+
+    return _fold_dag(store_a.check_id(x), store_a.domain, lift_entries, cache)
 
 
 def witnessed_lift_with(f, x, tau, store_a, store_b, ctx_b=None):

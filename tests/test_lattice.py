@@ -1,11 +1,18 @@
+import math
+import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from hvmodels import lattice
+from hvmodels.cli import main
 from hvmodels.errors import (
+    BudgetExceeded,
     CrossAlgebra,
+    HvError,
     NotAFrame,
     NotALattice,
     NotAPoset,
@@ -13,6 +20,7 @@ from hvmodels.errors import (
 )
 from hvmodels.lattice import (
     BUILTIN_ALGEBRAS,
+    MAX_ELEMENTS,
     HeytingAlgebra,
     big_join,
     big_meet,
@@ -293,3 +301,260 @@ def test_join_irreducibles_are_computed_on_first_use():
     assert "join_irreducibles" in vars(A)
     assert make_boolean(3).join_irreducibles == (1, 2, 4)
     assert load_algebra(DIAMOND_ON_TOP).join_irreducibles == (1, 2, 4)
+
+
+# -- differential test against the frozen loop construction -------------------
+
+
+class FrozenLoops(HeytingAlgebra):
+    """The construction as it stood before the row-at-a-time kernels, kept
+    verbatim as the reference: per-pair Python loops for meets and joins,
+    a frame check over n^3 arrays, a triple loop for the implication, and
+    bottom and top as folds."""
+
+    def __init__(self, labels, leq, name=None):
+        labels = [str(s) for s in labels]
+        if len(set(labels)) != len(labels):
+            raise ParseError("duplicate element labels")
+        n = len(labels)
+        if n == 0:
+            raise ParseError("an algebra needs at least one element")
+        if n > MAX_ELEMENTS:
+            raise BudgetExceeded(f"{n} elements exceeds the {MAX_ELEMENTS} cap")
+        leq = np.asarray(leq, dtype=bool)
+        if leq.shape != (n, n):
+            raise ParseError("order matrix shape does not match element count")
+
+        self.name = name
+        self.labels = labels
+        self._index = {s: i for i, s in enumerate(labels)}
+        self.n = n
+        self.leq = leq
+
+        self._check_poset()
+        self.meet_table, self.join_table = self._compute_bounds()
+        # fold instead of min(): indices are arbitrary, order is not
+        bot = 0
+        top = 0
+        for i in range(1, n):
+            bot = int(self.meet_table[bot, i])
+            top = int(self.join_table[top, i])
+        self.bottom = bot
+        self.top = top
+        self._check_frame()
+        self.impl_table = self._compute_implication()
+        for arr in (self.leq, self.meet_table, self.join_table, self.impl_table):
+            arr.setflags(write=False)
+
+    def _compute_bounds(self):
+        n = self.n
+        leq = self.leq
+        meet = np.empty((n, n), dtype=np.int64)
+        join = np.empty((n, n), dtype=np.int64)
+        for a in range(n):
+            for b in range(a, n):
+                lows = leq[:, a] & leq[:, b]
+                m = self._greatest(lows)
+                if m is None:
+                    raise NotALattice("meet", (self.labels[a], self.labels[b]))
+                ups = leq[a, :] & leq[b, :]
+                j = self._least(ups)
+                if j is None:
+                    raise NotALattice("join", (self.labels[a], self.labels[b]))
+                meet[a, b] = meet[b, a] = m
+                join[a, b] = join[b, a] = j
+        return meet, join
+
+    def _greatest(self, mask):
+        for m in np.flatnonzero(mask):
+            if np.all(~mask | self.leq[:, m]):
+                return int(m)
+        return None
+
+    def _least(self, mask):
+        for m in np.flatnonzero(mask):
+            if np.all(~mask | self.leq[m, :]):
+                return int(m)
+        return None
+
+    def _check_frame(self):
+        # a /\ (b \/ c) == (a /\ b) \/ (a /\ c) for all triples
+        mt, jt = self.meet_table, self.join_table
+        lhs = mt[:, jt]                      # lhs[a, b, c]
+        rhs = jt[mt[:, :, None], mt[:, None, :]]
+        bad = lhs != rhs
+        if bad.any():
+            a, b, c = map(int, np.argwhere(bad)[0])
+            raise NotAFrame((self.labels[a], self.labels[b], self.labels[c]))
+
+    def _compute_implication(self):
+        n = self.n
+        impl = np.empty((n, n), dtype=np.int64)
+        for a in range(n):
+            for b in range(n):
+                # \/ {c : a /\ c <= b}
+                mask = self.leq[self.meet_table[a], b]
+                v = self.bottom
+                for c in np.flatnonzero(mask):
+                    v = int(self.join_table[v, c])
+                impl[a, b] = v
+        return impl
+
+
+def _outcome(build):
+    """What a construction yields: its tables with their dtype, bottom and
+    top, or the type, message and witness of the error it raises."""
+    try:
+        A = build()
+    except HvError as ex:
+        return ("error", type(ex).__name__, str(ex), getattr(ex, "witness", None))
+    tables = (A.meet_table, A.join_table, A.impl_table)
+    return ("ok", [(t.dtype.str, t.shape, t.tobytes()) for t in tables], A.bottom, A.top)
+
+
+def assert_same_as_frozen_loops(build):
+    """`build` gives the same outcome with the constructor it calls swapped
+    for the frozen loop construction."""
+    got = _outcome(build)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "HeytingAlgebra", FrozenLoops)
+        want = _outcome(build)
+    assert got == want
+
+
+@st.composite
+def shuffled_posets(draw):
+    """The transitive closure of a random upper-triangular relation on at
+    most 8 elements, with its indices shuffled."""
+    n = draw(st.integers(1, 8))
+    rel = np.eye(n, dtype=bool)
+    pairs = n * (n - 1) // 2
+    rel[np.triu_indices(n, 1)] = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+    for k in range(n):
+        rel |= rel[:, k:k + 1] & rel[k:k + 1, :]
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.intp)
+    leq = np.empty_like(rel)
+    leq[np.ix_(perm, perm)] = rel
+    return [f"e{i}" for i in range(n)], leq
+
+
+@st.composite
+def shuffled_chain_products(draw):
+    """A product of up to three chains, its elements in a random order."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)
+                 .filter(lambda s: math.prod(s) <= 32))
+    elems = list(product(*(range(k) for k in shape)))
+    elems = [elems[i] for i in draw(st.permutations(range(len(elems))))]
+    coords = np.array(elems)
+    leq = (coords[:, None, :] <= coords[None, :, :]).all(axis=2)
+    return ["_".join(map(str, e)) for e in elems], leq
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_posets())
+def test_random_posets_match_the_frozen_loops(poset):
+    labels, leq = poset
+    assert_same_as_frozen_loops(lambda: HeytingAlgebra(labels, leq))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_chain_products())
+def test_shuffled_chain_products_match_the_frozen_loops(poset):
+    labels, leq = poset
+    assert_same_as_frozen_loops(lambda: HeytingAlgebra(labels, leq))
+
+
+FIXTURE_ALGEBRAS = sorted((Path(__file__).parent.parent / "fixtures").glob("*.alg"))
+
+
+@pytest.mark.parametrize("build", [
+    *BUILTIN_ALGEBRAS.values(),
+    lambda: make_chain(64),
+    lambda: make_boolean(5),
+    *(lambda p=p: load_algebra(p.read_text(), name=p.stem) for p in FIXTURE_ALGEBRAS),
+], ids=[*BUILTIN_ALGEBRAS, "chain64", "boolean32", *(p.name for p in FIXTURE_ALGEBRAS)])
+def test_builders_and_fixtures_match_the_frozen_loops(build):
+    assert_same_as_frozen_loops(build)
+
+
+def test_not_a_lattice_pins_the_first_failing_pair():
+    # the example of test_not_a_lattice_reports_kind_and_witness: x and y
+    # have the meet 0 but two incomparable least upper bounds
+    labels = ["0", "x", "y", "p", "q"]
+    leq = np.eye(5, dtype=bool)
+    for a, b in {(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 3), (2, 4)}:
+        leq[a, b] = True
+    with pytest.raises(NotALattice) as err:
+        HeytingAlgebra(labels, leq)
+    assert (err.value.kind, err.value.witness) == ("join", ("x", "y"))
+    # without 0, the pair lacks both bounds, and the meet is reported
+    with pytest.raises(NotALattice) as err:
+        HeytingAlgebra(labels[1:], leq[1:, 1:])
+    assert (err.value.kind, err.value.witness) == ("meet", ("x", "y"))
+
+
+# -- the element cap and the cost of construction -----------------------------
+
+
+def assert_goedel_chain(A):
+    i = np.arange(A.n)
+    assert (A.bottom, A.top) == (0, A.n - 1)
+    assert np.array_equal(A.meet_table, np.minimum.outer(i, i))
+    assert np.array_equal(A.join_table, np.maximum.outer(i, i))
+    assert np.array_equal(A.impl_table, np.where(i[:, None] <= i, A.n - 1, i))
+
+
+def assert_powerset(A):
+    # element i is the set of atoms whose bits i has
+    i = np.arange(A.n)
+    assert (A.bottom, A.top) == (0, A.n - 1)
+    assert np.array_equal(A.meet_table, np.bitwise_and.outer(i, i))
+    assert np.array_equal(A.join_table, np.bitwise_or.outer(i, i))
+    assert np.array_equal(A.impl_table, np.bitwise_or.outer(~i, i) & (A.n - 1))
+
+
+def test_algebras_at_the_cap_build():
+    assert MAX_ELEMENTS == 512
+    assert_goedel_chain(make_chain(MAX_ELEMENTS))
+    assert_powerset(make_boolean(MAX_ELEMENTS.bit_length() - 1))
+
+
+def _labels_text(n):
+    return "elements: " + ", ".join(f"e{i}" for i in range(n)) + "\n"
+
+
+@pytest.mark.parametrize("build, predicted", [
+    (lambda: make_chain(MAX_ELEMENTS + 1), MAX_ELEMENTS + 1),
+    (lambda: make_boolean(10), 1024),
+    (lambda: HeytingAlgebra([f"e{i}" for i in range(MAX_ELEMENTS + 1)],
+                            np.eye(MAX_ELEMENTS + 1, dtype=bool)), MAX_ELEMENTS + 1),
+    (lambda: load_algebra(_labels_text(MAX_ELEMENTS + 1)), MAX_ELEMENTS + 1),
+], ids=["make_chain", "make_boolean", "HeytingAlgebra", "load_algebra"])
+def test_past_the_cap_is_a_budget_error(build, predicted):
+    with pytest.raises(BudgetExceeded) as err:
+        build()
+    assert (err.value.predicted, err.value.budget) == (predicted, MAX_ELEMENTS)
+
+
+def test_cli_reports_an_algebra_past_the_cap(capsys, tmp_path):
+    path = tmp_path / "big.alg"
+    path.write_text(_labels_text(MAX_ELEMENTS + 1))
+    assert main(["algebra", "show", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: BudgetExceeded:")
+
+
+def test_construction_memory_is_quadratic():
+    # the n^3 frame check peaked at 34 MiB on this chain, the
+    # row-at-a-time one under 1 MiB; tracemalloc sees numpy's buffers
+    tracemalloc.start()
+    try:
+        A = make_chain(128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert_goedel_chain(A)
+    assert_powerset(make_boolean(7))

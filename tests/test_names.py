@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +12,7 @@ from hvmodels.errors import (
     UnknownKey,
     WrongAlgebra,
 )
+from hvmodels import names as names_mod
 from hvmodels.lattice import make_boolean, make_chain
 from hvmodels.names import (
     NameStore,
@@ -17,6 +21,7 @@ from hvmodels.names import (
     hat_embed,
     ord_hf,
     ordered_pair_h,
+    ordinal_tags,
     pad_equivalent,
     parse_name_literal,
     rank,
@@ -105,6 +110,40 @@ def test_hat_embed_and_project_roundtrip(store2):
             frozenset([frozenset(), frozenset([frozenset()])])]
     for x in sets:
         assert check_project(store2, hat_embed(store2, x)) == x
+
+
+def test_hat_embed_visits_each_distinct_subterm_once(store2, monkeypatch):
+    # ord_hf(k) has k + 1 distinct subterms but 2^k paths to them; more
+    # than 41 calls of either function below fails at once rather than
+    # walking all 2^40 paths
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            if calls[fn.__name__] > 41:
+                raise AssertionError(f"more {fn.__name__} calls than distinct subterms")
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(NameStore, "intern", counted(NameStore.intern))
+    monkeypatch.setattr(names_mod, "as_hf", counted(names_mod.as_hf))
+    nid = hat_embed(store2, ord_hf(40))
+    assert store2.rank(nid) == 40
+    # hat_embed is injective, so this says check_project gives ord_hf(40)
+    # back; comparing two separately built ordinals would itself take 2^40
+    # steps
+    calls.clear()
+    assert hat_embed(store2, check_project(store2, nid)) == nid
+    calls.clear()
+    assert check_project(store2, hat_embed(store2, ord_hf(12))) == ord_hf(12)
+
+
+def test_ordinal_tags_are_the_hat_images_of_the_ordinals(store3):
+    fresh = NameStore(store3.algebra)
+    tags = list(islice(ordinal_tags(store3), 12))
+    assert tags == [hat_embed(fresh, ord_hf(k)) for k in range(12)]
+    assert tags == [hat_embed(store3, ord_hf(k)) for k in range(12)]
 
 
 def test_check_project_requires_the_two_chain(store3):
