@@ -17,7 +17,8 @@ import numpy as np
 
 from . import hset as hs
 from . import transfer as tr
-from .errors import Family, HvError, NotAFrame, NotJoinPreserving, NotMeetPreserving
+from .errors import (BudgetExceeded, Family, HvError, NotAFrame, NotJoinPreserving,
+                     NotMeetPreserving)
 from .formula import parse_formula
 from .lattice import BUILTIN_ALGEBRAS, HeytingAlgebra, make_chain
 from .names import (
@@ -28,6 +29,7 @@ from .names import (
     pad_equivalent,
 )
 from .valuation import (
+    GRID_BUDGET,
     EvalContext,
     eq_matrix,
     eval_grid,
@@ -597,18 +599,25 @@ def _random_hset(algebra, rng, max_points=3):
     return hs.HSet(algebra, list(range(npts)), delta)
 
 
-def _graph_morphisms(X, Y, limit=None):
+def _graph_morphisms(X, Y):
     """All valid morphisms X -> Y of graph shape phi(x, y') =
-    delta_Y(g(x), y') for point maps g."""
-    out = []
-    for g in iproduct(range(len(Y)), repeat=len(X)):
-        phi = Y.delta[np.asarray(g, dtype=np.int64), :]
-        m = hs.HSetMorphism(X, Y, phi)
-        if hs.validate_morphism(m):
-            out.append(m)
-            if limit and len(out) >= limit:
-                break
-    return out
+    delta_Y(g(x), y') for point maps g, in `iproduct` order of g.
+
+    The |Y|^|X| candidate tables are stacked and decided at once;
+    above `GRID_BUDGET` cells (the stack or the per-point slab of
+    `hset.morphism_law_masks`) `BudgetExceeded` is raised first."""
+    nx, ny = len(X), len(Y)
+    G = ny ** nx
+    cells = G * ny * max(nx, ny)
+    if cells > GRID_BUDGET:
+        raise BudgetExceeded(
+            f"{G} point maps of {nx} into {ny} points need {cells} cells, "
+            f"over the {GRID_BUDGET}-cell budget",
+            predicted=cells, budget=GRID_BUDGET)
+    gs = np.arange(G)[:, None] // ny ** np.arange(nx - 1, -1, -1) % ny
+    phis = Y.delta[gs]
+    mask = hs.morphism_law_masks(X.algebra, X.delta, Y.delta, phis)
+    return [hs.HSetMorphism(X, Y, phi) for phi in phis[mask]]
 
 
 def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2):
@@ -624,13 +633,16 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2):
     corpus = {}
     for aname, algebra in alg.items():
         corpus[aname] = [_random_hset(algebra, rng) for _ in range(corpus_per_algebra)]
+    # every call below takes a prefix of one ordered pair's morphisms
+    graphs = {(id(X), id(Y)): _graph_morphisms(X, Y)
+              for hsets in corpus.values() for X, Y in iproduct(hsets, hsets)}
 
     fam_id = rep.family("identity is neutral for composition")
     fam_assoc = rep.family("composition is associative")
     fam_onesided = rep.family("one-sided comparison already implies equality")
     for aname, hsets in corpus.items():
         for X, Y in iproduct(hsets, hsets):
-            mors = _graph_morphisms(X, Y, limit=6)
+            mors = graphs[id(X), id(Y)][:6]
             for m in mors:
                 fam_id.record(
                     hs.morphisms_equal(hs.compose(m, hs.identity(X)), m)
@@ -644,9 +656,9 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2):
                     fam_onesided.record(np.array_equal(m.phi, m2.phi),
                                         {"algebra": aname})
         for X, Y, Z in iproduct(hsets, hsets, hsets):
-            for m in _graph_morphisms(X, Y, limit=2):
-                for m2 in _graph_morphisms(Y, Z, limit=2):
-                    for m3 in _graph_morphisms(Z, X, limit=2):
+            for m in graphs[id(X), id(Y)][:2]:
+                for m2 in graphs[id(Y), id(Z)][:2]:
+                    for m3 in graphs[id(Z), id(X)][:2]:
                         lhs = hs.compose(m3, hs.compose(m2, m))
                         rhs = hs.compose(hs.compose(m3, m2), m)
                         fam_assoc.record(hs.morphisms_equal(lhs, rhs),
@@ -693,8 +705,8 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2):
             ok = all(bool(hs.validate_morphism(p)) for p in projs)
             fam.record(ok, {"algebra": aname, "kind": "projections"})
             for W in hsets:
-                h1 = _graph_morphisms(W, X, limit=1)
-                h2 = _graph_morphisms(W, Y, limit=1)
+                h1 = graphs[id(W), id(X)][:1]
+                h2 = graphs[id(W), id(Y)][:1]
                 if not (h1 and h2):
                     continue
                 pair_phi = np.empty((len(W), len(P)), dtype=np.int64)
@@ -707,7 +719,7 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2):
                 ok = ok and hs.morphisms_equal(hs.compose(projs[1], paired), h2[0])
                 fam.record(ok, {"algebra": aname, "kind": "pairing"})
                 break
-            mors = _graph_morphisms(X, Y, limit=2)
+            mors = graphs[id(X), id(Y)][:2]
             for m, m2 in iproduct(mors, mors):
                 E, incl = hs.equalizer(m, m2)
                 ok = bool(hs.validate_morphism(incl))

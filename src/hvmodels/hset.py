@@ -10,6 +10,10 @@ induced by an internal function name.
 
 The validators return an `errors.Family`, the one report type for a
 single law, whose violations are `{"law", "witness", "values"}` dicts.
+The four morphism laws live in one slab helper, `morphism_law_masks`,
+which decides a stack of G candidate tables at once with memory
+G*nt^2 per source point (G*ns*nt for source congruence);
+`validate_morphism` is that helper on a stack of one.
 """
 
 import re
@@ -33,6 +37,7 @@ from .valuation import EvalContext, make_function_predicate
 
 SINGLETON_BUDGET = 1 << 16
 PRODUCT_CAP = 4096
+SLAB_CELLS = 1 << 16
 
 
 class HSet:
@@ -110,50 +115,77 @@ def validate_hset(X):
     return rep
 
 
+# (law, kind of the middle witness point) in report order
+_MORPHISM_LAWS = (("target congruence", "target"), ("source congruence", "source"),
+                  ("single-valuedness", "target"), ("totality", None))
+
+
+def morphism_law_masks(A, ds, dt, phis, first=None):
+    """The four morphism laws for a stack of candidate tables `phis` of
+    shape (G, ns, nt) between carriers with equality tables ds and dt;
+    returns the (G,) mask of candidates that satisfy all of them.
+
+    One loop over blocks of source points x decides every candidate at
+    once on (G, block, nt, nt) slabs (G, block, ns, nt for source
+    congruence); a block holds as many x as fit in `SLAB_CELLS` cells,
+    and at least one, so a step never needs more than
+    max(SLAB_CELLS, G*nt*max(ns, nt)) cells.  Given a dict
+    `first`, it is filled with law -> (x, i, j, lhs, rhs) for the first
+    failure of candidate 0, lexicographic in (x, i, j).
+    """
+    mt, leq, jt = A.meet_table, A.leq, A.join_table
+    G, ns, nt = phis.shape
+    ok = np.ones(G, dtype=bool)
+    step = max(1, SLAB_CELLS // max(1, G * nt * max(ns, nt)))
+    for x0 in range(0, ns, step):
+        px = phis[:, x0:x0 + step, None, :]      # phi(x, y') for the block
+        slabs = (
+            # 1. delta'(x',y') /\ phi(x,y') <= phi(x,x')
+            (mt[dt, px], px.swapaxes(2, 3)),
+            # 2. delta(x,y) /\ phi(x,y') <= phi(y,y')
+            (mt[ds[x0:x0 + step, :, None], px], phis[:, None]),
+            # 3. phi(x,x') /\ phi(x,y') <= delta'(x',y')
+            (mt[px.swapaxes(2, 3), px], dt),
+        )
+        for (law, _), (lhs, rhs) in zip(_MORPHISM_LAWS, slabs):
+            holds = leq[lhs, rhs]
+            good = holds.all(axis=(1, 2, 3))
+            ok &= good
+            if first is not None and not good[0] and law not in first:
+                b, i, j = map(int, np.unravel_index(np.argmin(holds[0]), holds[0].shape))
+                first[law] = (x0 + b, i, j, lhs[0, b, i, j],
+                              np.broadcast_to(rhs, lhs.shape)[0, b, i, j])
+    # 4. \/_{z'} phi(x,z') = delta(x,x)
+    total = np.full((G, ns), A.bottom, dtype=np.int64)
+    for z in range(nt):
+        total = jt[total, phis[:, :, z]]
+    holds = total == ds.diagonal()
+    good = holds.all(axis=1)
+    ok &= good
+    if first is not None and not good[0]:
+        x = int(np.argmin(holds[0]))
+        first["totality"] = (x, None, None, total[0, x], ds[x, x])
+    return ok
+
+
 def validate_morphism(m):
     """The four morphism laws, one check per cell they quantify over;
-    each law reports its first failure."""
+    each law reports its first failure.  This is `morphism_law_masks`
+    on a stack of one candidate."""
     A = m.source.algebra
     if A is not m.target.algebra:
         raise CrossAlgebra("morphism endpoints live over different algebras")
-    ds, dt, phi = m.source.delta, m.target.delta, m.phi
     ns, nt = len(m.source), len(m.target)
     rep = Family("H-set morphism laws", checked=2 * ns * nt * nt + ns * ns * nt + ns)
-    mt, leq = A.meet_table, A.leq
-    for x in range(ns):
-        # 1. delta'(x',y') /\ phi(x,y') <= phi(x,x')
-        lhs = mt[dt, phi[x][None, :]]        # lhs[x', y']
-        viol = ~leq[lhs, phi[x][:, None]]
-        if viol.any():
-            xp, yp = map(int, np.argwhere(viol)[0])
-            _fail(rep, "target congruence", (m.source.points[x], m.target.points[xp], m.target.points[yp]),
-                  (A.labels[lhs[xp, yp]], A.labels[phi[x, xp]]))
-            break
-    for x in range(ns):
-        # 2. delta(x,y) /\ phi(x,y') <= phi(y,y')
-        lhs = mt[ds[x][:, None], phi[x][None, :]]   # lhs[y, y']
-        viol = ~leq[lhs, phi]
-        if viol.any():
-            y, yp = map(int, np.argwhere(viol)[0])
-            _fail(rep, "source congruence", (m.source.points[x], m.source.points[y], m.target.points[yp]),
-                  (A.labels[lhs[y, yp]], A.labels[phi[y, yp]]))
-            break
-    for x in range(ns):
-        # 3. phi(x,x') /\ phi(x,y') <= delta'(x',y')
-        lhs = mt[phi[x][:, None], phi[x][None, :]]
-        viol = ~leq[lhs, dt]
-        if viol.any():
-            xp, yp = map(int, np.argwhere(viol)[0])
-            _fail(rep, "single-valuedness", (m.source.points[x], m.target.points[xp], m.target.points[yp]),
-                  (A.labels[lhs[xp, yp]], A.labels[dt[xp, yp]]))
-            break
-    for x in range(ns):
-        # 4. \/_{z'} phi(x,z') = delta(x,x)
-        v = A.big_join(phi[x])
-        if v != ds[x, x]:
-            _fail(rep, "totality", (m.source.points[x],),
-                  (A.labels[v], A.labels[ds[x, x]]))
-            break
+    first = {}
+    morphism_law_masks(A, m.source.delta, m.target.delta, m.phi[None], first)
+    points = {"source": m.source.points, "target": m.target.points}
+    for law, middle in _MORPHISM_LAWS:
+        if law in first:
+            x, i, j, lhs, rhs = first[law]
+            witness = (m.source.points[x],) if middle is None else (
+                m.source.points[x], points[middle][i], m.target.points[j])
+            _fail(rep, law, witness, (A.labels[lhs], A.labels[rhs]))
     return rep
 
 

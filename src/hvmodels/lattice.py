@@ -59,7 +59,7 @@ class HeytingAlgebra:
         if n == 0:
             raise ParseError("an algebra needs at least one element")
         _check_size(n)
-        leq = np.asarray(leq, dtype=bool)
+        leq = np.array(leq, dtype=bool)  # a copy: frozen below
         if leq.shape != (n, n):
             raise ParseError("order matrix shape does not match element count")
 

@@ -153,6 +153,9 @@ def as_hf(obj):
 
     def norm(o):
         if not isinstance(o, frozenset):
+            # a one-character string iterates to itself
+            if isinstance(o, (str, bytes)) or not hasattr(o, "__iter__"):
+                raise ParseError(f"not an HF set: {type(o).__name__} {o!r}")
             return frozenset(map(norm, o))
         if o not in memo:
             memo[o] = frozenset(map(norm, o))

@@ -6,13 +6,19 @@ on small carriers.
 """
 
 import itertools
+import json
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hvmodels import checks, cli
 from hvmodels.errors import (
     BudgetExceeded,
     CrossAlgebra,
+    Family,
     NotAFunctionName,
     NotComposable,
     NotEquivalent,
@@ -34,6 +40,7 @@ from hvmodels.hset import (
     is_complete,
     lambda_f,
     lambda_iso,
+    morphism_law_masks,
     morphisms_equal,
     parse_hset_file,
     product,
@@ -43,7 +50,9 @@ from hvmodels.hset import (
 )
 from hvmodels.lattice import make_boolean, make_chain
 from hvmodels.names import NameStore, enumerate_names, pad_equivalent
-from hvmodels.valuation import EvalContext
+from hvmodels.valuation import GRID_BUDGET, EvalContext
+
+GOLDEN = Path(__file__).parent / "data" / "hset_laws_golden.json"
 
 
 def laws(report):
@@ -436,3 +445,151 @@ def test_parse_hset_file_errors(chain3, snippet, fragment):
     with pytest.raises(ParseError) as err:
         parse_hset_file(snippet, {"chain3": chain3})
     assert fragment in str(err.value)
+
+
+# -- the batched law helper against the four-loop validator --------------------
+
+
+def _fail(rep, law, witness, values):
+    rep.violations.append({"law": law, "witness": witness, "values": values})
+
+
+def frozen_validate_morphism(m):
+    """The four morphism laws, one check per cell they quantify over;
+    each law reports its first failure."""
+    A = m.source.algebra
+    if A is not m.target.algebra:
+        raise CrossAlgebra("morphism endpoints live over different algebras")
+    ds, dt, phi = m.source.delta, m.target.delta, m.phi
+    ns, nt = len(m.source), len(m.target)
+    rep = Family("H-set morphism laws", checked=2 * ns * nt * nt + ns * ns * nt + ns)
+    mt, leq = A.meet_table, A.leq
+    for x in range(ns):
+        # 1. delta'(x',y') /\ phi(x,y') <= phi(x,x')
+        lhs = mt[dt, phi[x][None, :]]        # lhs[x', y']
+        viol = ~leq[lhs, phi[x][:, None]]
+        if viol.any():
+            xp, yp = map(int, np.argwhere(viol)[0])
+            _fail(rep, "target congruence", (m.source.points[x], m.target.points[xp], m.target.points[yp]),
+                  (A.labels[lhs[xp, yp]], A.labels[phi[x, xp]]))
+            break
+    for x in range(ns):
+        # 2. delta(x,y) /\ phi(x,y') <= phi(y,y')
+        lhs = mt[ds[x][:, None], phi[x][None, :]]   # lhs[y, y']
+        viol = ~leq[lhs, phi]
+        if viol.any():
+            y, yp = map(int, np.argwhere(viol)[0])
+            _fail(rep, "source congruence", (m.source.points[x], m.source.points[y], m.target.points[yp]),
+                  (A.labels[lhs[y, yp]], A.labels[phi[y, yp]]))
+            break
+    for x in range(ns):
+        # 3. phi(x,x') /\ phi(x,y') <= delta'(x',y')
+        lhs = mt[phi[x][:, None], phi[x][None, :]]
+        viol = ~leq[lhs, dt]
+        if viol.any():
+            xp, yp = map(int, np.argwhere(viol)[0])
+            _fail(rep, "single-valuedness", (m.source.points[x], m.target.points[xp], m.target.points[yp]),
+                  (A.labels[lhs[xp, yp]], A.labels[dt[xp, yp]]))
+            break
+    for x in range(ns):
+        # 4. \/_{z'} phi(x,z') = delta(x,x)
+        v = A.big_join(phi[x])
+        if v != ds[x, x]:
+            _fail(rep, "totality", (m.source.points[x],),
+                  (A.labels[v], A.labels[ds[x, x]]))
+            break
+    return rep
+
+
+ALGEBRAS = checks.test_algebras()
+
+
+@st.composite
+def _hset_pairs(draw):
+    """An algebra, two `_random_hset` carriers (the source up to 3 or 6
+    points, the target up to 3) and a rng for candidate tables."""
+    algebra = ALGEBRAS[draw(st.sampled_from(sorted(ALGEBRAS)))]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    X = checks._random_hset(algebra, rng, max_points=draw(st.sampled_from([3, 6])))
+    Y = checks._random_hset(algebra, rng)
+    return X, Y, rng
+
+
+def _candidate(X, Y, rng):
+    """A graph-shaped table, one with a cell changed, or an arbitrary one."""
+    n = X.algebra.n
+    kind = rng.randrange(3)
+    if kind == 2:
+        return np.array([[rng.randrange(n) for _ in Y.points] for _ in X.points],
+                        dtype=np.int64).reshape(len(X), len(Y))
+    phi = Y.delta[[rng.randrange(len(Y)) for _ in X.points]].copy()
+    if kind == 1:
+        phi[rng.randrange(len(X)), rng.randrange(len(Y))] = rng.randrange(n)
+    return phi
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hset_pairs())
+def test_validate_morphism_matches_the_four_loops(case):
+    X, Y, rng = case
+    for _ in range(4):
+        m = HSetMorphism(X, Y, _candidate(X, Y, rng))
+        new, old = validate_morphism(m), frozen_validate_morphism(m)
+        assert (new.ok, new.checked, new.violations) == (old.ok, old.checked, old.violations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_hset_pairs(), st.integers(1, 27))
+def test_law_masks_match_the_four_loops(case, G):
+    X, Y, rng = case
+    phis = np.stack([_candidate(X, Y, rng) for _ in range(G)])
+    mask = morphism_law_masks(X.algebra, X.delta, Y.delta, phis)
+    assert mask.tolist() == [
+        bool(frozen_validate_morphism(HSetMorphism(X, Y, phi))) for phi in phis]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_hset_pairs())
+def test_graph_morphisms_match_the_brute_filter(case):
+    X, Y, _ = case
+    brute = []
+    for g in itertools.product(range(len(Y)), repeat=len(X)):
+        m = HSetMorphism(X, Y, Y.delta[np.asarray(g, dtype=np.int64), :])
+        if frozen_validate_morphism(m):
+            brute.append(m.phi)
+    got = checks._graph_morphisms(X, Y)
+    assert all(m.source is X and m.target is Y for m in got)
+    assert [m.phi.tolist() for m in got] == [phi.tolist() for phi in brute]
+
+
+def test_graph_morphisms_budget(chain2):
+    X = HSet(chain2, range(12), np.full((12, 12), chain2.top))
+    with pytest.raises(BudgetExceeded) as err:
+        checks._graph_morphisms(X, X)
+    assert err.value.predicted == 12 ** 12 * 12 * 12
+    assert err.value.budget == GRID_BUDGET
+
+
+def test_hset_law_suite_enumerates_each_pair_once(monkeypatch):
+    calls = []
+    enumerate_ = checks._graph_morphisms
+
+    def counted(X, Y):
+        calls.append((X, Y))
+        return enumerate_(X, Y)
+
+    monkeypatch.setattr(checks, "_graph_morphisms", counted)
+    for seed in (0, 1729):
+        calls.clear()
+        assert checks.hset_law_suite(seed=seed).ok
+        # 3 algebras x 4^2 ordered pairs of H-sets
+        assert len(calls) <= 48
+
+
+@pytest.mark.parametrize("seed", ["0", "1729", "4242"])
+def test_hset_laws_json_matches_golden(seed, tmp_path, capsys):
+    golden = json.loads(GOLDEN.read_text())[seed]
+    out = tmp_path / "hset.json"
+    assert cli.main(["check", "hset-laws", "--seed", seed, "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text() == json.dumps(golden, indent=2, sort_keys=True) + "\n"

@@ -558,3 +558,9 @@ def test_construction_memory_is_quadratic():
     assert peak < 4 * 2**20
     assert_goedel_chain(A)
     assert_powerset(make_boolean(7))
+
+
+def test_construction_leaves_the_callers_order_writable():
+    leq = np.array([[True, True], [False, True]])
+    HeytingAlgebra(["a", "b"], leq)
+    leq[0, 0] = True

@@ -112,6 +112,13 @@ def test_hat_embed_and_project_roundtrip(store2):
         assert check_project(store2, hat_embed(store2, x)) == x
 
 
+@pytest.mark.parametrize("x, kind", [("ab", "str"), ([3], "int")])
+def test_hat_embed_rejects_non_sets(store2, x, kind):
+    with pytest.raises(ParseError) as err:
+        hat_embed(store2, x)
+    assert kind in str(err.value)
+
+
 def test_hat_embed_visits_each_distinct_subterm_once(store2, monkeypatch):
     # ord_hf(k) has k + 1 distinct subterms but 2^k paths to them; more
     # than 41 calls of either function below fails at once rather than
