@@ -363,14 +363,14 @@ def counterexample_suite():
     return rep
 
 
-def injective_suite(rank=2):
+def injective_suite(rank=2, budget=None):
     """Along an injective morphism the strict relation is already a total
     injective function whose values are the canonical lifts."""
     alg = test_algebras()
     i = standard_morphisms(alg)["i"]
     sa, sb = NameStore(alg["chain2"]), NameStore(alg["four"])
-    pool_a = enumerate_names(sa, max_rank=rank)
-    pool_b = enumerate_names(sb, max_rank=rank)
+    pool_a = enumerate_names(sa, max_rank=rank, budget=budget)
+    pool_b = enumerate_names(sb, max_rank=rank, budget=budget)
     rep = CheckReport(
         title="strict lifting along an injective morphism",
         config={"morphism": "i", "source_pool": len(pool_a),
@@ -379,8 +379,7 @@ def injective_suite(rank=2):
     fam_total = rep.family("every name has exactly one strict image")
     fam_intern = rep.family("strict image is the canonical lift, interned")
     images = []
-    for x in pool_a:
-        imgs = tr.first_proposal_images(i, x, pool_b, sa, sb)
+    for x, imgs in zip(pool_a, tr.strict_images(i, pool_a, pool_b, sa, sb)):
         fam_total.record(len(imgs) == 1,
                          {"x": sa.to_literal(x), "image_count": len(imgs)})
         canon = tr.lift(i, x, sa, sb).image
@@ -403,15 +402,15 @@ POSITIVE_BOUNDED_FAMILY = (
 )
 
 
-def _sweep_pool(store, rank, max_domain):
+def _sweep_pool(store, rank, max_domain, budget=None):
     # the two-chain pool stays uncapped (it is finite and small); the
     # larger algebras use the domain cap
     if store.algebra.n == 2:
-        return enumerate_names(store, max_rank=rank)
-    return enumerate_names(store, max_rank=rank, max_domain=max_domain)
+        return enumerate_names(store, max_rank=rank, budget=budget)
+    return enumerate_names(store, max_rank=rank, max_domain=max_domain, budget=budget)
 
 
-def preservation_suite(rank=2, max_domain=2, positive_bounded=True):
+def preservation_suite(rank=2, max_domain=2, positive_bounded=True, budget=None):
     """Atomic and positive-bounded preservation along the standard
     morphisms, over canonical lift pairs for the full pools."""
     alg = test_algebras()
@@ -425,7 +424,7 @@ def preservation_suite(rank=2, max_domain=2, positive_bounded=True):
         m = morphisms[mname]
         sa, sb = NameStore(m.source), NameStore(m.target)
         ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)
-        pool = _sweep_pool(sa, rank, max_domain)
+        pool = _sweep_pool(sa, rank, max_domain, budget)
         pairs = [(x, tr.lift(m, x, sa, sb).image) for x in pool]
         fam = tr.check_atomic_preservation(m, pairs, sa, sb, ctx_a, ctx_b)
         fam.notes["pairs"] = len(pairs)
@@ -443,7 +442,7 @@ def preservation_suite(rank=2, max_domain=2, positive_bounded=True):
     return rep
 
 
-def functoriality_suite(rank=2, max_domain=2):
+def functoriality_suite(rank=2, max_domain=2, budget=None):
     """Identity lifts are the identity (by internal equality, and in fact
     by interning) on every standard pool; lifting along i then f agrees
     with lifting along the composite."""
@@ -456,7 +455,7 @@ def functoriality_suite(rank=2, max_domain=2):
     for aname, algebra in alg.items():
         store = NameStore(algebra)
         ctx = EvalContext(store)
-        pool = _sweep_pool(store, rank, max_domain)
+        pool = _sweep_pool(store, rank, max_domain, budget)
         ident = tr.identity_morphism(algebra)
         fam = rep.family(f"identity lift over {aname}")
         interned = True
@@ -471,7 +470,7 @@ def functoriality_suite(rank=2, max_domain=2):
     sb = NameStore(alg["four"])
     sc = NameStore(alg["chain2"])
     ctx_c = EvalContext(sc)
-    pool = enumerate_names(sa, max_rank=rank)
+    pool = enumerate_names(sa, max_rank=rank, budget=budget)
     gf = tr.compose_locale(f, i)
     fam = rep.family("composite lift i then f")
     for x in pool:
@@ -620,7 +619,7 @@ def _graph_morphisms(X, Y):
     return [hs.HSetMorphism(X, Y, phi) for phi in phis[mask]]
 
 
-def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2):
+def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2, budget=None):
     """Category laws, equality from one-sided comparison, dagger and
     completion roundtrips, product/equalizer behavior, bridge coherence,
     and the induced morphism of a witnessed lift."""
@@ -755,7 +754,7 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2):
     f = morphisms["f"]
     sa, sb = NameStore(alg["four"]), NameStore(alg["chain2"])
     ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)
-    pool = enumerate_names(sa, max_rank=rank, max_domain=2)
+    pool = enumerate_names(sa, max_rank=rank, max_domain=2, budget=budget)
     mono = epi = 0
     swapped = 0
     for x in pool:

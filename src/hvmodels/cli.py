@@ -13,6 +13,7 @@ Reports are deterministic: identical inputs give byte-identical JSON.
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import checks
@@ -311,19 +312,23 @@ def cmd_check(args, session):
             )
     elif suite == "counterexample":
         reports.append(checks.counterexample_suite())
-        reports.append(checks.injective_suite(rank=session.rank))
+        reports.append(checks.injective_suite(rank=session.rank,
+                                              budget=session.budget))
     elif suite == "preservation":
         reports.append(
             checks.preservation_suite(rank=session.rank,
-                                      max_domain=session.max_domain)
+                                      max_domain=session.max_domain,
+                                      budget=session.budget)
         )
     elif suite == "functoriality":
         reports.append(
             checks.functoriality_suite(rank=session.rank,
-                                       max_domain=session.max_domain)
+                                       max_domain=session.max_domain,
+                                       budget=session.budget)
         )
     elif suite == "hset-laws":
-        reports.append(checks.hset_law_suite(seed=session.seed, rank=session.rank))
+        reports.append(checks.hset_law_suite(seed=session.seed, rank=session.rank,
+                                             budget=session.budget))
     else:
         raise ParseError(f"unknown suite {suite!r}")
     text = "\n".join(r.render_text() for r in reports)
@@ -336,7 +341,11 @@ def cmd_check(args, session):
     return 0 if payload["ok"] else 1
 
 
+@cache
 def build_parser():
+    """The `hvm` argument parser, built once per process: `parse_args`
+    returns a fresh namespace on every call and leaves the parser as it
+    was."""
     parser = argparse.ArgumentParser(
         prog="hvm",
         description="Lattice-valued set models: algebras, names, valuation, "

@@ -78,7 +78,7 @@ class Singleton:
 
 
 def hsets_equal(X, Y):
-    return (
+    return X is Y or (
         X.algebra is Y.algebra
         and X.points == Y.points
         and np.array_equal(X.delta, Y.delta)

@@ -7,7 +7,10 @@ joins.  The induced map on names comes in two flavors:
 - the strict relation: x is related to x' when some surjection from
   dom x onto dom x' commutes with f on values and relates children
   recursively.  This relation is not total (see the counterexample
-  helpers), which is the point of the construction below.
+  helpers), which is the point of the construction below.  It is
+  decided as one boolean array over the downward closures of the
+  source names and the candidates, filled one source rank at a time
+  (`strict_images`).
 - the generalized relation and its canonical witness `lift`: children
   are lifted recursively in deterministic domain order, and when two
   children receive the same interned image the later one is replaced by
@@ -20,6 +23,7 @@ Functoriality of lifting is checked by `checks.functoriality_suite`.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
 from weakref import WeakKeyDictionary
 
@@ -40,7 +44,14 @@ from .formula import Const, free_vars, is_positive_bounded
 from .hset import HSet, HSetMorphism, from_name
 from .lattice import split_arrow_header, text_lines
 from .names import _fold_dag, pad_equivalent
-from .valuation import EvalContext, eq_matrix, eval_grid, mem_matrix
+from .valuation import (
+    GRID_BUDGET,
+    EvalContext,
+    _closure,
+    eq_matrix,
+    eval_grid,
+    mem_matrix,
+)
 
 SURJECTION_DOMAIN_CAP = 4
 
@@ -118,64 +129,112 @@ def preserves_implication(f):
 # -- the strict (first-proposal) relation ------------------------------------------
 
 
-def _surjections(n_from, n_to):
-    if n_to > n_from:
-        return
-    for fn in iproduct(range(n_to), repeat=n_from):
-        if len(set(fn)) == n_to:
-            yield fn
+@cache
+def _surjection_table(k, m):
+    """Every surjection from range(k) onto range(m), one per row."""
+    rows = [s for s in iproduct(range(m), repeat=k) if len(set(s)) == m]
+    table = np.array(rows, dtype=np.intp).reshape(len(rows), k)
+    table.setflags(write=False)
+    return table
 
 
-def strict_related(f, store_a, store_b, x, xp, _memo=None, budget=None, _count=None):
-    """The naive recursive relation: a surjection of domains commuting
-    with f whose child pairs are themselves strictly related."""
-    memo = {} if _memo is None else _memo
-    count = [0] if _count is None else _count
-    key = (x, xp)
-    if key in memo:
-        return memo[key]
-    ea = store_a.entries(x)
-    eb = store_b.entries(xp)
-    if not ea:
-        memo[key] = xp == store_b.empty
-        return memo[key]
-    if len(ea) > SURJECTION_DOMAIN_CAP:
+def _entry_arrays(store, nodes, pos):
+    """Child positions K and values V of `nodes`, one row each, padded to
+    the widest domain with position 0 and value 0; and the domain sizes."""
+    sizes = np.array([len(store.entries(u)) for u in nodes], dtype=np.intp)
+    width = int(sizes.max(initial=0))
+    K = np.zeros((len(nodes), width), dtype=np.intp)
+    V = np.zeros((len(nodes), width), dtype=np.int64)
+    for p, u in enumerate(nodes):
+        for s, (k, v) in enumerate(store.entries(u)):
+            K[p, s] = pos[k]
+            V[p, s] = v
+    return K, V, sizes
+
+
+def strict_images(f, xs, candidates, store_a, store_b):
+    r"""For each x of `xs`, the candidates strictly related to x, in the
+    order of `candidates` with duplicates kept.
+
+    x is related to x' when some surjection eps from dom x onto dom x'
+    commutes with f on values, x'(eps(u)) = f(x(u)), and relates every
+    child u to eps(u); the empty name is related only to the empty name.
+
+    The relation is decided as one boolean array R over the downward
+    closures of `xs` (rows, by rank) and of `candidates` (columns).  R is
+    filled one source rank at a time, so every child pair a level reads
+    is final.  Within a level the source names of domain size k meet the
+    target names of domain size m <= k:
+
+        compat[a, b, i, j] = (VB[b, j] == f(VA[a, i])) & R[KA[a, i], KB[b, j]]
+        R[a, b] = \/_eps /\_i compat[a, b, i, eps(i)]
+
+    over a cached table of the surjections k -> m, in blocks of source
+    rows that stay within `GRID_BUDGET` cells.
+
+    Before anything is allocated, a source closure holding a domain above
+    `SURJECTION_DOMAIN_CAP`, or an R of more than `GRID_BUDGET` cells,
+    raises `BudgetExceeded`.
+    """
+    xs, candidates = list(xs), list(candidates)
+    nodes_a = _closure(store_a, xs)
+    nodes_b = _closure(store_b, candidates)
+    width = max((len(store_a.entries(u)) for u in nodes_a), default=0)
+    if width > SURJECTION_DOMAIN_CAP:
         raise BudgetExceeded(
-            f"surjection search over a domain of {len(ea)} exceeds the cap"
-        )
-    dom_a = [u for u, _ in ea]
-    vals_a = [v for _, v in ea]
-    dom_b = [u for u, _ in eb]
-    vals_b = [v for _, v in eb]
-    result = False
-    for eps in _surjections(len(dom_a), len(dom_b)):
-        count[0] += 1
-        if budget is not None and count[0] > budget:
-            raise BudgetExceeded("surjection search budget exhausted")
-        if any(vals_b[eps[i]] != f(vals_a[i]) for i in range(len(dom_a))):
-            continue
-        if all(
-            strict_related(f, store_a, store_b, dom_a[i], dom_b[eps[i]],
-                           _memo=memo, budget=budget, _count=count)
-            for i in range(len(dom_a))
-        ):
-            result = True
-            break
-    memo[key] = result
-    return result
+            f"surjection search over a domain of {width} exceeds the cap "
+            f"of {SURJECTION_DOMAIN_CAP}",
+            predicted=width, budget=SURJECTION_DOMAIN_CAP)
+    cells = len(nodes_a) * len(nodes_b)
+    if cells > GRID_BUDGET:
+        raise BudgetExceeded(
+            f"the strict relation over {len(nodes_a)} x {len(nodes_b)} names "
+            f"needs {cells} cells, over the {GRID_BUDGET}-cell budget",
+            predicted=cells, budget=GRID_BUDGET)
+    pos_a = {u: p for p, u in enumerate(nodes_a)}
+    pos_b = {u: p for p, u in enumerate(nodes_b)}
+    KA, VA, size_a = _entry_arrays(store_a, nodes_a, pos_a)
+    KB, VB, size_b = _entry_arrays(store_b, nodes_b, pos_b)
+    FA = f.table[VA]
+    rank_a = np.array([store_a.rank(u) for u in nodes_a], dtype=np.intp)
+    R = np.zeros((len(nodes_a), len(nodes_b)), dtype=bool)
+    if store_a.empty in pos_a and store_b.empty in pos_b:
+        R[pos_a[store_a.empty], pos_b[store_b.empty]] = True
+    cols_of = [np.flatnonzero(size_b == m) for m in range(width + 1)]
+    for r in range(1, int(rank_a.max(initial=0)) + 1):
+        for k in range(1, width + 1):
+            rows = np.flatnonzero((rank_a == r) & (size_a == k))
+            if not len(rows):
+                continue
+            ka, fa = KA[rows, :k], FA[rows, :k]
+            for m in range(1, k + 1):
+                cols = cols_of[m]
+                if not len(cols):
+                    continue
+                kb, vb = KB[cols, :m], VB[cols, :m]
+                surj = _surjection_table(k, m)
+                step = max(1, GRID_BUDGET // (len(cols) * k * max(m, len(surj))))
+                for lo in range(0, len(rows), step):
+                    blk = slice(lo, lo + step)
+                    compat = (vb[None, :, None, :] == fa[blk, None, :, None]) \
+                        & R[ka[blk, None, :, None], kb[None, :, None, :]]
+                    hit = compat[:, :, np.arange(k), surj].all(axis=3).any(axis=2)
+                    R[rows[blk, None], cols[None, :]] = hit
+    ia = np.fromiter((pos_a[x] for x in xs), dtype=np.intp, count=len(xs))
+    ib = np.fromiter((pos_b[c] for c in candidates), dtype=np.intp,
+                     count=len(candidates))
+    return [[candidates[j] for j in np.flatnonzero(row)] for row in R[np.ix_(ia, ib)]]
 
 
-def first_proposal_images(f, x, candidates, store_a, store_b, budget=None):
+def strict_related(f, store_a, store_b, x, xp):
+    """The strict relation on one pair: `strict_images` over [x] and [xp]."""
+    return bool(strict_images(f, [x], [xp], store_a, store_b)[0])
+
+
+def first_proposal_images(f, x, candidates, store_a, store_b):
     """All candidates strictly related to x; empty exactly when the naive
     definition fails to assign x an image inside the candidate pool."""
-    memo = {}
-    count = [0]
-    return [
-        xp
-        for xp in candidates
-        if strict_related(f, store_a, store_b, x, xp, _memo=memo, budget=budget,
-                          _count=count)
-    ]
+    return strict_images(f, [x], candidates, store_a, store_b)[0]
 
 
 # -- the canonical witnessed lift ---------------------------------------------------

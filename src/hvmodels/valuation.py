@@ -248,6 +248,20 @@ def _eq_kernel(ctx, ids):
     return kernel
 
 
+def _closure(store, ids):
+    """The downward closure of `ids` in `store`, ordered by (rank, id), so
+    the names of rank <= r are a prefix and every child comes before its
+    parent."""
+    seen = set()
+    stack = list(ids)
+    while stack:
+        u = stack.pop()
+        if u not in seen:
+            seen.add(u)
+            stack.extend(store.domain(u))
+    return sorted(seen, key=lambda u: (store.rank(u), u))
+
+
 def _build_kernel(store, ids):
     r"""[u = v] over the downward closure of `ids`, as one array.
 
@@ -273,14 +287,7 @@ def _build_kernel(store, ids):
     is allocated; above `GRID_BUDGET` `BudgetExceeded` is raised.
     """
     A = store.algebra
-    seen = set()
-    stack = list(ids)
-    while stack:
-        u = stack.pop()
-        if u not in seen:
-            seen.add(u)
-            stack.extend(k for k, _ in store.entries(u))
-    nodes = sorted(seen, key=lambda u: (store.rank(u), u))
+    nodes = _closure(store, ids)
     n = len(nodes)
     if n * n > GRID_BUDGET:
         raise BudgetExceeded(

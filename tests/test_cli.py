@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
+from hvmodels import checks
 from hvmodels.cli import Session, _run_script, build_parser, main
-from hvmodels.errors import MAX_NESTING, ParseError
+from hvmodels.errors import MAX_NESTING, BudgetExceeded, ParseError
 from hvmodels.hset import parse_hset_file
 from hvmodels.lattice import load_algebra, make_boolean, make_chain
 from hvmodels.transfer import parse_morphism
@@ -186,6 +187,44 @@ def test_check_counterexample(capsys):
     code, out, _ = run(capsys, "check", "counterexample")
     assert code == 0
     assert "property families pass" in out
+
+
+def test_consecutive_calls_share_no_state(capsys, tmp_path):
+    # the parser is built once per process; options of one call must not
+    # reach the next
+    assert build_parser() is build_parser()
+    out = tmp_path / "first.json"
+    code, text, _ = run(capsys, "check", "properties", "--algebra", "chain2",
+                        "--rank", "1", "--json", str(out))
+    assert code == 0 and out.exists()
+    assert text.count("== valuation laws over") == 1
+    out.unlink()
+    code, text, _ = run(capsys, "check", "properties", "--rank", "1")
+    assert code == 0 and not out.exists()
+    assert text.count("== valuation laws over") == 3
+    args = build_parser().parse_args(["check", "counterexample"])
+    assert (args.algebra, args.json, args.rank, args.budget) == (None, None, 2, None)
+
+
+def test_check_budget_reaches_the_injective_suite(capsys):
+    # without the budget, rank 3 would enumerate 3**27 names over chain2
+    code, out, err = run(capsys, "check", "counterexample", "--rank", "3",
+                         "--budget", "100000")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: BudgetExceeded:")
+
+
+@pytest.mark.parametrize("suite", [
+    lambda: checks.injective_suite(rank=3, budget=10**5),
+    lambda: checks.preservation_suite(rank=2, budget=10),
+    lambda: checks.functoriality_suite(rank=2, budget=10),
+    lambda: checks.hset_law_suite(rank=2, budget=10),
+], ids=["injective", "preservation", "functoriality", "hset-laws"])
+def test_suites_take_the_enumeration_budget(suite):
+    with pytest.raises(BudgetExceeded) as err:
+        suite()
+    assert err.value.predicted > err.value.budget
 
 
 def test_check_json_deterministic(capsys, tmp_path):

@@ -1,9 +1,10 @@
 r"""Locale morphisms and name lifting.
 
 The strict relation is cross-checked against the memo-free recursion in
-oracles.py, the generalized relation against the candidate-pool closure
-recursion, and the atomic preservation bounds against direct
-evaluation on both sides.
+oracles.py, on the full rank-2 pools of the standard morphisms and on
+hypothesis-built stores; the generalized relation against the
+candidate-pool closure recursion; and the atomic preservation bounds
+against direct evaluation on both sides.
 """
 
 import gc
@@ -12,7 +13,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hvmodels import transfer
 from hvmodels.checks import (
     POSITIVE_BOUNDED_FAMILY,
     counterexample_names,
@@ -44,6 +47,7 @@ from hvmodels.transfer import (
     mono_epi_experiment,
     parse_morphism,
     preserves_implication,
+    strict_images,
     strict_related,
     validate_locale_morphism,
     witnessed_lift_with,
@@ -129,26 +133,37 @@ def test_strict_base_cases(morphisms):
     assert not strict_related(f, sa, sb, nonempty_a, sb.empty)
 
 
-def test_strict_matches_oracle_along_f(morphisms):
-    f = morphisms["f"]
+def _assert_full_pools_match_oracle(f, max_domain=None):
+    # the full rank-2 pools of both sides, the source one up to the
+    # domain cap the kernel accepts
     sa, sb = NameStore(f.source), NameStore(f.target)
-    pool_a = enumerate_names(sa, max_rank=2, max_domain=2)
+    pool_a = enumerate_names(sa, max_rank=2, max_domain=max_domain)
     pool_b = enumerate_names(sb, max_rank=2)
-    for x in pool_a[::8]:
-        got = first_proposal_images(f, x, pool_b, sa, sb)
-        want = [xp for xp in pool_b if brute_strict_related(f, sa, sb, x, xp)]
-        assert got == want
+    got = strict_images(f, pool_a, pool_b, sa, sb)
+    want = [[xp for xp in pool_b if brute_strict_related(f, sa, sb, x, xp)]
+            for x in pool_a]
+    assert got == want
+    return got
+
+
+def test_strict_matches_oracle_along_f(morphisms):
+    got = _assert_full_pools_match_oracle(morphisms["f"], transfer.SURJECTION_DOMAIN_CAP)
+    assert len(got) == 2101 and sum(map(len, got)) == 1189
 
 
 def test_strict_matches_oracle_along_collapse0(morphisms):
-    g = morphisms["collapse0"]
-    sa, sb = NameStore(g.source), NameStore(g.target)
-    pool_a = enumerate_names(sa, max_rank=2, max_domain=2)
-    pool_b = enumerate_names(sb, max_rank=2)
-    for x in pool_a[::5]:
-        got = first_proposal_images(g, x, pool_b, sa, sb)
-        want = [xp for xp in pool_b if brute_strict_related(g, sa, sb, x, xp)]
-        assert got == want
+    got = _assert_full_pools_match_oracle(morphisms["collapse0"])
+    assert len(got) == 256 and sum(map(len, got)) == 192
+
+
+def test_strict_matches_oracle_along_collapse1(morphisms):
+    assert any(_assert_full_pools_match_oracle(morphisms["collapse1"]))
+
+
+def test_strict_matches_oracle_along_i(morphisms):
+    # i is injective: every name has exactly one strict image
+    got = _assert_full_pools_match_oracle(morphisms["i"])
+    assert [len(imgs) for imgs in got] == [1] * 27
 
 
 def test_strict_budgets(morphisms):
@@ -157,12 +172,107 @@ def test_strict_budgets(morphisms):
     e = sa.empty
     wide = sa.intern({sa.intern({e: v}): 3 for v in range(4)} | {e: 3})
     assert len(sa.domain(wide)) == 5
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded) as err:
         strict_related(f, sa, sb, wide, sb.empty)
-    x = sa.intern({e: 3})
+    assert (err.value.predicted, err.value.budget) == (5, transfer.SURJECTION_DOMAIN_CAP)
+
+
+def test_wide_name_inside_the_source_closure_is_refused(morphisms):
+    # the only candidate has an empty domain, so no surjection would ever
+    # reach the wide child; the cap holds over the whole closure anyway
+    f = morphisms["f"]
+    sa, sb = NameStore(f.source), NameStore(f.target)
+    e = sa.empty
+    wide = sa.intern({sa.intern({e: v}): 3 for v in range(4)} | {e: 3})
+    x = sa.intern({wide: 3})
+    with pytest.raises(BudgetExceeded) as err:
+        first_proposal_images(f, x, [sb.empty], sa, sb)
+    assert err.value.predicted == 5
+
+
+def test_strict_grid_budget_is_checked_before_allocation(morphisms, monkeypatch):
+    f = morphisms["f"]
+    sa, sb = NameStore(f.source), NameStore(f.target)
+    x = sa.intern({sa.empty: 3})
     xp = sb.intern({sb.empty: 1})
-    with pytest.raises(BudgetExceeded):
-        strict_related(f, sa, sb, x, xp, budget=0)
+    assert strict_related(f, sa, sb, x, xp)
+
+    def refuse(*args):
+        raise AssertionError("arrays built before the budget check")
+
+    monkeypatch.setattr(transfer, "_entry_arrays", refuse)
+    # both closures hold two names: 4 cells of R
+    monkeypatch.setattr(transfer, "GRID_BUDGET", 3)
+    with pytest.raises(BudgetExceeded) as err:
+        strict_related(f, sa, sb, x, xp)
+    assert (err.value.predicted, err.value.budget) == (4, 3)
+    monkeypatch.setattr(transfer, "GRID_BUDGET", 0)
+    with pytest.raises(BudgetExceeded) as err:
+        first_proposal_images(f, x, [xp, sb.empty, xp], sa, sb)
+    assert (err.value.predicted, err.value.budget) == (4, 0)
+
+
+def test_strict_images_blocks_agree_with_one_block(morphisms, monkeypatch):
+    f = morphisms["f"]
+    sa, sb = NameStore(f.source), NameStore(f.target)
+    pool_a = enumerate_names(sa, max_rank=2, max_domain=3)
+    pool_b = enumerate_names(sb, max_rank=2)
+    whole = strict_images(f, pool_a, pool_b, sa, sb)
+    # R needs 821 x 27 cells; the 640 source names of domain size 3 then
+    # meet their candidates in blocks of at most 277 rows
+    monkeypatch.setattr(transfer, "GRID_BUDGET", 40000)
+    assert strict_images(f, pool_a, pool_b, sa, sb) == whole
+
+
+def test_strict_images_keep_candidate_order_and_duplicates(morphisms):
+    f = morphisms["f"]
+    sa, sb = NameStore(f.source), NameStore(f.target)
+    x = sa.intern({sa.empty: 3})
+    xp = sb.intern({sb.empty: 1})
+    assert strict_images(f, [x, sa.empty, x], [xp, sb.empty, xp], sa, sb) == [
+        [xp, xp], [sb.empty], [xp, xp]]
+    assert strict_images(f, [], [xp], sa, sb) == []
+    assert strict_images(f, [x], [], sa, sb) == [[]]
+
+
+_STANDARD = standard_morphisms()
+
+
+def _draw_names(draw, store, count):
+    ids = [store.empty]
+    for _ in range(count):
+        kids = draw(st.lists(st.sampled_from(ids), max_size=3))
+        vals = draw(st.lists(st.integers(0, store.algebra.n - 1),
+                             min_size=len(kids), max_size=len(kids)))
+        ids.append(store.intern(dict(zip(kids, vals))))
+    return ids
+
+
+@st.composite
+def _strict_cases(draw):
+    """A standard morphism, hypothesis-built source names, and candidates
+    drawn, duplicates allowed, from their lift images, equivalence pads
+    of those images, and hypothesis-built target names."""
+    f = _STANDARD[draw(st.sampled_from(sorted(_STANDARD)))]
+    sa, sb = NameStore(f.source), NameStore(f.target)
+    xs = _draw_names(draw, sa, draw(st.integers(1, 6)))
+    images = [lift(f, x, sa, sb).image for x in xs]
+    pads = [pad_equivalent(sb, img, draw(st.integers(1, 2)))
+            for img in draw(st.lists(st.sampled_from(images), max_size=3))]
+    others = _draw_names(draw, sb, draw(st.integers(0, 4)))
+    candidates = draw(st.lists(st.sampled_from(images + pads + others),
+                               min_size=1, max_size=10))
+    return f, sa, sb, draw(st.permutations(xs)), candidates
+
+
+@settings(max_examples=150, deadline=None)
+@given(_strict_cases())
+def test_strict_images_match_oracle_on_generated_stores(case):
+    f, sa, sb, xs, candidates = case
+    want = [[xp for xp in candidates if brute_strict_related(f, sa, sb, x, xp)]
+            for x in xs]
+    assert strict_images(f, xs, candidates, sa, sb) == want
+    assert [first_proposal_images(f, x, candidates, sa, sb) for x in xs] == want
 
 
 # -- the canonical lift -----------------------------------------------------------
