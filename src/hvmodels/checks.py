@@ -31,6 +31,8 @@ from .names import (
 from .valuation import (
     GRID_BUDGET,
     EvalContext,
+    _element_dtype,
+    child_arrays,
     eq_matrix,
     eval_grid,
     make_function_predicate,
@@ -143,10 +145,6 @@ def _planes(algebra, values):
     return (algebra.leq[p][values] for p in algebra.join_irreducibles)
 
 
-def _element_dtype(algebra):
-    return np.min_scalar_type(algebra.n - 1)
-
-
 def _from_planes(algebra, shape, planes):
     """The element array whose join-irreducibles below are given by one
     plane per join-irreducible: the join of the p whose plane holds."""
@@ -197,6 +195,26 @@ def fragment_forms(algebra, MEM):
     return fex, ffa
 
 
+FOLD_CELLS = 1 << 20
+"""Cells of the widest temporary of a fold over child slots."""
+
+
+def _row_blocks(n, cols):
+    step = max(1, FOLD_CELLS // max(1, cols))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _slot_fold(fold, op, unit, K, V, M):
+    """Row x is fold_s op(V[x, s], M[K[x, s], :]) over the child slots s
+    of x from `unit`, in blocks of rows; the padding value bottom must
+    give op(bottom, a) = unit."""
+    out = np.full((len(K), M.shape[1]), unit, dtype=fold.dtype)
+    for rows in _row_blocks(len(K), M.shape[1]):
+        for s in range(K.shape[1]):
+            out[rows] = fold[out[rows], op[V[rows, s, None], M[K[rows, s]]]]
+    return out
+
+
 def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
     """Add the eleven law families over `pool`, given its [x = y] and
     [x in y] matrices, to the report `rep` and return it.
@@ -209,6 +227,9 @@ def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
     each family is a few 0/1 matrix products per p, and each product
     also names the failing middles.
 
+    Families 2, 4 and 8 and the bounded forms of 10 and 11 are folds
+    over the child slots of the pool's `child_arrays`.
+
     Families 10 and 11 also compare samples: the bounded form through
     `ctx.eval`, and the unbounded form over `pool` as fragment through
     one `eval_grid`.  `ctx` is a context over `store` whose fragment is
@@ -219,30 +240,31 @@ def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
         ctx = EvalContext(store, fragment=pool)
     n = len(pool)
     idx = {nid: k for k, nid in enumerate(pool)}
-    mt, jt, it, leq = (algebra.meet_table, algebra.join_table,
-                       algebra.impl_table, algebra.leq)
-    top, bottom = algebra.top, algebra.bottom
+    # the entries (K[x, s], V[x, s]) of each pool name x, by child slot s
+    K, V, sizes = child_arrays(store, pool, idx, _element_dtype(algebra))
+    mt, jt, it = (t.astype(V.dtype) for t in (
+        algebra.meet_table, algebra.join_table, algebra.impl_table))
+    leq, top, bottom = algebra.leq, algebra.top, algebra.bottom
+
+    def lit(p):
+        return store.to_literal(pool[p])
 
     fam = rep.family("1 reflexivity [x = x] = top")
     fam.bulk(n, EQ.diagonal() == top, "diagonal below top")
 
     fam = rep.family("2 entry value below membership")
-    for j, y in enumerate(pool):
-        for u, v in store.entries(y):
-            ok = leq[v, MEM[idx[u], j]]
-            fam.record(ok, None if ok else
-                       {"y": store.to_literal(y), "u": store.to_literal(u)})
+    below = leq[V, MEM[K, np.arange(n)[:, None]]]
+    fam.checked += int(sizes.sum())
+    fam.violations.extend({"y": lit(j), "u": lit(K[j, s])}
+                          for j, s in np.argwhere(~below))
 
     fam = rep.family("3 symmetry [x = y] = [y = x]")
     fam.bulk(n * n, np.array_equal(EQ, EQ.T), "asymmetric pair")
 
     fam = rep.family("4 mirrored membership [x in y] = [y ni x]")
-    for i, x in enumerate(pool):
-        row = np.full(n, bottom, dtype=np.int64)
-        for u, v in store.entries(x):
-            row = jt[row, mt[v, EQ[idx[u], :]]]
-        ok = np.array_equal(row, MEM[:, i])
-        fam.bulk(n, ok, None if ok else {"x": store.to_literal(x)})
+    mirrored = (_slot_fold(jt, mt, bottom, K, V, EQ) == MEM.T).all(axis=1)
+    fam.checked += n * n
+    fam.violations.extend({"x": lit(i)} for i in np.flatnonzero(~mirrored))
 
     # family 9 substitutes into w in z, z in w and w = z: on a plane the
     # value at (w, z) is M[w, z], M^T[w, z] and E[w, z]
@@ -261,29 +283,27 @@ def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
                        ("7 membership then equality", fail7)):
         fam = rep.family(name)
         fam.checked += n * n * n
-        fam.violations.extend({"middle": store.to_literal(pool[k])}
-                              for k in np.flatnonzero(fail))
+        fam.violations.extend({"middle": lit(k)} for k in np.flatnonzero(fail))
 
     fam = rep.family("8 equality carries entries")
-    for i, x in enumerate(pool):
-        for u, v in store.entries(x):
-            ok = leq[mt[EQ[i, :], v], MEM[idx[u], :]].all()
-            fam.bulk(n, ok, None if ok else
-                     {"x": store.to_literal(x), "u": store.to_literal(u)})
+    carried = np.ones(K.shape, dtype=bool)
+    for rows in _row_blocks(n, n):
+        for s in range(K.shape[1]):
+            carried[rows, s] = leq[mt[EQ[rows], V[rows, s, None]],
+                                   MEM[K[rows, s]]].all(axis=1)
+    fam.checked += n * int(sizes.sum())
+    fam.violations.extend({"x": lit(i), "u": lit(K[i, s])}
+                          for i, s in np.argwhere(~carried))
 
     fam = rep.family("9 substitution under equality")
     fam.checked += len(substituted) * n * n * n
-    fam.violations.extend({"family": substituted[t], "z": store.to_literal(pool[k])}
+    fam.violations.extend({"family": substituted[t], "z": lit(k)}
                           for k, t in np.argwhere(fail9.T))
 
     # bounded-quantifier expansion over dom x, with the value of the
     # unbounded form over the full pool as fragment for comparison
-    bex = np.full((n, n), bottom, dtype=_element_dtype(algebra))
-    bfa = np.full((n, n), top, dtype=_element_dtype(algebra))
-    for i, x in enumerate(pool):
-        for u, v in store.entries(x):
-            bex[i, :] = jt[bex[i, :], mt[v, MEM[idx[u], :]]]
-            bfa[i, :] = mt[bfa[i, :], it[v, MEM[idx[u], :]]]
+    bex = _slot_fold(jt, mt, bottom, K, V, MEM)
+    bfa = _slot_fold(mt, it, top, K, V, MEM)
     fex, ffa = fragment_forms(algebra, MEM)
 
     sample = pool[:: max(1, n // eval_samples)]
@@ -410,7 +430,7 @@ def _sweep_pool(store, rank, max_domain, budget=None):
     return enumerate_names(store, max_rank=rank, max_domain=max_domain, budget=budget)
 
 
-def preservation_suite(rank=2, max_domain=2, positive_bounded=True, budget=None):
+def preservation_suite(rank=2, max_domain=2, budget=None):
     """Atomic and positive-bounded preservation along the standard
     morphisms, over canonical lift pairs for the full pools."""
     alg = test_algebras()
@@ -429,16 +449,14 @@ def preservation_suite(rank=2, max_domain=2, positive_bounded=True, budget=None)
         fam = tr.check_atomic_preservation(m, pairs, sa, sb, ctx_a, ctx_b)
         fam.notes["pairs"] = len(pairs)
         rep.families.append(fam)
-        if positive_bounded:
-            fam = rep.family(f"positive bounded preservation along {mname}")
-            for text in POSITIVE_BOUNDED_FAMILY:
-                phi = parse_formula(text, free=("X", "Y"))
-                sub = tr.check_positive_bounded_preservation(
-                    m, phi, pairs, sa, sb, ctx_a, ctx_b, title=text)
-                fam.checked += sub.checked
-                if sub.violations:
-                    fam.violations.append({"formula": text,
-                                           "first": sub.violations[0]})
+        fam = rep.family(f"positive bounded preservation along {mname}")
+        for text in POSITIVE_BOUNDED_FAMILY:
+            phi = parse_formula(text, free=("X", "Y"))
+            sub = tr.check_positive_bounded_preservation(
+                m, phi, pairs, sa, sb, ctx_a, ctx_b, title=text)
+            fam.checked += sub.checked
+            if sub.violations:
+                fam.violations.append({"formula": text, "first": sub.violations[0]})
     return rep
 
 

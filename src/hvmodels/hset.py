@@ -2,9 +2,10 @@
 
 An H-set is a carrier of opaque points with an H-valued equality table
 delta (symmetric, transitive).  Morphisms are H-valued functional
-relations.  The bridges: from_name turns a name u into the H-set
-(dom u, delta_u); the dagger constructions go back, turning an H-set
-(or morphism) into a name; lambda tables give the canonical
+relations, and every table composes through `compose_tables`, one
+n^2 step per middle.  The bridges: from_name turns a name u into the
+H-set (dom u, delta_u); the dagger constructions go back, turning an
+H-set (or morphism) into a name; lambda tables give the canonical
 isomorphisms between from_name images of equal names and the morphism
 induced by an internal function name.
 
@@ -133,7 +134,7 @@ def morphism_law_masks(A, ds, dt, phis, first=None):
     `first`, it is filled with law -> (x, i, j, lhs, rhs) for the first
     failure of candidate 0, lexicographic in (x, i, j).
     """
-    mt, leq, jt = A.meet_table, A.leq, A.join_table
+    mt, leq = A.meet_table, A.leq
     G, ns, nt = phis.shape
     ok = np.ones(G, dtype=bool)
     step = max(1, SLAB_CELLS // max(1, G * nt * max(ns, nt)))
@@ -156,9 +157,8 @@ def morphism_law_masks(A, ds, dt, phis, first=None):
                 first[law] = (x0 + b, i, j, lhs[0, b, i, j],
                               np.broadcast_to(rhs, lhs.shape)[0, b, i, j])
     # 4. \/_{z'} phi(x,z') = delta(x,x)
-    total = np.full((G, ns), A.bottom, dtype=np.int64)
-    for z in range(nt):
-        total = jt[total, phis[:, :, z]]
+    total = compose_tables(A, phis.reshape(G * ns, nt), np.full((nt, 1), A.top))
+    total = total.reshape(G, ns)
     holds = total == ds.diagonal()
     good = holds.all(axis=1)
     ok &= good
@@ -196,18 +196,22 @@ def identity(X):
     return HSetMorphism(X, X, X.delta.copy())
 
 
+def compose_tables(A, P, Q):
+    """The H-valued composite of two tables over the algebra A:
+    (P ; Q)(i, k) = \\/_j P(i, j) /\\ Q(j, k), as an int64 array, one
+    n^2 step per middle j."""
+    out = np.full((P.shape[0], Q.shape[1]), A.bottom, dtype=np.int64)
+    for j in range(P.shape[1]):
+        out = A.join_table[out, A.meet_table[P[:, j, None], Q[j]]]
+    return out
+
+
 def compose(psi, phi):
     """psi after phi; (psi . phi)(x, x'') = \\/_{x'} phi(x,x') /\\ psi(x',x'')."""
     if not hsets_equal(phi.target, psi.source):
         raise NotComposable("codomain of first factor differs from domain of second")
-    A = phi.source.algebra
-    mt = A.meet_table
-    ns, nm, nt = len(phi.source), len(phi.target), len(psi.target)
-    out = np.full((ns, nt), A.bottom, dtype=np.int64)
-    jt = A.join_table
-    for y in range(nm):
-        out = jt[out, mt[phi.phi[:, y][:, None], psi.phi[y, :][None, :]]]
-    return HSetMorphism(phi.source, psi.target, out)
+    return HSetMorphism(phi.source, psi.target,
+                        compose_tables(phi.source.algebra, phi.phi, psi.phi))
 
 
 def morphisms_equal(phi, psi):
@@ -274,20 +278,11 @@ def is_complete(X):
 def completion(X):
     """The H-set of singletons with sigma(delta), plus the inverse isos."""
     A = X.algebra
-    sigs = singletons(X)
-    pts = [s.sigma for s in sigs]
-    m = len(pts)
-    mt, jt = A.meet_table, A.join_table
-    delta = np.full((m, m), A.bottom, dtype=np.int64)
-    for i, rho in enumerate(pts):
-        for j, tau in enumerate(pts):
-            v = A.bottom
-            for x in range(len(X)):
-                v = jt[v, mt[rho[x], tau[x]]]
-            delta[i, j] = v
+    pts = [s.sigma for s in singletons(X)]
+    # fwd(x, rho) = rho(x), and delta(rho, tau) = \/_x rho(x) /\ tau(x)
+    fwd = np.array(pts, dtype=np.int64).reshape(len(pts), len(X)).T
+    delta = compose_tables(A, fwd.T, fwd)
     comp = HSet(A, pts, delta)
-    fwd = np.array([[rho[x] for rho in pts] for x in range(len(X))], dtype=np.int64)
-    fwd = fwd.reshape(len(X), m)
     phi = HSetMorphism(X, comp, fwd)
     psi = HSetMorphism(comp, X, fwd.T.copy())
     return comp, (phi, psi)
@@ -341,11 +336,8 @@ def equalizer(phi, psi):
         raise NotComposable("equalizer needs parallel morphisms")
     X = phi.source
     A = X.algebra
-    mt, jt = A.meet_table, A.join_table
-    n, m = len(X), len(phi.target)
-    agree = np.full((n, n), A.bottom, dtype=np.int64)   # \/_{x'} phi(x,x') /\ psi(y,x')
-    for xp in range(m):
-        agree = jt[agree, mt[phi.phi[:, xp][:, None], psi.phi[:, xp][None, :]]]
+    mt = A.meet_table
+    agree = compose_tables(A, phi.phi, psi.phi.T)   # \/_{x'} phi(x,x') /\ psi(y,x')
     tau = mt[X.delta, agree]
     E = HSet(A, X.points, tau)
     inc = mt[tau.diagonal()[:, None], X.delta]
@@ -355,10 +347,9 @@ def equalizer(phi, psi):
 # -- bridges to the name universe ----------------------------------------------------
 
 
-def from_name(store, u, ctx=None, simplified=False):
+def from_name(store, u, ctx=None):
     """The H-set (dom u, delta_u) with
-    delta_u(x, y) = [x in u] /\\ [x = y] /\\ [y in u]; the `simplified`
-    variant drops the absorbed third factor."""
+    delta_u(x, y) = [x in u] /\\ [x = y] /\\ [y in u]."""
     ctx = ctx or EvalContext(store)
     A = store.algebra
     dom = store.domain(u)
@@ -367,10 +358,7 @@ def from_name(store, u, ctx=None, simplified=False):
     memv = [ctx.atomic_mem(x, u) for x in dom]
     for i, x in enumerate(dom):
         for j, y in enumerate(dom):
-            v = A.meet(memv[i], ctx.atomic_eq(x, y))
-            if not simplified:
-                v = A.meet(v, memv[j])
-            delta[i, j] = v
+            delta[i, j] = A.meet(A.meet(memv[i], ctx.atomic_eq(x, y)), memv[j])
     return HSet(A, list(dom), delta)
 
 

@@ -41,13 +41,15 @@ from .errors import (
     TopNotPreserved,
 )
 from .formula import Const, free_vars, is_positive_bounded
-from .hset import HSet, HSetMorphism, from_name
+from .hset import HSet, HSetMorphism, compose_tables, from_name
 from .lattice import split_arrow_header, text_lines
 from .names import _fold_dag, pad_equivalent
 from .valuation import (
     GRID_BUDGET,
     EvalContext,
     _closure,
+    _element_dtype,
+    child_arrays,
     eq_matrix,
     eval_grid,
     mem_matrix,
@@ -138,20 +140,6 @@ def _surjection_table(k, m):
     return table
 
 
-def _entry_arrays(store, nodes, pos):
-    """Child positions K and values V of `nodes`, one row each, padded to
-    the widest domain with position 0 and value 0; and the domain sizes."""
-    sizes = np.array([len(store.entries(u)) for u in nodes], dtype=np.intp)
-    width = int(sizes.max(initial=0))
-    K = np.zeros((len(nodes), width), dtype=np.intp)
-    V = np.zeros((len(nodes), width), dtype=np.int64)
-    for p, u in enumerate(nodes):
-        for s, (k, v) in enumerate(store.entries(u)):
-            K[p, s] = pos[k]
-            V[p, s] = v
-    return K, V, sizes
-
-
 def strict_images(f, xs, candidates, store_a, store_b):
     r"""For each x of `xs`, the candidates strictly related to x, in the
     order of `candidates` with duplicates kept.
@@ -161,7 +149,9 @@ def strict_images(f, xs, candidates, store_a, store_b):
     child u to eps(u); the empty name is related only to the empty name.
 
     The relation is decided as one boolean array R over the downward
-    closures of `xs` (rows, by rank) and of `candidates` (columns).  R is
+    closures of `xs` (rows, by rank) and of the candidates no wider than
+    the widest source domain (columns): a wider candidate is the image
+    of no surjection, so its result is empty.  R is
     filled one source rank at a time, so every child pair a level reads
     is final.  Within a level the source names of domain size k meet the
     target names of domain size m <= k:
@@ -178,13 +168,15 @@ def strict_images(f, xs, candidates, store_a, store_b):
     """
     xs, candidates = list(xs), list(candidates)
     nodes_a = _closure(store_a, xs)
-    nodes_b = _closure(store_b, candidates)
     width = max((len(store_a.entries(u)) for u in nodes_a), default=0)
     if width > SURJECTION_DOMAIN_CAP:
         raise BudgetExceeded(
             f"surjection search over a domain of {width} exceeds the cap "
             f"of {SURJECTION_DOMAIN_CAP}",
             predicted=width, budget=SURJECTION_DOMAIN_CAP)
+    # a candidate wider than every source domain is the image of no surjection
+    kept = [j for j, c in enumerate(candidates) if len(store_b.entries(c)) <= width]
+    nodes_b = _closure(store_b, [candidates[j] for j in kept])
     cells = len(nodes_a) * len(nodes_b)
     if cells > GRID_BUDGET:
         raise BudgetExceeded(
@@ -193,9 +185,9 @@ def strict_images(f, xs, candidates, store_a, store_b):
             predicted=cells, budget=GRID_BUDGET)
     pos_a = {u: p for p, u in enumerate(nodes_a)}
     pos_b = {u: p for p, u in enumerate(nodes_b)}
-    KA, VA, size_a = _entry_arrays(store_a, nodes_a, pos_a)
-    KB, VB, size_b = _entry_arrays(store_b, nodes_b, pos_b)
-    FA = f.table[VA]
+    KA, VA, size_a = child_arrays(store_a, nodes_a, pos_a, _element_dtype(f.source))
+    KB, VB, size_b = child_arrays(store_b, nodes_b, pos_b, _element_dtype(f.target))
+    FA = f.table.astype(VB.dtype)[VA]
     rank_a = np.array([store_a.rank(u) for u in nodes_a], dtype=np.intp)
     R = np.zeros((len(nodes_a), len(nodes_b)), dtype=bool)
     if store_a.empty in pos_a and store_b.empty in pos_b:
@@ -220,10 +212,10 @@ def strict_images(f, xs, candidates, store_a, store_b):
                         & R[ka[blk, None, :, None], kb[None, :, None, :]]
                     hit = compat[:, :, np.arange(k), surj].all(axis=3).any(axis=2)
                     R[rows[blk, None], cols[None, :]] = hit
-    ia = np.fromiter((pos_a[x] for x in xs), dtype=np.intp, count=len(xs))
-    ib = np.fromiter((pos_b[c] for c in candidates), dtype=np.intp,
-                     count=len(candidates))
-    return [[candidates[j] for j in np.flatnonzero(row)] for row in R[np.ix_(ia, ib)]]
+    ia = [pos_a[x] for x in xs]
+    ib = [pos_b[candidates[j]] for j in kept]
+    return [[candidates[kept[j]] for j in np.flatnonzero(row)]
+            for row in R[np.ix_(ia, ib)]]
 
 
 def strict_related(f, store_a, store_b, x, xp):
@@ -427,17 +419,11 @@ def mono_epi_experiment(m):
     the usual mono characterization phi(x,z') /\\ phi(y,z') <= delta(x,y)
     and epi characterization \\/_x phi(x,x') = delta'(x',x')."""
     A = m.source.algebra
-    mt, leq = A.meet_table, A.leq
     phi, ds, dt = m.phi, m.source.delta, m.target.delta
-    mono = True
-    for zp in range(len(m.target)):
-        col = phi[:, zp]
-        if not leq[mt[col[:, None], col[None, :]], ds].all():
-            mono = False
-            break
-    epi = all(
-        A.big_join(phi[:, xp]) == dt[xp, xp] for xp in range(len(m.target))
-    )
+    # \/_{z'} phi(x,z') /\ phi(y,z') <= delta(x,y) holds iff every z' does
+    mono = A.leq[compose_tables(A, phi, phi.T), ds].all()
+    column_joins = compose_tables(A, np.full((1, len(phi)), A.top), phi)[0]
+    epi = np.array_equal(column_joins, dt.diagonal())
     return {"mono": bool(mono), "epi": bool(epi)}
 
 

@@ -17,11 +17,11 @@ guarded against a non-memoized reference implementation in the tests.
 `eval_grid` is the one bulk path: it evaluates a whole formula for
 every assignment of a grid of columns, each subformula as an array over
 its free variables.  Atoms are gathers from an array kernel: the
-downward closure of the names involved is laid out by rank as padded
-child-position and child-value arrays, the equality matrix is filled
-one rank level at a time with table lookups over whole blocks (every
-sub-pair lies at a lower level), and membership is one gather per child
-slot.  Connectives are table lookups and bounded quantifiers are
+downward closure of the names involved is laid out by rank in the one
+padded child layout, `child_arrays` (shared with `transfer` and
+`checks`), the equality matrix is filled one rank level at a time with
+table lookups over whole blocks (every sub-pair lies at a lower level),
+and membership is one gather per child slot.  Connectives are table lookups and bounded quantifiers are
 reductions over child slots.  `eq_matrix` and `mem_matrix` are
 `eval_grid` on a single atom.  The context keeps its last kernel and
 reuses it while the requested names lie in its closure; no cell of a
@@ -262,16 +262,36 @@ def _closure(store, ids):
     return sorted(seen, key=lambda u: (store.rank(u), u))
 
 
+def _element_dtype(algebra):
+    """The smallest unsigned dtype that holds every element of `algebra`."""
+    return np.min_scalar_type(algebra.n - 1)
+
+
+def child_arrays(store, nodes, pos, dtype):
+    """The padded child layout of `nodes`: row p of K holds the positions
+    `pos[k]` of the children k of name p, row p of V their values in
+    `dtype`, both padded to the widest domain with position 0 and value
+    bottom; and the domain sizes."""
+    entries = [store.entries(u) for u in nodes]
+    sizes = np.fromiter(map(len, entries), dtype=np.intp, count=len(entries))
+    K = np.zeros((len(nodes), int(sizes.max(initial=0))), dtype=np.intp)
+    V = np.full(K.shape, store.algebra.bottom, dtype=dtype)
+    for p, row in enumerate(entries):
+        for s, (k, v) in enumerate(row):
+            K[p, s] = pos[k]
+            V[p, s] = v
+    return K, V, sizes
+
+
 def _build_kernel(store, ids):
     r"""[u = v] over the downward closure of `ids`, as one array.
 
     Returns (pos, EQ, K, V).  The names of the closure have positions
     ordered by rank, and `pos` maps each name to its position; EQ is
-    indexed by position and holds elements in the smallest dtype.  Row p
-    of K holds the positions of the children of name p, row p of V their
-    values; both are padded to the widest domain with child 0 and value
-    bottom, which is neutral in both formulas (bottom /\ a = bottom joins
-    to nothing, bottom -> a = top meets to nothing).
+    indexed by position and holds elements in the smallest dtype.  K and
+    V are the closure's `child_arrays`, whose padding value bottom is
+    neutral in both formulas (bottom /\ a = bottom joins to nothing,
+    bottom -> a = top meets to nothing).
 
     A pair's level is max(rank x, rank y), and every sub-pair the
     recursion reads lies at a strictly lower level.  The positions of
@@ -294,19 +314,13 @@ def _build_kernel(store, ids):
             f"the equality kernel over {n} names needs {n * n} cells, "
             f"over the {GRID_BUDGET}-cell budget",
             predicted=n * n, budget=GRID_BUDGET)
-    dtype = np.min_scalar_type(A.n - 1)
+    dtype = _element_dtype(A)
     mt, jt, it = (t.astype(dtype) for t in (A.meet_table, A.join_table, A.impl_table))
     pos = {u: p for p, u in enumerate(nodes)}
-    width = max([len(store.entries(u)) for u in nodes] + [1])
-    K = np.zeros((n, width), dtype=np.intp)
-    V = np.full((n, width), A.bottom, dtype=dtype)
-    ends = []
-    for p, u in enumerate(nodes):
-        for s, (k, v) in enumerate(store.entries(u)):
-            K[p, s] = pos[k]
-            V[p, s] = v
-        if p + 1 == n or store.rank(nodes[p + 1]) != store.rank(u):
-            ends.append(p + 1)
+    K, V, _ = child_arrays(store, nodes, pos, dtype)
+    width = K.shape[1]
+    rank = [store.rank(u) for u in nodes]
+    ends = [p + 1 for p in range(n) if p + 1 == n or rank[p + 1] != rank[p]]
     EQ = np.full((n, n), A.top, dtype=dtype)
     for end in ends:
         k, v = K[:end], V[:end]
@@ -500,7 +514,7 @@ class _Grid:
         """The atoms of every domain from the context's kernel, and the
         tables in the smallest element dtype, which is the kernel's."""
         A = self.algebra
-        dtype = np.min_scalar_type(A.n - 1)
+        dtype = _element_dtype(A)
         self.mt = A.meet_table.astype(dtype)
         self.jt = A.join_table.astype(dtype)
         self.it = A.impl_table.astype(dtype)
@@ -539,20 +553,12 @@ class _Grid:
         return np.full([self.sizes[a] for a in free], value, dtype=self.mt.dtype)
 
     def _slots(self, t):
-        """Child slots of the names of t's domain, as positions in the
-        sorted union of their children (the domain of any variable bound
-        by t) and values, padded with position 0 and value bottom."""
+        """The `child_arrays` of t's domain, with positions in the sorted
+        union of its children: the domain of any variable bound by t."""
         if t not in self.slots:
-            dom = self._rows(t, self.domains[t])
             where = {k: i for i, k in enumerate(self._children[t])}
-            entries = [self.store.entries(x) for x in dom]
-            width = max(map(len, entries), default=0)
-            K = np.zeros((len(dom), width), dtype=np.intp)
-            V = np.full((len(dom), width), self.algebra.bottom, dtype=self.mt.dtype)
-            for i, row in enumerate(entries):
-                for s, (k, v) in enumerate(row):
-                    K[i, s], V[i, s] = where[k], v
-            self.slots[t] = K, V
+            self.slots[t] = child_arrays(self.store, self._rows(t, self.domains[t]),
+                                         where, self.mt.dtype)[:2]
         return self.slots[t]
 
     def _eval(self, node):

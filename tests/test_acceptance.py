@@ -29,7 +29,7 @@ def verdict(n, label, ok):
 
 @pytest.fixture(scope="module")
 def preservation_report():
-    return preservation_suite(rank=2, max_domain=2, positive_bounded=True)
+    return preservation_suite(rank=2, max_domain=2)
 
 
 @pytest.fixture(scope="module")

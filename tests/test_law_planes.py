@@ -2,11 +2,13 @@ r"""The bitplane law families against the per-middle loops they replace.
 
 `reference_families` is the earlier form of the eleven valuation law
 families, kept frozen here: families 5, 6, 7 and 9 loop over every
-middle name k, and the fragment forms of 10 and 11 loop over every
-fragment name w.  `checks.valuation_law_families` decides the same laws
-on join-irreducible bitplanes.  Both run on intact [x = y] / [x in y]
-matrices and on seeded corruptions of them, and must agree on every
-family's name, check count and violation list, order included.
+middle name k, the fragment forms of 10 and 11 loop over every
+fragment name w, and families 2, 4, 8, 10 and 11 loop over the entries
+of every pool name.  `checks.valuation_law_families` decides the same
+laws on join-irreducible bitplanes and by folds over child slots.  Both
+run on intact [x = y] / [x in y] matrices and on seeded corruptions of
+them, and must agree on every family's name, check count and violation
+list, order included.
 """
 
 import random
@@ -15,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from hvmodels import checks
 from hvmodels.checks import (
     CheckReport,
     fragment_forms,
@@ -165,6 +168,18 @@ def _corrupt(algebra, EQ, MEM, seed):
     return EQ, MEM
 
 
+def _lower_entry(store, pool, MEM, seed):
+    """A copy of MEM with [u in y] lowered to bottom for one seeded entry
+    (u, v) of a pool name y with v above bottom, which family 2 reports."""
+    MEM = MEM.copy()
+    idx = {nid: k for k, nid in enumerate(pool)}
+    bottom = store.algebra.bottom
+    entries = [(idx[u], j) for j, y in enumerate(pool)
+               for u, v in store.entries(y) if v != bottom]
+    MEM[random.Random(seed).choice(entries)] = bottom
+    return MEM
+
+
 def _matrices(algebra, cap):
     store = NameStore(algebra)
     pool = enumerate_names(store, max_rank=2, max_domain=cap)
@@ -180,8 +195,9 @@ def _summary(rep):
 def test_bitplane_families_match_the_per_middle_reference(algebra, cap, seeds):
     store, pool, EQ0, MEM0 = _matrices(algebra, cap)
     failing = set()
-    for seed in seeds:
-        EQ, MEM = _corrupt(algebra, EQ0, MEM0, seed)
+    cases = [(seed, *_corrupt(algebra, EQ0, MEM0, seed)) for seed in seeds]
+    cases.append(("lowered entry", EQ0, _lower_entry(store, pool, MEM0, len(seeds))))
+    for seed, EQ, MEM in cases:
         want = _summary(reference_families(store, pool, EQ, MEM,
                                            EvalContext(store), eval_samples=3))
         got = _summary(valuation_law_families(CheckReport("planes"), store, pool, EQ, MEM,
@@ -193,9 +209,25 @@ def test_bitplane_families_match_the_per_middle_reference(algebra, cap, seeds):
         if seed == 0:
             assert all(not v for _, _, v in got)
         failing |= {name for name, _, v in got if v}
-    # the corruptions reach every family decided on bitplanes
-    for prefix in ("5 ", "6 ", "7 ", "9 ", "10 ", "11 "):
+    # the corruptions reach every family decided on bitplanes or child slots
+    for prefix in ("2 ", "4 ", "5 ", "6 ", "7 ", "8 ", "9 ", "10 ", "11 "):
         assert any(name.startswith(prefix) for name in failing), prefix
+
+
+def test_slot_folds_agree_in_blocks_of_one_row(monkeypatch):
+    algebra = make_boolean(2)
+    store, pool, EQ0, MEM0 = _matrices(algebra, 2)
+    EQ, MEM = _corrupt(algebra, EQ0, MEM0, 2)
+    MEM = _lower_entry(store, pool, MEM, 2)
+
+    def families():
+        return _summary(valuation_law_families(CheckReport("planes"), store, pool, EQ, MEM,
+                                               EvalContext(store), eval_samples=3))
+
+    whole = families()
+    assert any(v for name, _, v in whole if name.startswith(("2 ", "4 ", "8 ", "10 ")))
+    monkeypatch.setattr(checks, "FOLD_CELLS", 1)
+    assert families() == whole
 
 
 def test_bigger_sweep_boolean4_domain_cap_3():

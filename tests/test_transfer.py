@@ -9,6 +9,7 @@ against direct evaluation on both sides.
 
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -32,7 +33,8 @@ from hvmodels.errors import (
     TopNotPreserved,
 )
 from hvmodels.formula import free_vars, parse_formula
-from hvmodels.hset import validate_morphism
+from hvmodels.hset import HSet, HSetMorphism, validate_morphism
+from hvmodels.lattice import make_boolean, make_chain
 from hvmodels.names import NameStore, enumerate_names, pad_equivalent
 from hvmodels.transfer import (
     LocaleMorphism,
@@ -200,7 +202,7 @@ def test_strict_grid_budget_is_checked_before_allocation(morphisms, monkeypatch)
     def refuse(*args):
         raise AssertionError("arrays built before the budget check")
 
-    monkeypatch.setattr(transfer, "_entry_arrays", refuse)
+    monkeypatch.setattr(transfer, "child_arrays", refuse)
     # both closures hold two names: 4 cells of R
     monkeypatch.setattr(transfer, "GRID_BUDGET", 3)
     with pytest.raises(BudgetExceeded) as err:
@@ -233,6 +235,30 @@ def test_strict_images_keep_candidate_order_and_duplicates(morphisms):
         [xp, xp], [sb.empty], [xp, xp]]
     assert strict_images(f, [], [xp], sa, sb) == []
     assert strict_images(f, [x], [], sa, sb) == [[]]
+
+
+def test_strict_images_drop_wide_candidates(morphisms):
+    # the pools of injective_suite: 27 source names of at most 3 children,
+    # 3125 candidates of which 2304 have 4 or 5 and are nobody's image
+    i = morphisms["i"]
+    sa, sb = NameStore(i.source), NameStore(i.target)
+    pool_a = enumerate_names(sa, max_rank=2)
+    pool_b = enumerate_names(sb, max_rank=2)
+    wide = [c for c in pool_b if len(sb.entries(c)) > 3]
+    assert max(len(sa.entries(x)) for x in pool_a) == 3
+    assert (len(pool_a), len(pool_b), len(wide)) == (27, 3125, 2304)
+    assert strict_images(i, pool_a, wide, sa, sb) == [[]] * 27
+    mixed = wide[:5] + pool_b[:40] + wide[5:9] + pool_b[:3]
+    assert strict_images(i, pool_a, mixed, sa, sb) == [
+        [c for c in mixed if brute_strict_related(i, sa, sb, x, c)] for x in pool_a]
+    tracemalloc.start()
+    try:
+        images = strict_images(i, pool_a, pool_b, sa, sb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(imgs) for imgs in images] == [1] * 27
+    assert peak < 0.75 * 2 ** 20
 
 
 _STANDARD = standard_morphisms()
@@ -561,6 +587,28 @@ def test_epsilon_morphism_validates_and_ignores_the_witness(morphisms):
     assert np.array_equal(eps.phi, eps2.phi)
     probes = mono_epi_experiment(eps)
     assert set(probes) == {"mono", "epi"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mono_epi_probes_match_the_per_column_loops(data):
+    A = data.draw(st.sampled_from((make_chain(3), make_boolean(2))))
+    ns, nt = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+
+    def table(rows, cols):
+        cells = data.draw(st.lists(st.integers(0, A.n - 1),
+                                   min_size=rows * cols, max_size=rows * cols))
+        return np.array(cells, dtype=np.int64).reshape(rows, cols)
+
+    # a source delta of top everywhere lets the mono probe pass too
+    ds = np.full((ns, ns), A.top) if data.draw(st.booleans()) else table(ns, ns)
+    m = HSetMorphism(HSet(A, range(ns), ds), HSet(A, range(nt), table(nt, nt)),
+                     table(ns, nt))
+    phi, mt, leq = m.phi, A.meet_table, A.leq
+    mono = all(leq[mt[phi[:, z, None], phi[None, :, z]], m.source.delta].all()
+               for z in range(nt))
+    epi = all(A.big_join(phi[:, z]) == m.target.delta[z, z] for z in range(nt))
+    assert mono_epi_experiment(m) == {"mono": mono, "epi": epi}
 
 
 # -- text format -----------------------------------------------------------------------

@@ -172,6 +172,28 @@ def test_kernel_matches_oracle_on_generated_names(case):
     _assert_matrices_match_oracle(*case)
 
 
+@settings(max_examples=80, deadline=None)
+@given(_names(), st.integers(0, 2 ** 16))
+def test_child_arrays_reproduce_the_entries(case, seed):
+    store, rows, _ = case
+    # positions are any map of the children; here a seeded shuffle
+    order = list(range(len(store)))
+    np.random.default_rng(seed).shuffle(order)
+    pos = dict(enumerate(order))
+    dtype = np.min_scalar_type(store.algebra.n - 1)
+    K, V, sizes = valuation.child_arrays(store, rows, pos, dtype)
+    width = max((len(store.entries(u)) for u in rows), default=0)
+    assert K.shape == V.shape == (len(rows), width)
+    assert V.dtype == dtype and K.dtype == np.intp
+    assert sizes.tolist() == [len(store.entries(u)) for u in rows]
+    for p, u in enumerate(rows):
+        entries, size = store.entries(u), sizes[p]
+        assert K[p, :size].tolist() == [pos[k] for k, _ in entries]
+        assert V[p, :size].tolist() == [v for _, v in entries]
+        assert (K[p, size:] == 0).all()
+        assert (V[p, size:] == store.algebra.bottom).all()
+
+
 # -- one kernel per context ----------------------------------------------------
 
 
