@@ -51,7 +51,7 @@ print("the two witness targets are distinct ids:", t1 != t2)
 print("but equal with value top: [t1 = t2] =",
       two.labels[ctx_b.atomic_eq(t1, t2)])
 print("generalized related:",
-      is_generalized_related(f, x, wl.image, sa, sb, ctx_b))
+      is_generalized_related(f, x, wl.image, sa, ctx_b))
 
 # preservation: f([x = z]) <= [x' = z'] for lifted pairs, with equality
 # because f also preserves implication

@@ -70,6 +70,6 @@ assert validate_morphism(inc)
 store = NameStore(chain3)
 u = dagger_hset(store, Z)
 print("\nname of Z:", store.to_literal(u))
-f, g = dagger_iso(store, Z, EvalContext(store))
+f, g = dagger_iso(EvalContext(store), Z)
 assert morphisms_equal(compose(g, f), identity(Z))
 print("roundtrip Z -> name -> Z is the identity: True")

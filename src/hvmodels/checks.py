@@ -40,6 +40,7 @@ from .valuation import (
 )
 
 DEFAULT_SEED = 1729
+EVAL_SAMPLES = 8  # pool names per axis of the parsed samples of families 10 and 11
 
 
 @dataclass
@@ -118,8 +119,7 @@ def _config(algebra, **kw):
 # -- the eleven laws of atomic valuation ---------------------------------------------
 
 
-def valuation_property_suite(algebra, rank=2, max_domain=2, budget=None,
-                             eval_samples=8):
+def valuation_property_suite(algebra, rank=2, max_domain=2, budget=None):
     """The eleven laws of the atomic/bounded valuation, exhaustive over
     the name pool of the given rank and domain caps.
 
@@ -136,7 +136,7 @@ def valuation_property_suite(algebra, rank=2, max_domain=2, budget=None,
         title=f"valuation laws over {algebra.name or algebra.n}",
         config=_config(algebra, rank=rank, max_domain=max_domain, pool=len(pool)),
     )
-    return valuation_law_families(rep, store, pool, EQ, MEM, ctx, eval_samples)
+    return valuation_law_families(rep, ctx, EQ, MEM)
 
 
 def _planes(algebra, values):
@@ -215,9 +215,9 @@ def _slot_fold(fold, op, unit, K, V, M):
     return out
 
 
-def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
-    """Add the eleven law families over `pool`, given its [x = y] and
-    [x in y] matrices, to the report `rep` and return it.
+def valuation_law_families(rep, ctx, EQ, MEM):
+    """Add the eleven law families over the pool `ctx.fragment`, given
+    its [x = y] and [x in y] matrices, to the report `rep` and return it.
 
     The order laws 5, 6, 7 and 9 quantify over a middle name k, n^2
     checks per middle.  They are decided on join-irreducible bitplanes
@@ -230,14 +230,11 @@ def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
     Families 2, 4 and 8 and the bounded forms of 10 and 11 are folds
     over the child slots of the pool's `child_arrays`.
 
-    Families 10 and 11 also compare samples: the bounded form through
-    `ctx.eval`, and the unbounded form over `pool` as fragment through
-    one `eval_grid`.  `ctx` is a context over `store` whose fragment is
-    `pool`; one is made when it is missing or has another fragment.
+    Families 10 and 11 also compare `EVAL_SAMPLES` x `EVAL_SAMPLES`
+    samples: the bounded form through `ctx.eval`, and the unbounded form
+    over the pool as fragment through one `eval_grid`.
     """
-    algebra = store.algebra
-    if ctx is None or ctx.fragment != tuple(pool):
-        ctx = EvalContext(store, fragment=pool)
+    store, pool, algebra = ctx.store, ctx.fragment, ctx.algebra
     n = len(pool)
     idx = {nid: k for k, nid in enumerate(pool)}
     # the entries (K[x, s], V[x, s]) of each pool name x, by child slot s
@@ -306,7 +303,7 @@ def valuation_law_families(rep, store, pool, EQ, MEM, ctx=None, eval_samples=8):
     bfa = _slot_fold(mt, it, top, K, V, MEM)
     fex, ffa = fragment_forms(algebra, MEM)
 
-    sample = pool[:: max(1, n // eval_samples)]
+    sample = pool[:: max(1, n // EVAL_SAMPLES)]
     for name, value, form, bounded, unbounded in (
         ("10 bounded exists expands over the domain", bex, fex,
          "exists u in X . u in Z", "exists u . u in X /\\ u in Z"),
@@ -366,7 +363,7 @@ def counterexample_suite():
     fam = rep.family("generalized lift succeeds")
     wl = tr.lift(f, x, sa, sb)
     ctx_b = EvalContext(sb)
-    fam.record(tr.is_generalized_related(f, x, wl.image, sa, sb, ctx_b),
+    fam.record(tr.is_generalized_related(f, x, wl.image, sa, ctx_b),
                "lift image not related")
     e = sb.intern({})
     w = sb.intern({e: sb.algebra.index("0")})
@@ -446,14 +443,14 @@ def preservation_suite(rank=2, max_domain=2, budget=None):
         ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)
         pool = _sweep_pool(sa, rank, max_domain, budget)
         pairs = [(x, tr.lift(m, x, sa, sb).image) for x in pool]
-        fam = tr.check_atomic_preservation(m, pairs, sa, sb, ctx_a, ctx_b)
+        fam = tr.check_atomic_preservation(m, pairs, ctx_a, ctx_b)
         fam.notes["pairs"] = len(pairs)
         rep.families.append(fam)
         fam = rep.family(f"positive bounded preservation along {mname}")
         for text in POSITIVE_BOUNDED_FAMILY:
             phi = parse_formula(text, free=("X", "Y"))
             sub = tr.check_positive_bounded_preservation(
-                m, phi, pairs, sa, sb, ctx_a, ctx_b, title=text)
+                m, phi, pairs, ctx_a, ctx_b, title=text)
             fam.checked += sub.checked
             if sub.violations:
                 fam.violations.append({"formula": text, "first": sub.violations[0]})
@@ -687,7 +684,7 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2, budget=None)
         store = NameStore(algebra)
         ctx = EvalContext(store)
         for X in corpus[aname][:2]:
-            phi, psi = hs.dagger_iso(store, X, ctx)
+            phi, psi = hs.dagger_iso(ctx, X)
             ok = (bool(hs.validate_morphism(phi)) and bool(hs.validate_morphism(psi))
                   and hs.morphisms_equal(hs.compose(psi, phi), hs.identity(X))
                   and hs.morphisms_equal(hs.compose(phi, psi),
@@ -755,14 +752,14 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2, budget=None)
         for u in seeds:
             u1 = pad_equivalent(store, u, 1)
             u2 = pad_equivalent(store, u, 2)
-            lam_uu = hs.lambda_iso(store, u, u, ctx)
-            ident = hs.identity(hs.from_name(store, u, ctx))
+            lam_uu = hs.lambda_iso(ctx, u, u)
+            ident = hs.identity(hs.from_name(ctx, u))
             ok = hs.morphisms_equal(lam_uu, ident)
-            a_b = hs.lambda_iso(store, u, u1, ctx)
-            b_c = hs.lambda_iso(store, u1, u2, ctx)
-            a_c = hs.lambda_iso(store, u, u2, ctx)
+            a_b = hs.lambda_iso(ctx, u, u1)
+            b_c = hs.lambda_iso(ctx, u1, u2)
+            a_c = hs.lambda_iso(ctx, u, u2)
             ok = ok and hs.morphisms_equal(hs.compose(b_c, a_b), a_c)
-            back = hs.lambda_iso(store, u1, u, ctx)
+            back = hs.lambda_iso(ctx, u1, u)
             ok = ok and hs.morphisms_equal(hs.compose(back, a_b), ident)
             fam.record(ok, {"algebra": aname, "u": store.to_literal(u)})
 
@@ -777,7 +774,7 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2, budget=None)
     swapped = 0
     for x in pool:
         wl = tr.lift(f, x, sa, sb)
-        em = tr.epsilon_hset_morphism(f, wl, sa, sb, ctx_a, ctx_b)
+        em = tr.epsilon_hset_morphism(f, wl, ctx_a, ctx_b)
         v = hs.validate_morphism(em)
         fam.record(v.ok, None if v.ok else
                    {"x": sa.to_literal(x), "violations": v.violations[:2]})
@@ -792,8 +789,8 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2, budget=None)
             if same_img == alg["chain2"].top and f(uv) == f(vv):
                 tau = dict(wl.witness)
                 alt = {u: tau[v2], v2: tau[u]}
-                wl2 = tr.witnessed_lift_with(f, x, alt, sa, sb, ctx_b)
-                em2 = tr.epsilon_hset_morphism(f, wl2, sa, sb, ctx_a, ctx_b)
+                wl2 = tr.witnessed_lift_with(f, x, alt, sa, ctx_b)
+                em2 = tr.epsilon_hset_morphism(f, wl2, ctx_a, ctx_b)
                 fam_wi.record(
                     wl2.image == wl.image and np.array_equal(em.phi, em2.phi),
                     {"x": sa.to_literal(x)},

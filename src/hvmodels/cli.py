@@ -259,7 +259,7 @@ def cmd_lift(args, session):
     store_b = NameStore(morphism.target)
     wl = tr.lift(morphism, x, store_a, store_b)
     ctx_b = EvalContext(store_b)
-    related = tr.is_generalized_related(morphism, x, wl.image, store_a, store_b, ctx_b)
+    related = tr.is_generalized_related(morphism, x, wl.image, store_a, ctx_b)
     witness = [
         [store_a.to_literal(u), store_b.to_literal(v)] for u, v in wl.witness
     ]

@@ -25,7 +25,7 @@ so a long "/\\" or "\\/" chain counts one level per operator.
 import re
 from dataclasses import dataclass
 
-from .errors import MAX_NESTING, ParseError, UnknownConstant
+from .errors import MAX_NESTING, BudgetExceeded, ParseError, UnknownConstant
 
 # -- terms -------------------------------------------------------------------
 
@@ -339,6 +339,17 @@ def _height(phi):
             stack.extend((getattr(node, attr), h + 1)
                          for attr in ("left", "right", "body") if hasattr(node, attr))
     return best
+
+
+def check_height(phi):
+    """Raise `BudgetExceeded` when a formula's syntax tree is higher than
+    `MAX_NESTING`, the most a parsed one may have: the evaluators recurse
+    once per level, and a built formula has no other bound."""
+    height = _height(phi)
+    if height > MAX_NESTING:
+        raise BudgetExceeded(
+            f"formula of height {height} is over the cap of {MAX_NESTING} levels",
+            predicted=height, budget=MAX_NESTING)
 
 
 def parse_formula(text, constants=None, free=()):

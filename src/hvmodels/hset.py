@@ -7,7 +7,9 @@ n^2 step per middle.  The bridges: from_name turns a name u into the
 H-set (dom u, delta_u); the dagger constructions go back, turning an
 H-set (or morphism) into a name; lambda tables give the canonical
 isomorphisms between from_name images of equal names and the morphism
-induced by an internal function name.
+induced by an internal function name.  Each bridge takes the
+`EvalContext` of its store, and its table is one `name_table` between
+the extents, the diagonals of from_name images.
 
 The validators return an `errors.Family`, the one report type for a
 single law, whose violations are `{"law", "witness", "values"}` dicts.
@@ -34,7 +36,7 @@ from .errors import (
 )
 from . import names as names_mod
 from .lattice import split_arrow_header, text_lines
-from .valuation import EvalContext, make_function_predicate
+from .valuation import make_function_predicate
 
 SINGLETON_BUDGET = 1 << 16
 PRODUCT_CAP = 4096
@@ -347,55 +349,51 @@ def equalizer(phi, psi):
 # -- bridges to the name universe ----------------------------------------------------
 
 
-def from_name(store, u, ctx=None):
+def name_table(A, left, cell, rows, cols, right):
+    """The bridge table T(i, j) = left[i] /\\ cell(rows[i], cols[j]) /\\ right[j]
+    over the algebra A, as an int64 array: one `cell` value per pair and
+    two broadcast meets.  Every name bridge is this table, with `left`
+    and `right` the extents of its two carriers."""
+    R = np.array([[cell(r, c) for c in cols] for r in rows],
+                 dtype=np.int64).reshape(len(rows), len(cols))
+    mt = A.meet_table
+    left, right = (np.asarray(v, dtype=np.intp) for v in (left, right))
+    return mt[mt[left[:, None], R], right[None, :]]
+
+
+def from_name(ctx, u):
     """The H-set (dom u, delta_u) with
-    delta_u(x, y) = [x in u] /\\ [x = y] /\\ [y in u]."""
-    ctx = ctx or EvalContext(store)
-    A = store.algebra
-    dom = store.domain(u)
-    n = len(dom)
-    delta = np.empty((n, n), dtype=np.int64)
-    memv = [ctx.atomic_mem(x, u) for x in dom]
-    for i, x in enumerate(dom):
-        for j, y in enumerate(dom):
-            delta[i, j] = A.meet(A.meet(memv[i], ctx.atomic_eq(x, y)), memv[j])
-    return HSet(A, list(dom), delta)
+    delta_u(x, y) = [x in u] /\\ [x = y] /\\ [y in u]; its diagonal holds
+    the extents [x in u], as [x = x] = top."""
+    dom = ctx.store.domain(u)
+    mem = [ctx.atomic_mem(x, u) for x in dom]
+    delta = name_table(ctx.algebra, mem, ctx.atomic_eq, dom, dom, mem)
+    return HSet(ctx.algebra, dom, delta)
 
 
-def lambda_iso(store, u, uprime, ctx=None):
+def lambda_iso(ctx, u, uprime):
     """The canonical iso from_name(u) -> from_name(u') for names equal
     with value top; its inverse is lambda_iso(u', u)."""
-    ctx = ctx or EvalContext(store)
-    A = store.algebra
-    if ctx.atomic_eq(u, uprime) != A.top:
+    if ctx.atomic_eq(u, uprime) != ctx.algebra.top:
         raise NotEquivalent("[u = u'] < top")
-    X, Y = from_name(store, u, ctx), from_name(store, uprime, ctx)
-    phi = np.empty((len(X), len(Y)), dtype=np.int64)
-    for i, x in enumerate(X.points):
-        mi = ctx.atomic_mem(x, u)
-        for j, xp in enumerate(Y.points):
-            phi[i, j] = A.big_meet(
-                [mi, ctx.atomic_eq(x, xp), ctx.atomic_mem(xp, uprime)]
-            )
+    X, Y = from_name(ctx, u), from_name(ctx, uprime)
+    phi = name_table(ctx.algebra, X.delta.diagonal(), ctx.atomic_eq,
+                     X.points, Y.points, Y.delta.diagonal())
     return HSetMorphism(X, Y, phi)
 
 
-def lambda_f(store, h, x, y, ctx=None):
+def lambda_f(ctx, h, x, y):
     """The H-set morphism from_name(x) -> from_name(y) induced by an
     internal function name h; requires [fun(h: x -> y)] = top."""
-    ctx = ctx or EvalContext(store)
-    A = store.algebra
     if not ctx.models(make_function_predicate(h, x, y)):
         raise NotAFunctionName("[fun(h)] < top")
-    X, Y = from_name(store, x, ctx), from_name(store, y, ctx)
-    phi = np.empty((len(X), len(Y)), dtype=np.int64)
-    for i, u in enumerate(X.points):
-        mu = ctx.atomic_mem(u, x)
-        for j, v in enumerate(Y.points):
-            pair = names_mod.ordered_pair_h(store, u, v)
-            phi[i, j] = A.big_meet(
-                [mu, ctx.atomic_mem(pair, h), ctx.atomic_mem(v, y)]
-            )
+    X, Y = from_name(ctx, x), from_name(ctx, y)
+
+    def in_h(u, v):
+        return ctx.atomic_mem(names_mod.ordered_pair_h(ctx.store, u, v), h)
+
+    phi = name_table(ctx.algebra, X.delta.diagonal(), in_h,
+                     X.points, Y.points, Y.delta.diagonal())
     return HSetMorphism(X, Y, phi)
 
 
@@ -432,18 +430,15 @@ def dagger_morphism(store, m):
     return store.intern(entries)
 
 
-def dagger_iso(store, X, ctx=None):
+def dagger_iso(ctx, X):
     """The inverse isomorphism pair between X and from_name(dagger_hset(X)):
-    phi(x, k) = delta(x,x) /\\ [x-dot = k]."""
-    ctx = ctx or EvalContext(store)
-    A = store.algebra
-    dots = dagger_points(store, X)
-    u = dagger_hset(store, X)
-    Y = from_name(store, u, ctx)
-    phi = np.empty((len(X), len(Y)), dtype=np.int64)
-    for i in range(len(X)):
-        for j, k in enumerate(Y.points):
-            phi[i, j] = A.meet(int(X.delta[i, i]), ctx.atomic_eq(dots[i], k))
+    phi(x, k) = delta(x,x) /\\ [x-dot = k].  Its `name_table` also meets
+    in the target extents [k in u], which change nothing: u(x-dot) is
+    delta(x,x), so delta(x,x) /\\ [x-dot = k] <= [k in u]."""
+    dots = dagger_points(ctx.store, X)
+    Y = from_name(ctx, dagger_hset(ctx.store, X))
+    phi = name_table(ctx.algebra, X.delta.diagonal(), ctx.atomic_eq,
+                     dots, Y.points, Y.delta.diagonal())
     return HSetMorphism(X, Y, phi), HSetMorphism(Y, X, phi.T.copy())
 
 

@@ -18,6 +18,7 @@ from .errors import (
     UnknownKey,
     WrongAlgebra,
 )
+from .valuation import GRID_BUDGET
 
 
 class NameStore:
@@ -112,24 +113,22 @@ def enumerate_names(store, max_rank, max_domain=None, budget=None):
     """All names of rank <= max_rank with every domain capped at max_domain.
 
     Returns ids sorted ascending (equal to interning order for a fresh
-    store).  Raises BudgetExceeded if the predicted count of generated
-    mappings in some round exceeds the budget.
+    store).  Each round's count of generated mappings is predicted before
+    it runs; above the budget, `GRID_BUDGET` when None, BudgetExceeded is
+    raised.
     """
+    budget = GRID_BUDGET if budget is None else budget
     nh = store.algebra.n
     pool = [store.empty]
     for _ in range(max_rank):
         pool_sorted = sorted(pool)
         cap = len(pool_sorted) if max_domain is None else min(max_domain, len(pool_sorted))
-        if budget is not None:
-            predicted = sum(
-                math.comb(len(pool_sorted), s) * nh**s for s in range(cap + 1)
-            )
-            if predicted > budget:
-                raise BudgetExceeded(
-                    f"enumeration round would generate {predicted} mappings",
-                    predicted=predicted,
-                    budget=budget,
-                )
+        predicted = sum(math.comb(len(pool_sorted), s) * nh**s for s in range(cap + 1))
+        if predicted > budget:
+            raise BudgetExceeded(
+                f"enumeration round would generate {predicted} mappings, "
+                f"over the budget of {budget}",
+                predicted=predicted, budget=budget)
         nxt = []
         seen = set()
         for size in range(cap + 1):

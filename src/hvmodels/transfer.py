@@ -40,13 +40,12 @@ from .errors import (
     ParseError,
     TopNotPreserved,
 )
-from .formula import Const, free_vars, is_positive_bounded
-from .hset import HSet, HSetMorphism, compose_tables, from_name
+from .formula import Const, check_height, free_vars, is_positive_bounded
+from .hset import HSet, HSetMorphism, compose_tables, from_name, name_table
 from .lattice import split_arrow_header, text_lines
 from .names import _fold_dag, pad_equivalent
 from .valuation import (
     GRID_BUDGET,
-    EvalContext,
     _closure,
     _element_dtype,
     child_arrays,
@@ -270,27 +269,26 @@ def lift(f, x, store_a, store_b):
     return _fold_dag(store_a.check_id(x), store_a.domain, lift_entries, cache)
 
 
-def witnessed_lift_with(f, x, tau, store_a, store_b, ctx_b=None):
+def witnessed_lift_with(f, x, tau, store_a, ctx_b):
     """Build a WitnessedLift from an explicit witness bijection, checking
     its validity: values commute with f and every target is equal (value
     top) to the canonical child image."""
-    ctx_b = ctx_b or EvalContext(store_b)
+    store_b = ctx_b.store
     entries = store_a.entries(x)
     targets = [tau[u] for u, _ in entries]
     if len(set(targets)) != len(targets):
         raise ParseError("witness is not injective")
     image_entries = {}
-    top = store_b.algebra.top
     for u, val in entries:
         rep = lift(f, u, store_a, store_b).image
-        if ctx_b.atomic_eq(rep, tau[u]) != top:
+        if ctx_b.atomic_eq(rep, tau[u]) != ctx_b.algebra.top:
             raise ParseError(f"witness target for {u} is not equivalent to a lift of it")
         image_entries[tau[u]] = f(val)
     image = store_b.intern(image_entries)
     return WitnessedLift(x=x, image=image, witness=tuple((u, tau[u]) for u, _ in entries))
 
 
-def is_generalized_related(f, x, xp, store_a, store_b, ctx_b=None):
+def is_generalized_related(f, x, xp, store_a, ctx_b):
     """Decide the generalized relation by its equivalence-closure clause
     against the canonical representative: [x' = lift(f,x).image] = top.
 
@@ -302,19 +300,17 @@ def is_generalized_related(f, x, xp, store_a, store_b, ctx_b=None):
     and every entry of lift(f,x).image lies below [. in x'].  Hence
     [x' = lift(f,x).image] = top, and the clause above already holds.
     """
-    ctx_b = ctx_b or EvalContext(store_b)
-    return ctx_b.atomic_eq(xp, lift(f, x, store_a, store_b).image) == store_b.algebra.top
+    return ctx_b.atomic_eq(xp, lift(f, x, store_a, ctx_b.store).image) == ctx_b.algebra.top
 
 
 # -- preservation ---------------------------------------------------------------------
 
 
-def check_atomic_preservation(f, pairs, store_a, store_b, ctx_a=None, ctx_b=None):
+def check_atomic_preservation(f, pairs, ctx_a, ctx_b):
     """f([y in x]) <= [y' in x'] and f([x = z]) <= [x' = z'] over all
     ordered pairs drawn from the related list; when f also preserves
     implication, equality of both sides is asserted instead."""
-    ctx_a = ctx_a or EvalContext(store_a)
-    ctx_b = ctx_b or EvalContext(store_b)
+    store_a, store_b = ctx_a.store, ctx_b.store
     B = f.target
     strict = preserves_implication(f)
     xs = [x for x, _ in pairs]
@@ -342,14 +338,15 @@ def check_atomic_preservation(f, pairs, store_a, store_b, ctx_a=None, ctx_b=None
     return rep
 
 
-def check_positive_bounded_preservation(f, phi, pairs, store_a, store_b,
-                                        ctx_a=None, ctx_b=None, title=None):
+def check_positive_bounded_preservation(f, phi, pairs, ctx_a, ctx_b, title=None):
     """f([phi(a)]) <= [phi(a')] for positive bounded phi, where each free
     variable of phi, in sorted order, ranges over the lifted pairs
     (a, a').  Both sides are evaluated over the whole grid at once with
     `eval_grid`; checks and violations run in row-major order of the
     grid.  Parameters must come through the pairs: constants are
-    rejected."""
+    rejected.  A formula higher than `MAX_NESTING` raises
+    `BudgetExceeded` first."""
+    check_height(phi)
     if not is_positive_bounded(phi):
         raise NotPositiveBounded(
             "formula uses negation, implication or an unbounded quantifier"
@@ -358,8 +355,6 @@ def check_positive_bounded_preservation(f, phi, pairs, store_a, store_b,
         raise NotPositiveBounded(
             "constants are store-specific; pass parameters through assignments"
         )
-    ctx_a = ctx_a or EvalContext(store_a)
-    ctx_b = ctx_b or EvalContext(store_b)
     B = f.target
     names = sorted(free_vars(phi))
     xs = [x for x, _ in pairs]
@@ -371,7 +366,7 @@ def check_positive_bounded_preservation(f, phi, pairs, store_a, store_b,
     for point in np.argwhere(~ok):
         point = tuple(point)
         rep.violations.append({
-            "assignment": {v: store_a.to_literal(xs[i]) for v, i in zip(names, point)},
+            "assignment": {v: ctx_a.store.to_literal(xs[i]) for v, i in zip(names, point)},
             "f_of_source_value": B.labels[fa[point]],
             "target_value": B.labels[vb[point]],
         })
@@ -391,26 +386,17 @@ def _has_const(phi):
 # -- the induced H-set morphism ----------------------------------------------------
 
 
-def epsilon_hset_morphism(f, wl, store_a, store_b, ctx_a=None, ctx_b=None):
+def epsilon_hset_morphism(f, wl, ctx_a, ctx_b):
     """The H-set morphism (dom x, f . delta_x) -> (dom x', delta_x')
     induced by a witnessed lift:
     eps(u, v') = f([u in x]) /\\ [tau(u) = v'] /\\ [v' in x']."""
-    ctx_a = ctx_a or EvalContext(store_a)
-    ctx_b = ctx_b or EvalContext(store_b)
-    B = f.target
-    source_a = from_name(store_a, wl.x, ctx_a)
-    source = HSet(B, source_a.points, f.table[source_a.delta])
-    target = from_name(store_b, wl.image, ctx_b)
+    source_a = from_name(ctx_a, wl.x)
+    source = HSet(f.target, source_a.points, f.table[source_a.delta])
+    target = from_name(ctx_b, wl.image)
     tau = dict(wl.witness)
-    phi = np.empty((len(source), len(target)), dtype=np.int64)
-    for i, u in enumerate(source.points):
-        fm = f(ctx_a.atomic_mem(u, wl.x))
-        for j, vp in enumerate(target.points):
-            phi[i, j] = B.big_meet([
-                fm,
-                ctx_b.atomic_eq(tau[u], vp),
-                ctx_b.atomic_mem(vp, wl.image),
-            ])
+    phi = name_table(f.target, source.delta.diagonal(), ctx_b.atomic_eq,
+                     [tau[u] for u in source.points], target.points,
+                     target.delta.diagonal())
     return HSetMorphism(source, target, phi)
 
 

@@ -48,6 +48,7 @@ from .formula import (
     UExists,
     UForall,
     Var,
+    check_height,
 )
 
 
@@ -153,7 +154,12 @@ class EvalContext:
         raise TypeError(f"not a term: {term!r}")
 
     def eval(self, phi, sigma=None):
-        sigma = {} if sigma is None else sigma
+        """[phi] under the assignment `sigma`; a formula higher than
+        `MAX_NESTING` raises `BudgetExceeded` before anything recurses."""
+        check_height(phi)
+        return self._eval(phi, {} if sigma is None else sigma)
+
+    def _eval(self, phi, sigma):
         A = self.algebra
         if isinstance(phi, Member):
             return self.atomic_mem(
@@ -164,38 +170,38 @@ class EvalContext:
                 self.term_value(phi.left, sigma), self.term_value(phi.right, sigma)
             )
         if isinstance(phi, Not):
-            return A.imp(self.eval(phi.body, sigma), A.bottom)
+            return A.imp(self._eval(phi.body, sigma), A.bottom)
         if isinstance(phi, And):
-            return A.meet(self.eval(phi.left, sigma), self.eval(phi.right, sigma))
+            return A.meet(self._eval(phi.left, sigma), self._eval(phi.right, sigma))
         if isinstance(phi, Or):
-            return A.join(self.eval(phi.left, sigma), self.eval(phi.right, sigma))
+            return A.join(self._eval(phi.left, sigma), self._eval(phi.right, sigma))
         if isinstance(phi, Implies):
-            return A.imp(self.eval(phi.left, sigma), self.eval(phi.right, sigma))
+            return A.imp(self._eval(phi.left, sigma), self._eval(phi.right, sigma))
         if isinstance(phi, BForall):
             x = self.term_value(phi.bound, sigma)
             val = A.top
             for u, xu in self.store.entries(x):
-                val = A.meet(val, A.imp(xu, self.eval(phi.body, rebind(sigma, phi.var, u))))
+                val = A.meet(val, A.imp(xu, self._eval(phi.body, rebind(sigma, phi.var, u))))
             return val
         if isinstance(phi, BExists):
             x = self.term_value(phi.bound, sigma)
             val = A.bottom
             for u, xu in self.store.entries(x):
-                val = A.join(val, A.meet(xu, self.eval(phi.body, rebind(sigma, phi.var, u))))
+                val = A.join(val, A.meet(xu, self._eval(phi.body, rebind(sigma, phi.var, u))))
             return val
         if isinstance(phi, UForall):
             if not self.fragment:
                 raise EmptyFragment("unbounded forall with no universe fragment")
             val = A.top
             for u in self.fragment:
-                val = A.meet(val, self.eval(phi.body, rebind(sigma, phi.var, u)))
+                val = A.meet(val, self._eval(phi.body, rebind(sigma, phi.var, u)))
             return val
         if isinstance(phi, UExists):
             if not self.fragment:
                 raise EmptyFragment("unbounded exists with no universe fragment")
             val = A.bottom
             for u in self.fragment:
-                val = A.join(val, self.eval(phi.body, rebind(sigma, phi.var, u)))
+                val = A.join(val, self._eval(phi.body, rebind(sigma, phi.var, u)))
             return val
         raise TypeError(f"not a formula: {phi!r}")
 
@@ -363,6 +369,7 @@ def eval_grid(ctx, phi, columns):
     so the same error comes from the same assignment.  `ctx`'s memo is
     neither read nor written; its kernel is reused or replaced.
     """
+    check_height(phi)
     names = list(columns)
     shape = tuple(len(columns[v]) for v in names)
     if 0 in shape:
@@ -370,7 +377,7 @@ def eval_grid(ctx, phi, columns):
     grid = _Grid(ctx, phi, names, [list(columns[v]) for v in names])
     if grid.risky:
         ref = EvalContext(ctx.store, ctx.fragment)
-        values = [ref.eval(phi, dict(zip(names, point)))
+        values = [ref._eval(phi, dict(zip(names, point)))
                   for point in iproduct(*grid.domains[:len(names)])]
         return np.array(values, dtype=np.int64).reshape(shape)
     if grid.predict(shape[0] if shape else 1) <= GRID_BUDGET:

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,9 @@ from hvmodels.errors import MAX_NESTING, BudgetExceeded, ParseError
 from hvmodels.hset import parse_hset_file
 from hvmodels.lattice import load_algebra, make_boolean, make_chain
 from hvmodels.transfer import parse_morphism
+from hvmodels.valuation import GRID_BUDGET
+
+GOLDEN = Path(__file__).parent / "data" / "cli_json_golden.json"
 
 
 def run(capsys, *argv):
@@ -225,6 +229,30 @@ def test_suites_take_the_enumeration_budget(suite):
     with pytest.raises(BudgetExceeded) as err:
         suite()
     assert err.value.predicted > err.value.budget
+
+
+def test_rank3_counterexample_stops_at_the_enumeration_budget():
+    # round 3 over the two-chain would intern 3^27 mappings; the default
+    # budget refuses it before the first one
+    proc = subprocess.run(
+        [sys.executable, "-m", "hvmodels", "check", "counterexample", "--rank", "3"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: BudgetExceeded:")
+    assert f"{3 ** 27} mappings" in lines[0] and str(GRID_BUDGET) in lines[0]
+
+
+@pytest.mark.parametrize("command", sorted(json.loads(GOLDEN.read_text())))
+def test_json_reports_match_golden(command, tmp_path, capsys, fixtures_dir):
+    golden = json.loads(GOLDEN.read_text())[command]
+    argv = [str(fixtures_dir / a.removeprefix("fixtures/")) if a.startswith("fixtures/")
+            else a for a in command.split()]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text() == json.dumps(golden, indent=2, sort_keys=True) + "\n"
 
 
 def test_check_json_deterministic(capsys, tmp_path):

@@ -34,6 +34,7 @@ from hvmodels.hset import (
     dagger_hset,
     dagger_iso,
     dagger_morphism,
+    dagger_points,
     equalizer,
     from_name,
     hsets_equal,
@@ -51,7 +52,15 @@ from hvmodels.hset import (
 )
 from hvmodels.lattice import make_boolean, make_chain
 from hvmodels.names import NameStore, enumerate_names, pad_equivalent
+from hvmodels.transfer import (
+    epsilon_hset_morphism,
+    identity_morphism,
+    lift,
+    validate_locale_morphism,
+)
 from hvmodels.valuation import GRID_BUDGET, EvalContext
+
+from oracles import ref_eq, ref_mem
 
 GOLDEN = Path(__file__).parent / "data" / "hset_laws_golden.json"
 
@@ -65,7 +74,7 @@ def laws(report):
 
 def test_validate_hset_accepts_name_images(store3):
     for u in enumerate_names(store3, max_rank=2, max_domain=2)[::9]:
-        assert validate_hset(from_name(store3, u))
+        assert validate_hset(from_name(EvalContext(store3), u))
 
 
 def test_validate_hset_symmetry_witness(chain3):
@@ -214,7 +223,7 @@ def _small_corpus():
     store = NameStore(chain3)
     e = store.intern({})
     u = store.intern({e: 1})
-    corpus.append(from_name(store, store.intern({e: 2, u: 1})))
+    corpus.append(from_name(EvalContext(store), store.intern({e: 2, u: 1})))
     for X in corpus:
         assert validate_hset(X), X.points
     return corpus
@@ -345,7 +354,7 @@ def test_from_name_simplification_is_sound(store4):
     ctx = EvalContext(store4)
     A = store4.algebra
     for u in enumerate_names(store4, max_rank=2, max_domain=2)[::13]:
-        full = from_name(store4, u, ctx)
+        full = from_name(ctx, u)
         slim = [[A.meet(ctx.atomic_mem(x, u), ctx.atomic_eq(x, y)) for y in full.points]
                 for x in full.points]
         assert np.array_equal(full.delta, np.array(slim, dtype=np.int64).reshape(full.delta.shape))
@@ -356,25 +365,25 @@ def test_lambda_iso_roundtrip(store3):
     u = store3.intern({e: 1})
     up = pad_equivalent(store3, u, 1)
     ctx = EvalContext(store3)
-    fwd = lambda_iso(store3, u, up, ctx)
-    bwd = lambda_iso(store3, up, u, ctx)
+    fwd = lambda_iso(ctx, u, up)
+    bwd = lambda_iso(ctx, up, u)
     assert validate_morphism(fwd) and validate_morphism(bwd)
-    assert morphisms_equal(compose(bwd, fwd), identity(from_name(store3, u, ctx)))
-    assert morphisms_equal(compose(fwd, bwd), identity(from_name(store3, up, ctx)))
+    assert morphisms_equal(compose(bwd, fwd), identity(from_name(ctx, u)))
+    assert morphisms_equal(compose(fwd, bwd), identity(from_name(ctx, up)))
 
 
 def test_lambda_iso_requires_equality_top(store3):
     e = store3.intern({})
     u = store3.intern({e: 2})
     with pytest.raises(NotEquivalent):
-        lambda_iso(store3, e, u)
+        lambda_iso(EvalContext(store3), e, u)
 
 
 def test_dagger_iso_roundtrip(chain3):
     store = NameStore(chain3)
     X = HSet(chain3, ["p", "q"], [[2, 1], [1, 2]])
     ctx = EvalContext(store)
-    fwd, bwd = dagger_iso(store, X, ctx)
+    fwd, bwd = dagger_iso(ctx, X)
     assert validate_morphism(fwd) and validate_morphism(bwd)
     assert morphisms_equal(compose(bwd, fwd), identity(X))
     Y = fwd.target
@@ -396,9 +405,9 @@ def test_lambda_f_of_a_dagger_identity(chain3):
     ctx = EvalContext(store)
     h = dagger_morphism(store, identity(X))
     u = dagger_hset(store, X)
-    m = lambda_f(store, h, u, u, ctx)
+    m = lambda_f(ctx, h, u, u)
     assert validate_morphism(m)
-    assert morphisms_equal(m, identity(from_name(store, u, ctx)))
+    assert morphisms_equal(m, identity(from_name(ctx, u)))
 
 
 def test_lambda_f_rejects_non_functional_names(store3):
@@ -413,7 +422,68 @@ def test_lambda_f_rejects_non_functional_names(store3):
         ordered_pair_h(store3, e, s): 2,
     })
     with pytest.raises(NotAFunctionName):
-        lambda_f(store3, h, x, y)
+        lambda_f(EvalContext(store3), h, x, y)
+
+
+BRIDGE_ALGEBRAS = (make_chain(3), make_boolean(2), make_chain(5))
+TWO = make_chain(2)
+
+
+@st.composite
+def _bridge_cases(draw):
+    """A store over chain3, four or chain5 with hypothesis-built names,
+    one name u of it, an equivalence-pad index, and a locale morphism out
+    of its algebra: the identity, or x -> [p <= x] onto the two-chain for
+    a join-irreducible p."""
+    A = draw(st.sampled_from(BRIDGE_ALGEBRAS))
+    store = NameStore(A)
+    ids = [store.empty]
+    for _ in range(draw(st.integers(1, 6))):
+        kids = draw(st.lists(st.sampled_from(ids), max_size=3))
+        vals = draw(st.lists(st.integers(0, A.n - 1),
+                             min_size=len(kids), max_size=len(kids)))
+        ids.append(store.intern(dict(zip(kids, vals))))
+    f = draw(st.sampled_from([identity_morphism(A)] + [
+        validate_locale_morphism(A, TWO, A.leq[p].astype(np.int64))
+        for p in A.join_irreducibles]))
+    return store, draw(st.sampled_from(ids)), draw(st.integers(1, 2)), f
+
+
+@settings(max_examples=80, deadline=None)
+@given(_bridge_cases())
+def test_bridges_match_their_cell_by_cell_definitions(case):
+    store, u, k, f = case
+    A, ctx = store.algebra, EvalContext(store)
+
+    def table(left, rows, cols, right, algebra=A, cell=lambda x, y: ref_eq(store, x, y)):
+        return [[algebra.big_meet([left(x), cell(x, y), right(y)]) for y in cols]
+                for x in rows]
+
+    X = from_name(ctx, u)
+    assert X.points == list(store.domain(u))
+    mem_u = lambda x: ref_mem(store, x, u)
+    assert X.delta.tolist() == table(mem_u, X.points, X.points, mem_u)
+
+    up = pad_equivalent(store, u, k)
+    lam = lambda_iso(ctx, u, up)
+    assert lam.phi.tolist() == table(mem_u, X.points, lam.target.points,
+                                     lambda y: ref_mem(store, y, up))
+
+    fwd, bwd = dagger_iso(ctx, X)
+    dots = dagger_points(store, X)   # points with equal rows share a dot
+    want = table(lambda i: X.delta[i, i], range(len(X)), fwd.target.points,
+                 lambda _: A.top, cell=lambda i, y: ref_eq(store, dots[i], y))
+    assert fwd.phi.tolist() == want and bwd.phi.T.tolist() == want
+
+    sb = NameStore(f.target)
+    wl = lift(f, u, store, sb)
+    tau = dict(wl.witness)
+    eps = epsilon_hset_morphism(f, wl, ctx, EvalContext(sb))
+    assert eps.source.delta.tolist() == f.table[X.delta].tolist()
+    assert eps.phi.tolist() == table(
+        lambda x: f(ref_mem(store, x, u)), X.points, eps.target.points,
+        lambda y: ref_mem(sb, y, wl.image), algebra=f.target,
+        cell=lambda x, y: ref_eq(sb, tau[x], y))
 
 
 def test_dagger_transfers_cross_algebra(chain3, four):

@@ -192,16 +192,18 @@ def _summary(rep):
 
 
 @pytest.mark.parametrize("algebra,cap,seeds", CASES, ids=[c[0].name for c in CASES])
-def test_bitplane_families_match_the_per_middle_reference(algebra, cap, seeds):
+def test_bitplane_families_match_the_per_middle_reference(algebra, cap, seeds,
+                                                          monkeypatch):
     store, pool, EQ0, MEM0 = _matrices(algebra, cap)
+    monkeypatch.setattr(checks, "EVAL_SAMPLES", 3)
     failing = set()
     cases = [(seed, *_corrupt(algebra, EQ0, MEM0, seed)) for seed in seeds]
     cases.append(("lowered entry", EQ0, _lower_entry(store, pool, MEM0, len(seeds))))
     for seed, EQ, MEM in cases:
         want = _summary(reference_families(store, pool, EQ, MEM,
                                            EvalContext(store), eval_samples=3))
-        got = _summary(valuation_law_families(CheckReport("planes"), store, pool, EQ, MEM,
-                                              EvalContext(store), eval_samples=3))
+        got = _summary(valuation_law_families(CheckReport("planes"),
+                                              EvalContext(store, fragment=pool), EQ, MEM))
         assert got == want, f"seed {seed}"
         assert [np.array_equal(a, b) for a, b in zip(
             fragment_forms(algebra, MEM), reference_fragment_forms(algebra, MEM))] \
@@ -219,10 +221,11 @@ def test_slot_folds_agree_in_blocks_of_one_row(monkeypatch):
     store, pool, EQ0, MEM0 = _matrices(algebra, 2)
     EQ, MEM = _corrupt(algebra, EQ0, MEM0, 2)
     MEM = _lower_entry(store, pool, MEM, 2)
+    monkeypatch.setattr(checks, "EVAL_SAMPLES", 3)
 
     def families():
-        return _summary(valuation_law_families(CheckReport("planes"), store, pool, EQ, MEM,
-                                               EvalContext(store), eval_samples=3))
+        return _summary(valuation_law_families(CheckReport("planes"),
+                                               EvalContext(store, fragment=pool), EQ, MEM))
 
     whole = families()
     assert any(v for name, _, v in whole if name.startswith(("2 ", "4 ", "8 ", "10 ")))

@@ -371,9 +371,9 @@ def test_witnessed_lift_with_accepts_a_padded_witness(morphisms):
     x = counterexample_names(sa)
     canonical = lift(f, x, sa, sb)
     (u1, t1), (u2, t2) = canonical.witness
-    swapped = witnessed_lift_with(f, x, {u1: t2, u2: t1}, sa, sb)
-    assert swapped.image != canonical.image
     ctx = EvalContext(sb)
+    swapped = witnessed_lift_with(f, x, {u1: t2, u2: t1}, sa, ctx)
+    assert swapped.image != canonical.image
     assert ctx.atomic_eq(swapped.image, canonical.image) == sb.algebra.top
 
 
@@ -383,10 +383,10 @@ def test_witnessed_lift_with_rejects_bad_witnesses(morphisms):
     x = counterexample_names(sa)
     (u1, t1), (u2, t2) = lift(f, x, sa, sb).witness
     with pytest.raises(ParseError):
-        witnessed_lift_with(f, x, {u1: t1, u2: t1}, sa, sb)
+        witnessed_lift_with(f, x, {u1: t1, u2: t1}, sa, EvalContext(sb))
     stray = sb.intern({sb.empty: 1})  # not equivalent to the child image
     with pytest.raises(ParseError):
-        witnessed_lift_with(f, x, {u1: t1, u2: stray}, sa, sb)
+        witnessed_lift_with(f, x, {u1: t1, u2: stray}, sa, EvalContext(sb))
 
 
 # -- the generalized relation -------------------------------------------------------
@@ -399,7 +399,7 @@ def test_counterexample_strict_fails_generalized_succeeds(morphisms):
     pool_b = enumerate_names(sb, max_rank=2)
     assert len(pool_b) == 27
     assert first_proposal_images(f, x, pool_b, sa, sb) == []
-    assert is_generalized_related(f, x, lift(f, x, sa, sb).image, sa, sb)
+    assert is_generalized_related(f, x, lift(f, x, sa, sb).image, sa, EvalContext(sb))
 
 
 def test_generalized_matches_oracle(morphisms):
@@ -420,7 +420,7 @@ def test_generalized_matches_oracle(morphisms):
         for xp in pool_b:
             # the full relation closes the witness clause under equality
             want = xp in raw or any(eq(w, xp) == top for w in raw)
-            got = is_generalized_related(f, x, xp, sa, sb, ctx_b=ctx_b)
+            got = is_generalized_related(f, x, xp, sa, ctx_b)
             assert got == want, (sa.to_literal(x), sb.to_literal(xp))
 
 
@@ -433,7 +433,7 @@ def test_generalized_closed_oracle_spot_checks(morphisms):
     args = (f, sa, sb, x, sb.empty, pool_b, ctx_b.atomic_eq)
     assert not brute_generalized_related(*args)
     assert brute_generalized_closed(*args)
-    assert is_generalized_related(f, x, sb.empty, sa, sb, ctx_b=ctx_b)
+    assert is_generalized_related(f, x, sb.empty, sa, ctx_b)
 
 
 def test_generalized_budget(morphisms):
@@ -445,10 +445,10 @@ def test_generalized_budget(morphisms):
     wide = sa.intern({sa.intern({e: v}): 3 for v in range(4)} | {e: 3})
     assert len(sa.entries(wide)) == 5
     ctx_b = EvalContext(sb)
-    assert is_generalized_related(f, wide, lift(f, wide, sa, sb).image, sa, sb, ctx_b)
+    assert is_generalized_related(f, wide, lift(f, wide, sa, sb).image, sa, ctx_b)
     pool_b = enumerate_names(sb, max_rank=2)
     assert not brute_generalized_closed(f, sa, sb, wide, sb.empty, pool_b, ctx_b.atomic_eq)
-    assert not is_generalized_related(f, wide, sb.empty, sa, sb, ctx_b)
+    assert not is_generalized_related(f, wide, sb.empty, sa, ctx_b)
 
 
 # -- preservation bounds -------------------------------------------------------------
@@ -462,7 +462,7 @@ def _lift_pairs(f, sa, sb, step=6):
 def test_atomic_preservation_is_equality_for_f(morphisms):
     f = morphisms["f"]
     sa, sb = NameStore(f.source), NameStore(f.target)
-    rep = check_atomic_preservation(f, _lift_pairs(f, sa, sb), sa, sb)
+    rep = check_atomic_preservation(f, _lift_pairs(f, sa, sb), EvalContext(sa), EvalContext(sb))
     assert rep.ok and rep.notes["equality_asserted"]
     assert rep.checked > 0
 
@@ -470,10 +470,10 @@ def test_atomic_preservation_is_equality_for_f(morphisms):
 def test_atomic_preservation_is_an_inequality_for_collapse0(morphisms):
     g = morphisms["collapse0"]
     sa, sb = NameStore(g.source), NameStore(g.target)
-    rep = check_atomic_preservation(g, _lift_pairs(g, sa, sb, step=4), sa, sb)
+    ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)
+    rep = check_atomic_preservation(g, _lift_pairs(g, sa, sb, step=4), ctx_a, ctx_b)
     assert rep.ok and not rep.notes["equality_asserted"]
     # and the bound really is strict somewhere: x = {({}, m)} against {}
-    ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)
     x = sa.intern({sa.empty: 1})
     xp = lift(g, x, sa, sb).image
     lhs = g(ctx_a.atomic_eq(x, sa.empty))
@@ -488,7 +488,7 @@ def test_atomic_preservation_reports_violations(chain2, chain3):
     sa, sb = NameStore(chain3), NameStore(chain2)
     pairs = _lift_pairs(bogus, sa, sb, step=7)
     pairs = [(x, lift(bogus_bad, x, sa, sb).image) for x, _ in pairs]
-    rep = check_atomic_preservation(bogus, pairs, sa, sb)
+    rep = check_atomic_preservation(bogus, pairs, EvalContext(sa), EvalContext(sb))
     assert not rep.ok
     v = rep.violations[0]
     assert {"relation", "source_pair", "target_pair",
@@ -499,15 +499,16 @@ def test_positive_bounded_preservation(morphisms):
     f = morphisms["f"]
     sa, sb = NameStore(f.source), NameStore(f.target)
     pairs = _lift_pairs(f, sa, sb, step=5)[:6]
+    ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)
     phi = parse_formula("forall u in X . u in Y", free=("X", "Y"))
-    rep = check_positive_bounded_preservation(f, phi, pairs, sa, sb)
+    rep = check_positive_bounded_preservation(f, phi, pairs, ctx_a, ctx_b)
     assert rep.ok and rep.checked == 36
     with pytest.raises(NotPositiveBounded):
         check_positive_bounded_preservation(
-            f, parse_formula("~(X = Y)", free=("X", "Y")), pairs, sa, sb)
+            f, parse_formula("~(X = Y)", free=("X", "Y")), pairs, ctx_a, ctx_b)
     with pytest.raises(NotPositiveBounded):
         const_phi = parse_formula("e in X", constants={"e": sa.empty}, free=("X",))
-        check_positive_bounded_preservation(f, const_phi, pairs, sa, sb)
+        check_positive_bounded_preservation(f, const_phi, pairs, ctx_a, ctx_b)
 
 
 def _per_tuple_preservation(f, phi, names, pairs, sa, sb):
@@ -543,7 +544,8 @@ def test_positive_bounded_preservation_reports_violations(chain2, chain3):
     for text in texts:
         phi = parse_formula(text, free=("X", "Y", "Z"))
         names = sorted(free_vars(phi))
-        rep = check_positive_bounded_preservation(bogus, phi, pairs, sa, sb, title=text)
+        rep = check_positive_bounded_preservation(bogus, phi, pairs, EvalContext(sa),
+                                                  EvalContext(sb), title=text)
         checked, violations = _per_tuple_preservation(bogus, phi, names, pairs, sa, sb)
         assert rep.checked == checked == len(pairs) ** len(names)
         assert rep.violations == violations
@@ -578,11 +580,11 @@ def test_epsilon_morphism_validates_and_ignores_the_witness(morphisms):
     x = counterexample_names(sa)
     ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)
     canonical = lift(f, x, sa, sb)
-    eps = epsilon_hset_morphism(f, canonical, sa, sb, ctx_a, ctx_b)
+    eps = epsilon_hset_morphism(f, canonical, ctx_a, ctx_b)
     assert validate_morphism(eps)
     (u1, t1), (u2, t2) = canonical.witness
-    swapped = witnessed_lift_with(f, x, {u1: t2, u2: t1}, sa, sb, ctx_b)
-    eps2 = epsilon_hset_morphism(f, swapped, sa, sb, ctx_a, ctx_b)
+    swapped = witnessed_lift_with(f, x, {u1: t2, u2: t1}, sa, ctx_b)
+    eps2 = epsilon_hset_morphism(f, swapped, ctx_a, ctx_b)
     assert validate_morphism(eps2)
     assert np.array_equal(eps.phi, eps2.phi)
     probes = mono_epi_experiment(eps)

@@ -20,6 +20,7 @@ from hvmodels.checks import (
     valuation_property_suite,
 )
 from hvmodels.errors import (
+    MAX_NESTING,
     BudgetExceeded,
     EmptyFragment,
     ParseError,
@@ -46,7 +47,7 @@ from hvmodels.formula import (
 )
 from hvmodels.lattice import make_boolean, make_chain
 from hvmodels.names import NameStore, enumerate_names, ordered_pair_h, pad_equivalent
-from hvmodels.transfer import lift
+from hvmodels.transfer import check_positive_bounded_preservation, lift
 from hvmodels.valuation import EvalContext, eq_matrix, eval_grid, mem_matrix
 
 from oracles import ref_eq, ref_mem, ref_ni
@@ -418,6 +419,37 @@ def test_eval_error_paths(store3):
         ctx.eval(UExists("u", Eq(Var("u"), Var("u"))))
     frag = EvalContext(store3, fragment=[e])
     assert frag.eval(UExists("u", Eq(Var("u"), Const(e)))) == store3.algebra.top
+
+
+def _tower(wrap, height):
+    phi = Eq(Var("x"), Var("x"))
+    for _ in range(height):
+        phi = wrap(phi)
+    return phi
+
+
+def test_built_formulas_above_the_nesting_cap_are_a_budget_error(store3):
+    # a built formula has no parser in front of it; 5,000 levels would
+    # overflow the recursion of every evaluator
+    ctx = EvalContext(store3)
+    sigma = {"x": store3.empty}
+    at_cap = _tower(Not, MAX_NESTING)
+    assert ctx.eval(at_cap, sigma) == store3.algebra.top
+    assert eval_grid(ctx, at_cap, {"x": [store3.empty]}).tolist() == [store3.algebra.top]
+    deep = _tower(Not, 5000)
+    positive = _tower(lambda phi: And(phi, Eq(Var("x"), Var("x"))), 5000)
+    f = standard_morphisms()["collapse0"]
+    sa, sb = NameStore(f.source), NameStore(f.target)
+    for call in (lambda: ctx.eval(deep, sigma),
+                 lambda: ctx.models(deep, sigma),
+                 lambda: eval_grid(ctx, deep, {"x": [store3.empty]}),
+                 lambda: check_positive_bounded_preservation(
+                     f, positive, [(sa.empty, sb.empty)], EvalContext(sa), EvalContext(sb))):
+        with pytest.raises(BudgetExceeded) as err:
+            call()
+        assert (err.value.predicted, err.value.budget) == (5000, MAX_NESTING)
+    with pytest.raises(BudgetExceeded):
+        ctx.eval(_tower(Not, MAX_NESTING + 1), sigma)
 
 
 # -- soundness of the intuitionistic propositional laws -------------------------
