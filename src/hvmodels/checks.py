@@ -27,11 +27,13 @@ from .names import (
     enumerate_names,
     hat_embed,
     pad_equivalent,
+    pool_size,
 )
 from .valuation import (
     GRID_BUDGET,
     EvalContext,
     _element_dtype,
+    check_kernel_size,
     child_arrays,
     eq_matrix,
     eval_grid,
@@ -126,7 +128,12 @@ def valuation_property_suite(algebra, rank=2, max_domain=2, budget=None):
     Families 10 and 11 additionally compare against the unbounded
     quantifier forms evaluated over the whole pool as fragment, plus an
     eval()-path subsample through the parser.
+
+    The equality kernel covers the whole pool, so a pool whose
+    enumeration or kernel is over its budget raises BudgetExceeded
+    before any name is enumerated.
     """
+    check_kernel_size(pool_size(algebra.n, rank, max_domain, budget))
     store = NameStore(algebra)
     pool = enumerate_names(store, max_rank=rank, max_domain=max_domain, budget=budget)
     ctx = EvalContext(store, fragment=pool)
@@ -176,6 +183,48 @@ def _unequal_columns(E, F):
     return np.where(F, count != degree, count != 0).any(axis=0)
 
 
+def _classes(E):
+    """The first member of each row's class when the boolean plane E is
+    an equivalence relation, else None.  A reflexive, symmetric E whose
+    every row equals the row of its first member is transitive."""
+    first = E.argmax(axis=1)
+    if E.diagonal().all() and np.array_equal(E, E.T) and np.array_equal(E, E[first]):
+        return first
+    return None
+
+
+def _plane_failures(E, M):
+    """On one plane: the middles failing families 5, 6 and 7, and for
+    family 9 one row of failing middles per substituted formula (w in z,
+    z in w, w = z, whose value at (w, z) is M, M^T and E).
+
+    When E is an equivalence relation the laws are decided on its
+    classes; the products run only where they must name failing
+    middles: for every family when E is not an equivalence, and for
+    family 6 or 7 when it fails."""
+    first = _classes(E)
+    if first is None:
+        return (_failing_middles(E, E, E), _failing_middles(E, M, M),
+                _failing_middles(M, E, M),
+                np.array([_unequal_columns(E, F) for F in (M, M.T, E)]))
+    # a column of F is constant on the classes iff it equals F[first]
+    # there; E's columns are, and the columns of M^T are the rows of M
+    rows, cols = M != M[first], M != M[:, first]
+    none = np.zeros(len(E), dtype=bool)
+    return (none,
+            _failing_middles(E, M, M) if rows.any() else none,
+            _failing_middles(M, E, M) if cols.any() else none,
+            np.array([rows.any(axis=0), cols.any(axis=1), none]))
+
+
+def _distinct_rows(M):
+    """The rows of a boolean plane, each distinct row once, found by
+    hashing the packed rows."""
+    packed = np.packbits(M, axis=1)
+    last = {row.tobytes(): i for i, row in enumerate(packed)}
+    return M[list(last.values())]
+
+
 def fragment_forms(algebra, MEM):
     """The unbounded quantifier forms over the whole pool as fragment:
     fex[x, z] = \\/_w [w in x] /\\ [w in z] and
@@ -184,11 +233,13 @@ def fragment_forms(algebra, MEM):
     On p's plane fex is M_p^T @ M_p > 0.  p <= a -> b iff q <= a
     implies q <= b for every join-irreducible q <= p, so ffa holds on
     p's plane where no such q has a w with M_q[w, x] and not M_q[w, z].
+    Each product runs over the distinct rows w of the plane only: a
+    repeated row changes no OR, so both forms stay exact on any MEM.
     """
     leq, J = algebra.leq, algebra.join_irreducibles
-    fex = _from_planes(algebra, MEM.shape,
-                       (_count(M.T, M) > 0 for M in _planes(algebra, MEM)))
-    escapes = [_count(M.T, ~M) > 0 for M in _planes(algebra, MEM)]
+    planes = [_distinct_rows(M) for M in _planes(algebra, MEM)]
+    fex = _from_planes(algebra, MEM.shape, (_count(U.T, U) > 0 for U in planes))
+    escapes = [_count(U.T, ~U) > 0 for U in planes]
     ffa = _from_planes(algebra, MEM.shape, (
         ~reduce(np.logical_or, [esc for q, esc in zip(J, escapes) if leq[q, p]])
         for p in J))
@@ -224,8 +275,15 @@ def valuation_law_families(rep, ctx, EQ, MEM):
     (Birkhoff): a /\\ b <= c holds iff for every join-irreducible p,
     p <= a and p <= b imply p <= c, and a = b iff they have the same
     join-irreducibles below.  With E_p = (p <= EQ) and M_p = (p <= MEM)
-    each family is a few 0/1 matrix products per p, and each product
-    also names the failing middles.
+    the families are decided on the classes of E_p, in O(n^2) per p:
+    when E_p is an equivalence relation, family 5 holds on it, family 6
+    holds iff every row of M_p is constant on the classes, family 7 iff
+    every column is, and the columns k of M_p, M_p^T and E_p that are
+    not constant on the classes are the middles failing family 9.  The
+    0/1 matrix products `_failing_middles` and `_unequal_columns` run
+    only on a plane whose E_p is not an equivalence (all four families)
+    or where family 6 or 7 fails (that family), to name the failing
+    middles.
 
     Families 2, 4 and 8 and the bounded forms of 10 and 11 are folds
     over the child slots of the pool's `child_arrays`.
@@ -269,11 +327,11 @@ def valuation_law_families(rep, ctx, EQ, MEM):
     fail5, fail6, fail7 = (np.zeros(n, dtype=bool) for _ in range(3))
     fail9 = np.zeros((len(substituted), n), dtype=bool)
     for E, M in zip(_planes(algebra, EQ), _planes(algebra, MEM)):
-        fail5 |= _failing_middles(E, E, E)
-        fail6 |= _failing_middles(E, M, M)
-        fail7 |= _failing_middles(M, E, M)
-        for t, F in enumerate((M, M.T, E)):
-            fail9[t] |= _unequal_columns(E, F)
+        f5, f6, f7, f9 = _plane_failures(E, M)
+        fail5 |= f5
+        fail6 |= f6
+        fail7 |= f7
+        fail9 |= f9
 
     for name, fail in (("5 equality transitive", fail5),
                        ("6 equality then membership", fail6),
@@ -419,25 +477,36 @@ POSITIVE_BOUNDED_FAMILY = (
 )
 
 
-def _sweep_pool(store, rank, max_domain, budget=None):
+def _sweep_cap(algebra, max_domain):
     # the two-chain pool stays uncapped (it is finite and small); the
     # larger algebras use the domain cap
-    if store.algebra.n == 2:
-        return enumerate_names(store, max_rank=rank, budget=budget)
-    return enumerate_names(store, max_rank=rank, max_domain=max_domain, budget=budget)
+    return None if algebra.n == 2 else max_domain
+
+
+def _sweep_pool(store, rank, max_domain, budget=None):
+    return enumerate_names(store, max_rank=rank,
+                           max_domain=_sweep_cap(store.algebra, max_domain), budget=budget)
 
 
 def preservation_suite(rank=2, max_domain=2, budget=None):
     """Atomic and positive-bounded preservation along the standard
-    morphisms, over canonical lift pairs for the full pools."""
+    morphisms, over canonical lift pairs for the full pools.
+
+    Each source pool gets an equality kernel, so a pool whose
+    enumeration or kernel is over its budget raises BudgetExceeded
+    before any name is enumerated."""
     alg = test_algebras()
     morphisms = standard_morphisms(alg)
+    order = ("f", "collapse0", "collapse1", "i")
+    for mname in order:
+        source = morphisms[mname].source
+        check_kernel_size(pool_size(source.n, rank, _sweep_cap(source, max_domain), budget))
     rep = CheckReport(
         title="preservation along standard morphisms",
         config={"rank": rank, "max_domain": max_domain,
                 "morphisms": sorted(morphisms)},
     )
-    for mname in ("f", "collapse0", "collapse1", "i"):
+    for mname in order:
         m = morphisms[mname]
         sa, sb = NameStore(m.source), NameStore(m.target)
         ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)

@@ -111,7 +111,13 @@ QUANTIFIERS = (BForall, BExists, UForall, UExists)
 
 
 def free_vars(phi):
-    """Free variable names of a formula."""
+    """Free variable names of a formula.  A formula higher than
+    `MAX_NESTING` raises `BudgetExceeded` before anything recurses."""
+    check_height(phi)
+    return _free_vars(phi)
+
+
+def _free_vars(phi):
     if isinstance(phi, ATOMS):
         out = set()
         for t in (phi.left, phi.right):
@@ -119,27 +125,34 @@ def free_vars(phi):
                 out.add(t.name)
         return out
     if isinstance(phi, Not):
-        return free_vars(phi.body)
+        return _free_vars(phi.body)
     if isinstance(phi, BINARY):
-        return free_vars(phi.left) | free_vars(phi.right)
+        return _free_vars(phi.left) | _free_vars(phi.right)
     if isinstance(phi, (BForall, BExists)):
-        out = free_vars(phi.body) - {phi.var}
+        out = _free_vars(phi.body) - {phi.var}
         if isinstance(phi.bound, Var):
             out.add(phi.bound.name)
         return out
     if isinstance(phi, (UForall, UExists)):
-        return free_vars(phi.body) - {phi.var}
+        return _free_vars(phi.body) - {phi.var}
     raise TypeError(f"not a formula: {phi!r}")
 
 
 def is_positive_bounded(phi):
-    """True iff built from atoms, /\\, \\/ and bounded quantifiers only."""
+    """True iff built from atoms, /\\, \\/ and bounded quantifiers only.
+    A formula higher than `MAX_NESTING` raises `BudgetExceeded` before
+    anything recurses."""
+    check_height(phi)
+    return _is_positive_bounded(phi)
+
+
+def _is_positive_bounded(phi):
     if isinstance(phi, ATOMS):
         return True
     if isinstance(phi, (And, Or)):
-        return is_positive_bounded(phi.left) and is_positive_bounded(phi.right)
+        return _is_positive_bounded(phi.left) and _is_positive_bounded(phi.right)
     if isinstance(phi, (BForall, BExists)):
-        return is_positive_bounded(phi.body)
+        return _is_positive_bounded(phi.body)
     if isinstance(phi, (Not, Implies, UForall, UExists)):
         return False
     raise TypeError(f"not a formula: {phi!r}")
@@ -158,9 +171,15 @@ def _term_text(t):
     raise TypeError(f"not a term: {t!r}")
 
 
-def to_text(phi, _level=0):
+def to_text(phi):
     """Render a formula in the surface grammar (parseable back when all
-    constants carry their source text)."""
+    constants carry their source text).  A formula higher than
+    `MAX_NESTING` raises `BudgetExceeded` before anything recurses."""
+    check_height(phi)
+    return _to_text(phi, 0)
+
+
+def _to_text(phi, level):
     if isinstance(phi, Member):
         s = f"{_term_text(phi.left)} in {_term_text(phi.right)}"
         lvl = _LEVEL_UNARY
@@ -168,30 +187,30 @@ def to_text(phi, _level=0):
         s = f"{_term_text(phi.left)} = {_term_text(phi.right)}"
         lvl = _LEVEL_UNARY
     elif isinstance(phi, Not):
-        s = f"~{to_text(phi.body, _LEVEL_UNARY)}"
+        s = f"~{_to_text(phi.body, _LEVEL_UNARY)}"
         lvl = _LEVEL_UNARY
     elif isinstance(phi, And):
         # left associative: the right child needs the tighter level
-        s = f"{to_text(phi.left, _LEVEL_AND)} /\\ {to_text(phi.right, _LEVEL_AND + 1)}"
+        s = f"{_to_text(phi.left, _LEVEL_AND)} /\\ {_to_text(phi.right, _LEVEL_AND + 1)}"
         lvl = _LEVEL_AND
     elif isinstance(phi, Or):
-        s = f"{to_text(phi.left, _LEVEL_OR)} \\/ {to_text(phi.right, _LEVEL_OR + 1)}"
+        s = f"{_to_text(phi.left, _LEVEL_OR)} \\/ {_to_text(phi.right, _LEVEL_OR + 1)}"
         lvl = _LEVEL_OR
     elif isinstance(phi, Implies):
         # right associative: left child needs the tighter level
-        s = f"{to_text(phi.left, _LEVEL_OR)} -> {to_text(phi.right, _LEVEL_IMPL)}"
+        s = f"{_to_text(phi.left, _LEVEL_OR)} -> {_to_text(phi.right, _LEVEL_IMPL)}"
         lvl = _LEVEL_IMPL
     elif isinstance(phi, (BForall, BExists)):
         word = "forall" if isinstance(phi, BForall) else "exists"
-        s = f"{word} {phi.var} in {_term_text(phi.bound)} . {to_text(phi.body, 0)}"
+        s = f"{word} {phi.var} in {_term_text(phi.bound)} . {_to_text(phi.body, 0)}"
         lvl = 0
     elif isinstance(phi, (UForall, UExists)):
         word = "forall" if isinstance(phi, UForall) else "exists"
-        s = f"{word} {phi.var} . {to_text(phi.body, 0)}"
+        s = f"{word} {phi.var} . {_to_text(phi.body, 0)}"
         lvl = 0
     else:
         raise TypeError(f"not a formula: {phi!r}")
-    if lvl < _level:
+    if lvl < level:
         return f"({s})"
     return s
 

@@ -109,26 +109,45 @@ def rank(store, nid):
     return store.rank(nid)
 
 
+def pool_size(algebra_size, max_rank, max_domain=None, budget=None):
+    """The exact number of names of rank <= max_rank with every domain
+    capped at max_domain, over an algebra of `algebra_size` elements,
+    counted without building one: c_0 = 1, and round k + 1 generates
+    c_{k+1} = sum_{s <= cap} C(c_k, s) * |H|^s distinct mappings, which
+    are the names of rank <= k + 1.  A round over the budget,
+    `GRID_BUDGET` when None, raises BudgetExceeded before the next
+    round's count is computed.
+    """
+    budget = GRID_BUDGET if budget is None else budget
+    count = 1
+    for _ in range(max_rank):
+        if max_domain is None or max_domain >= count:
+            count = (1 + algebra_size) ** count  # the binomial theorem
+        else:
+            count = sum(math.comb(count, s) * algebra_size**s
+                        for s in range(max_domain + 1))
+        if count > budget:
+            raise BudgetExceeded(
+                f"enumeration round would generate {count} mappings, "
+                f"over the budget of {budget}",
+                predicted=count, budget=budget)
+    return count
+
+
 def enumerate_names(store, max_rank, max_domain=None, budget=None):
     """All names of rank <= max_rank with every domain capped at max_domain.
 
     Returns ids sorted ascending (equal to interning order for a fresh
-    store).  Each round's count of generated mappings is predicted before
-    it runs; above the budget, `GRID_BUDGET` when None, BudgetExceeded is
-    raised.
+    store).  Every round's count is predicted by `pool_size` before the
+    first round runs, so a round over the budget raises BudgetExceeded
+    before any name is interned.
     """
-    budget = GRID_BUDGET if budget is None else budget
     nh = store.algebra.n
+    pool_size(nh, max_rank, max_domain, budget)
     pool = [store.empty]
     for _ in range(max_rank):
         pool_sorted = sorted(pool)
         cap = len(pool_sorted) if max_domain is None else min(max_domain, len(pool_sorted))
-        predicted = sum(math.comb(len(pool_sorted), s) * nh**s for s in range(cap + 1))
-        if predicted > budget:
-            raise BudgetExceeded(
-                f"enumeration round would generate {predicted} mappings, "
-                f"over the budget of {budget}",
-                predicted=predicted, budget=budget)
         nxt = []
         seen = set()
         for size in range(cap + 1):

@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     TopNotPreserved,
 )
-from .formula import Const, check_height, free_vars, is_positive_bounded
+from .formula import Const, free_vars, is_positive_bounded
 from .hset import HSet, HSetMorphism, compose_tables, from_name, name_table
 from .lattice import split_arrow_header, text_lines
 from .names import _fold_dag, pad_equivalent
@@ -345,8 +345,7 @@ def check_positive_bounded_preservation(f, phi, pairs, ctx_a, ctx_b, title=None)
     `eval_grid`; checks and violations run in row-major order of the
     grid.  Parameters must come through the pairs: constants are
     rejected.  A formula higher than `MAX_NESTING` raises
-    `BudgetExceeded` first."""
-    check_height(phi)
+    `BudgetExceeded` first, from `is_positive_bounded`."""
     if not is_positive_bounded(phi):
         raise NotPositiveBounded(
             "formula uses negation, implication or an unbounded quantifier"

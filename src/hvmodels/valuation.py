@@ -289,6 +289,16 @@ def child_arrays(store, nodes, pos, dtype):
     return K, V, sizes
 
 
+def check_kernel_size(n):
+    """Raise `BudgetExceeded` when the equality kernel over n names, n^2
+    cells, is over `GRID_BUDGET`."""
+    if n * n > GRID_BUDGET:
+        raise BudgetExceeded(
+            f"the equality kernel over {n} names needs {n * n} cells, "
+            f"over the {GRID_BUDGET}-cell budget",
+            predicted=n * n, budget=GRID_BUDGET)
+
+
 def _build_kernel(store, ids):
     r"""[u = v] over the downward closure of `ids`, as one array.
 
@@ -315,11 +325,7 @@ def _build_kernel(store, ids):
     A = store.algebra
     nodes = _closure(store, ids)
     n = len(nodes)
-    if n * n > GRID_BUDGET:
-        raise BudgetExceeded(
-            f"the equality kernel over {n} names needs {n * n} cells, "
-            f"over the {GRID_BUDGET}-cell budget",
-            predicted=n * n, budget=GRID_BUDGET)
+    check_kernel_size(n)
     dtype = _element_dtype(A)
     mt, jt, it = (t.astype(dtype) for t in (A.meet_table, A.join_table, A.impl_table))
     pos = {u: p for p, u in enumerate(nodes)}

@@ -244,6 +244,32 @@ def test_rank3_counterexample_stops_at_the_enumeration_budget():
     assert f"{3 ** 27} mappings" in lines[0] and str(GRID_BUDGET) in lines[0]
 
 
+def test_rank3_preservation_is_refused_before_enumerating():
+    # the source pool over four has 261,365 names at rank 3; its kernel
+    # is predicted from the closed form, so no name is built first
+    proc = subprocess.run(
+        [sys.executable, "-m", "hvmodels", "check", "preservation", "--rank", "3"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: BudgetExceeded:")
+    assert "kernel over 261365 names" in lines[0] and str(GRID_BUDGET) in lines[0]
+
+
+@pytest.mark.parametrize("suite,names", [
+    (lambda: checks.valuation_property_suite(make_chain(3), rank=3), 20101),
+    (lambda: checks.preservation_suite(rank=3), 261365),
+], ids=["properties", "preservation"])
+def test_kernel_suites_refuse_before_enumerating(suite, names, monkeypatch):
+    def enumerate_names(*args, **kw):
+        raise AssertionError("enumerated")
+    monkeypatch.setattr(checks, "enumerate_names", enumerate_names)
+    with pytest.raises(BudgetExceeded) as err:
+        suite()
+    assert (err.value.predicted, err.value.budget) == (names * names, GRID_BUDGET)
+
+
 @pytest.mark.parametrize("command", sorted(json.loads(GOLDEN.read_text())))
 def test_json_reports_match_golden(command, tmp_path, capsys, fixtures_dir):
     golden = json.loads(GOLDEN.read_text())[command]

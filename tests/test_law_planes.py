@@ -9,6 +9,11 @@ laws on join-irreducible bitplanes and by folds over child slots.  Both
 run on intact [x = y] / [x in y] matrices and on seeded corruptions of
 them, and must agree on every family's name, check count and violation
 list, order included.
+
+On each plane the families are decided on the classes of E_p, and the
+0/1 matrix products run only where E_p is not an equivalence or a
+family fails.  Hypothesis planes compare the two paths mask for mask,
+and counted calls pin which path runs.
 """
 
 import random
@@ -16,6 +21,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hvmodels import checks
 from hvmodels.checks import (
@@ -242,15 +248,109 @@ def test_bigger_sweep_boolean4_domain_cap_3():
     assert elapsed < 60.0
 
 
+def _count_products(monkeypatch):
+    """Wrap the plane products of families 5, 6, 7 and 9 so that the
+    returned dict counts their calls."""
+    calls = {}
+    for fname in ("_failing_middles", "_unequal_columns"):
+        def counted(*args, _fname=fname, _fn=getattr(checks, fname)):
+            calls[_fname] = calls.get(_fname, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(checks, fname, counted)
+    return calls
+
+
 @pytest.mark.parametrize("algebra,cap,names", [
     (make_chain(5), 3, 2906),
     (make_boolean(3), 2, 2377),
 ], ids=["chain5-cap3", "boolean8-cap2"])
-def test_big_sweeps_within_the_bound(algebra, cap, names):
-    # both pools build their kernel under the real GRID_BUDGET
+def test_big_sweeps_within_the_bound(algebra, cap, names, monkeypatch):
+    # both pools build their kernel under the real GRID_BUDGET; every
+    # plane of an intact pool is decided on its classes, with no product
+    calls = _count_products(monkeypatch)
     started = time.perf_counter()
     rep = valuation_property_suite(algebra, rank=2, max_domain=cap)
     elapsed = time.perf_counter() - started
     assert rep.config["pool"] == names
     assert len(rep.families) == 11 and rep.ok, rep.render_text()
+    assert calls == {}
     assert elapsed < 60.0
+
+
+@pytest.mark.parametrize("algebra,cap,seeds", CASES, ids=[c[0].name for c in CASES])
+def test_products_run_only_on_failing_planes(algebra, cap, seeds, monkeypatch):
+    # intact matrices are decided on the classes alone; some corruption
+    # of each case takes the product path, so both paths stay covered
+    store, pool, EQ0, MEM0 = _matrices(algebra, cap)
+    monkeypatch.setattr(checks, "EVAL_SAMPLES", 1)
+    calls = _count_products(monkeypatch)
+    called = []
+    for seed in seeds:
+        calls.clear()
+        valuation_law_families(CheckReport("planes"), EvalContext(store, fragment=pool),
+                               *_corrupt(algebra, EQ0, MEM0, seed))
+        called.append(bool(calls))
+    assert called[0] is False
+    assert any(called[1:])
+
+
+def _products(E, M):
+    """Families 5, 6, 7 and 9 on one plane by the products alone."""
+    return (checks._failing_middles(E, E, E), checks._failing_middles(E, M, M),
+            checks._failing_middles(M, E, M),
+            np.array([checks._unequal_columns(E, F) for F in (M, M.T, E)]))
+
+
+@st.composite
+def _plane_pairs(draw):
+    """E from a random partition of n points and M constant on its
+    classes, or any M; then a few cells of either flipped, and E's flips
+    mirrored for some draws, so E can lose reflexivity, symmetry or
+    transitivity."""
+    n = draw(st.integers(1, 12))
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    E = labels[:, None] == labels[None, :]
+    def bits(k):
+        return np.array(draw(st.lists(st.booleans(), min_size=k * k,
+                                      max_size=k * k))).reshape(k, k)
+    M = bits(n) if draw(st.booleans()) else bits(4)[labels][:, labels]
+    mirror = draw(st.booleans())
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(cell, max_size=3)):
+        E[i, j] = not E[i, j]
+        if mirror:
+            E[j, i] = E[i, j]
+    for i, j in draw(st.lists(cell, max_size=3)):
+        M[i, j] = not M[i, j]
+    return E, M
+
+
+@settings(max_examples=400, deadline=None)
+@given(_plane_pairs())
+def test_class_decision_matches_the_products(planes):
+    E, M = planes
+    got, want = checks._plane_failures(E, M), _products(E, M)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+@st.composite
+def _mem_matrices(draw):
+    """An algebra and a MEM matrix whose rows come from a small palette,
+    so the planes have repeated rows."""
+    algebra = draw(st.sampled_from([make_chain(3), make_boolean(2), make_boolean(3)]))
+    n = draw(st.integers(1, 10))
+    element = st.integers(0, algebra.n - 1)
+    palette = draw(st.lists(st.lists(element, min_size=n, max_size=n),
+                            min_size=1, max_size=4))
+    rows = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    return algebra, np.array(rows, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mem_matrices())
+def test_fragment_forms_match_the_per_name_reference(case):
+    algebra, MEM = case
+    for got, want in zip(fragment_forms(algebra, MEM),
+                         reference_fragment_forms(algebra, MEM)):
+        assert np.array_equal(got, want)

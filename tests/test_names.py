@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import islice
+from itertools import islice, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +24,7 @@ from hvmodels.names import (
     ordinal_tags,
     pad_equivalent,
     parse_name_literal,
+    pool_size,
     rank,
     singleton_h,
     unordered_pair_h,
@@ -97,12 +98,23 @@ def test_enumeration_is_downward_closed_and_sorted(store3):
             assert u in members
 
 
+def test_pool_size_is_the_closed_form():
+    # the oracle sums every term, so uncapped rank 3 stays at small algebras
+    for h, r, cap in iproduct((1, 2, 3, 4, 5, 8), (0, 1, 2, 3), (None, 1, 2, 3)):
+        if not (cap is None and r == 3 and h > 4):
+            assert pool_size(h, r, cap, budget=float("inf")) == pool_count(h, r, cap), \
+                (h, r, cap)
+
+
 def test_enumeration_budget():
+    # round 2 (3125 names) is within the budget and round 3 is not; both
+    # are predicted first, so not even round 1 is interned
     store = NameStore(make_boolean(2))
     with pytest.raises(BudgetExceeded) as err:
         enumerate_names(store, max_rank=3, max_domain=None, budget=10_000)
-    assert err.value.predicted is not None
+    assert err.value.predicted == 5 ** 3125
     assert err.value.predicted > 10_000
+    assert len(store) == 1
 
 
 def test_hat_embed_and_project_roundtrip(store2):

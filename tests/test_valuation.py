@@ -452,6 +452,22 @@ def test_built_formulas_above_the_nesting_cap_are_a_budget_error(store3):
         ctx.eval(_tower(Not, MAX_NESTING + 1), sigma)
 
 
+def test_formula_helpers_refuse_towers_above_the_nesting_cap():
+    # each helper recurses once per level below its height check
+    at_cap = _tower(Not, MAX_NESTING)
+    assert free_vars(at_cap) == {"x"}
+    assert not is_positive_bounded(at_cap)
+    assert to_text(at_cap) == "~" * MAX_NESTING + "x = x"
+    positive = _tower(lambda phi: And(phi, Eq(Var("x"), Var("x"))), MAX_NESTING)
+    assert is_positive_bounded(positive)
+    for deep in (_tower(Not, 5000),
+                 _tower(lambda phi: And(phi, Eq(Var("x"), Var("x"))), 5000)):
+        for helper in (free_vars, is_positive_bounded, to_text):
+            with pytest.raises(BudgetExceeded) as err:
+                helper(deep)
+            assert (err.value.predicted, err.value.budget) == (5000, MAX_NESTING)
+
+
 # -- soundness of the intuitionistic propositional laws -------------------------
 
 # each schema maps formula slots to a compound that must carry value top
