@@ -12,7 +12,6 @@ from hvmodels import (
     enumerate_names,
     make_chain,
     parse_formula,
-    rank,
 )
 
 chain3 = make_chain(3)
@@ -20,8 +19,8 @@ store = NameStore(chain3)
 
 e = store.intern({})                 # the empty name
 u = store.intern({e: chain3.index("m")})   # contains {} to degree m
-print("e:", store.to_literal(e), " rank", rank(store, e))
-print("u:", store.to_literal(u), " rank", rank(store, u))
+print("e:", store.to_literal(e), " rank", store.rank(e))
+print("u:", store.to_literal(u), " rank", store.rank(u))
 
 ctx = EvalContext(store)
 print("[e in u] =", chain3.labels[ctx.atomic_mem(e, u)])

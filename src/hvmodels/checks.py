@@ -33,6 +33,8 @@ from .valuation import (
     GRID_BUDGET,
     EvalContext,
     _element_dtype,
+    _row_blocks,
+    _slot_fold,
     check_kernel_size,
     child_arrays,
     eq_matrix,
@@ -246,26 +248,6 @@ def fragment_forms(algebra, MEM):
     return fex, ffa
 
 
-FOLD_CELLS = 1 << 20
-"""Cells of the widest temporary of a fold over child slots."""
-
-
-def _row_blocks(n, cols):
-    step = max(1, FOLD_CELLS // max(1, cols))
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
-
-
-def _slot_fold(fold, op, unit, K, V, M):
-    """Row x is fold_s op(V[x, s], M[K[x, s], :]) over the child slots s
-    of x from `unit`, in blocks of rows; the padding value bottom must
-    give op(bottom, a) = unit."""
-    out = np.full((len(K), M.shape[1]), unit, dtype=fold.dtype)
-    for rows in _row_blocks(len(K), M.shape[1]):
-        for s in range(K.shape[1]):
-            out[rows] = fold[out[rows], op[V[rows, s, None], M[K[rows, s]]]]
-    return out
-
-
 def valuation_law_families(rep, ctx, EQ, MEM):
     """Add the eleven law families over the pool `ctx.fragment`, given
     its [x = y] and [x in y] matrices, to the report `rep` and return it.
@@ -286,7 +268,9 @@ def valuation_law_families(rep, ctx, EQ, MEM):
     middles.
 
     Families 2, 4 and 8 and the bounded forms of 10 and 11 are folds
-    over the child slots of the pool's `child_arrays`.
+    over the child slots of the pool's `child_arrays`: families 4, 10
+    and 11 by `valuation._slot_fold`, the fold the kernel builds EQ and
+    MEM with, and family 8 in its row blocks.
 
     Families 10 and 11 also compare `EVAL_SAMPLES` x `EVAL_SAMPLES`
     samples: the bounded form through `ctx.eval`, and the unbounded form

@@ -19,6 +19,7 @@ G*nt^2 per source point (G*ns*nt for source congruence);
 `validate_morphism` is that helper on a stack of one.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from itertools import islice, product as iproduct
@@ -307,10 +308,12 @@ def product(hsets, algebra=None):
     for X in hsets:
         if X.algebra is not algebra:
             raise CrossAlgebra("product factors live over different algebras")
+    n = math.prod(len(X) for X in hsets)
+    if n > PRODUCT_CAP:
+        raise BudgetExceeded(
+            f"product carrier of {n} points exceeds the {PRODUCT_CAP}-point cap",
+            predicted=n, budget=PRODUCT_CAP)
     pts = list(iproduct(*(X.points for X in hsets)))
-    if len(pts) > PRODUCT_CAP:
-        raise BudgetExceeded(f"product carrier of {len(pts)} points exceeds the cap")
-    n = len(pts)
     mt = algebra.meet_table
     delta = np.full((n, n), algebra.top, dtype=np.int64)
     for k, X in enumerate(hsets):

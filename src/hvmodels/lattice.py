@@ -161,9 +161,6 @@ class HeytingAlgebra:
             raise CrossAlgebra(f"element index {a!r} not valid for this algebra")
         return int(a)
 
-    def le(self, a, b):
-        return bool(self.leq[a, b])
-
     def meet(self, a, b):
         return int(self.meet_table[a, b])
 
@@ -190,9 +187,6 @@ class HeytingAlgebra:
 
     def index(self, label):
         return self._index[label]
-
-    def label(self, a):
-        return self.labels[a]
 
     def __repr__(self):
         tag = self.name or f"{self.n} elements"

@@ -105,10 +105,6 @@ def _fold_dag(root, children, build, done=None):
     return done[root]
 
 
-def rank(store, nid):
-    return store.rank(nid)
-
-
 def pool_size(algebra_size, max_rank, max_domain=None, budget=None):
     """The exact number of names of rank <= max_rank with every domain
     capped at max_domain, over an algebra of `algebra_size` elements,

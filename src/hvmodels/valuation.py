@@ -1,33 +1,34 @@
 """Recursive H-valuation of atomic and compound formulas.
 
-Atomic values are defined by simultaneous recursion on names:
+Equality is mutual inclusion; membership and inclusion are folds over
+the entries of one name:
 
     [x in y]  =  \\/_{v in dom y} y(v) /\\ [x = v]
-    [x ni y]  =  \\/_{u in dom x} x(u) /\\ [u = y]
-    [x = y]   =  /\\_{v in dom y} (y(v) -> [x ni v])
-              /\\ /\\_{u in dom x} (x(u) -> [u in y])
+    [x sub y] =  /\\_{u in dom x} x(u) -> [u in y]
+    [x = y]   =  [x sub y] /\\ [y sub x]
 
-The recursion is well-founded because every sub-pair strictly drops in
-rank on both coordinates; it is realized with an explicit stack and a
-memo table so deep names cannot overflow the interpreter stack.
-Equality is memoized under a symmetric key: the defining expression is
-literally symmetric in its arguments, and the symmetry is additionally
-guarded against a non-memoized reference implementation in the tests.
+and [x ni y] = [y in x].  The recursion is well-founded because every
+sub-pair strictly drops in rank on both coordinates.  The one-off path
+(`atomic_eq`, `atomic_mem`, `eval`) realizes it with an explicit stack
+and a memo table, so deep names cannot overflow the interpreter stack.
+Equality is memoized under a symmetric key: the definition is
+symmetric in its arguments, and the symmetry is additionally guarded
+against a non-memoized reference implementation in the tests.
 
 `eval_grid` is the one bulk path: it evaluates a whole formula for
 every assignment of a grid of columns, each subformula as an array over
-its free variables.  Atoms are gathers from an array kernel: the
-downward closure of the names involved is laid out by rank in the one
+its free variables.  Atoms are gathers from an array kernel over the
+downward closure of the names involved, laid out by rank in the one
 padded child layout, `child_arrays` (shared with `transfer` and
-`checks`), the equality matrix is filled one rank level at a time with
-table lookups over whole blocks (every sub-pair lies at a lower level),
-and membership is one gather per child slot.  Connectives are table lookups and bounded quantifiers are
-reductions over child slots.  `eq_matrix` and `mem_matrix` are
-`eval_grid` on a single atom.  The context keeps its last kernel and
-reuses it while the requested names lie in its closure; no cell of a
-bulk result goes into the memo, which only the one-off path fills.
-`EvalContext.eval` stays the path for one assignment, where compiling a
-grid would cost more than it saves.
+`checks`), and membership, inclusion and equality are filled one rank
+level at a time, each by the one fold over child slots, `_slot_fold`.
+Connectives are table lookups and bounded quantifiers are reductions
+over child slots.  `eq_matrix` and `mem_matrix` are `eval_grid` on a
+single atom.  The context keeps its last kernel and reuses it while
+the requested names lie in its closure; no cell of a bulk result goes
+into the memo, which only the one-off path fills.  `EvalContext.eval`
+stays the path for one assignment, where compiling a grid would cost
+more than it saves.
 """
 
 from itertools import product as iproduct
@@ -54,7 +55,7 @@ from .formula import (
 
 class EvalContext:
     """Valuation context: one name store, one memo table, one fragment,
-    and one equality kernel.
+    and one kernel of [x = y] and [x in y].
 
     `fragment` is the finite list of names that unbounded quantifiers
     range over; it approximates the proper-class quantifier of the
@@ -62,9 +63,12 @@ class EvalContext:
     above), and is exact for formulas whose quantifiers are bounded.
 
     The memo is filled by the one-off path (`atomic_eq`, `atomic_mem`
-    and `eval`).  The kernel is the one `eval_grid` last built, and
-    with it `eq_matrix` and `mem_matrix`; it is reused while the names a
-    grid asks for lie in its closure, and replaced otherwise.
+    and `eval`), which recurses on equality as mutual inclusion one
+    pair at a time.  The kernel is the one `eval_grid` last built, and
+    with it `eq_matrix` and `mem_matrix`: the same definition, decided
+    a rank level at a time over whole arrays (see `_build_kernel`).  It
+    is reused while the names a grid asks for lie in its closure, and
+    replaced otherwise.
     """
 
     def __init__(self, store, fragment=()):
@@ -299,25 +303,49 @@ def check_kernel_size(n):
             predicted=n * n, budget=GRID_BUDGET)
 
 
+FOLD_CELLS = 1 << 20
+"""Cells of the widest temporary of a fold over child slots."""
+
+
+def _row_blocks(n, cols):
+    step = max(1, FOLD_CELLS // max(1, cols))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _slot_fold(fold, op, unit, K, V, M):
+    """Row x is fold_s op(V[x, s], M[K[x, s], :]) over the child slots s
+    of x from `unit`, in blocks of rows; the padding value bottom must
+    give op(bottom, a) = unit."""
+    out = np.full((len(K), M.shape[1]), unit, dtype=fold.dtype)
+    for rows in _row_blocks(len(K), M.shape[1]):
+        for s in range(K.shape[1]):
+            out[rows] = fold[out[rows], op[V[rows, s, None], M[K[rows, s]]]]
+    return out
+
+
 def _build_kernel(store, ids):
-    r"""[u = v] over the downward closure of `ids`, as one array.
+    r"""[u = v] and [u in v] over the downward closure of `ids`.
 
-    Returns (pos, EQ, K, V).  The names of the closure have positions
-    ordered by rank, and `pos` maps each name to its position; EQ is
-    indexed by position and holds elements in the smallest dtype.  K and
-    V are the closure's `child_arrays`, whose padding value bottom is
-    neutral in both formulas (bottom /\ a = bottom joins to nothing,
-    bottom -> a = top meets to nothing).
+    Returns (pos, EQ, MEM).  The names of the closure have positions
+    ordered by rank, and `pos` maps each name to its position; EQ and
+    MEM are indexed by position, MEM[u, v] = [u in v], and hold elements
+    in the smallest dtype.  Both come from the closure's `child_arrays`
+    K and V by `_slot_fold`, whose padding value bottom is neutral in
+    both folds (bottom /\ a = bottom joins to nothing, bottom -> a = top
+    meets to nothing).
 
-    A pair's level is max(rank x, rank y), and every sub-pair the
-    recursion reads lies at a strictly lower level.  The positions of
-    rank <= r are a prefix, so level r fills the square block over that
-    prefix from entries of the block below it, which are final.  For the
-    y side the block is
+    Equality is mutual inclusion.  The positions of rank <= r are a
+    prefix [:end], those of rank < r the prefix [:lo], and every child
+    of a name of rank <= r lies in [:lo].  Level r reads EQ only on
+    [:lo, :lo], pairs of names of rank < r, which the levels below have
+    made final (the first level is the empty name alone, [{} = {}] = top):
 
-        P[x, y] = /\_b (V[y, b] -> \/_a V[x, a] /\ EQ[K[x, a], K[y, b]])
+        MEMt[y, u] = \/_b V[y, b] /\ EQ[K[y, b], u]     (u < lo)
+        SUB[x, y]  = /\_a V[x, a] -> MEMt[y, K[x, a]]   = [x sub y]
+        EQ[:end, :end] = SUB /\ SUB^T
 
-    and the x side is its transpose, so EQ = P /\ P^T.
+    MEMt is [u in y] for u below the level, so it is final too.  Once
+    the last level is filled, one more fold over the whole EQ gives MEM.
 
     The n^2 cells of EQ are predicted from the closure before any array
     is allocated; above `GRID_BUDGET` `BudgetExceeded` is raised.
@@ -330,21 +358,16 @@ def _build_kernel(store, ids):
     mt, jt, it = (t.astype(dtype) for t in (A.meet_table, A.join_table, A.impl_table))
     pos = {u: p for p, u in enumerate(nodes)}
     K, V, _ = child_arrays(store, nodes, pos, dtype)
-    width = K.shape[1]
     rank = [store.rank(u) for u in nodes]
     ends = [p + 1 for p in range(n) if p + 1 == n or rank[p + 1] != rank[p]]
     EQ = np.full((n, n), A.top, dtype=dtype)
-    for end in ends:
+    for lo, end in zip(ends, ends[1:]):
         k, v = K[:end], V[:end]
-        P = np.full((end, end), A.top, dtype=dtype)
-        for b in range(width):
-            ni = np.full((end, end), A.bottom, dtype=dtype)
-            for a in range(width):
-                sub = EQ[k[:, a][:, None], k[:, b][None, :]]
-                ni = jt[ni, mt[v[:, a][:, None], sub]]
-            P = mt[P, it[v[:, b][None, :], ni]]
-        EQ[:end, :end] = mt[P, P.T]
-    return pos, EQ, K, V
+        MEMt = _slot_fold(jt, mt, A.bottom, k, v, EQ[:lo, :lo])
+        SUB = _slot_fold(mt, it, A.top, k, v, MEMt.T)
+        EQ[:end, :end] = mt[SUB, SUB.T]
+    MEM = _slot_fold(jt, mt, A.bottom, K, V, EQ).T
+    return pos, EQ, MEM
 
 
 def eval_grid(ctx, phi, columns):
@@ -524,15 +547,16 @@ class _Grid:
     # -- evaluation ---------------------------------------------------------
 
     def prepare(self):
-        """The atoms of every domain from the context's kernel, and the
-        tables in the smallest element dtype, which is the kernel's."""
+        """The positions of every domain in the context's kernel, whose
+        EQ and MEM every atom gathers from, and the tables in the
+        smallest element dtype, which is the kernel's."""
         A = self.algebra
         dtype = _element_dtype(A)
         self.mt = A.meet_table.astype(dtype)
         self.jt = A.join_table.astype(dtype)
         self.it = A.impl_table.astype(dtype)
         names = {u for dom in self.domains for u in dom}
-        at, self.EQ, self.K, self.V = _eq_kernel(self.ctx, names)
+        at, self.EQ, self.MEM = _eq_kernel(self.ctx, names)
         self.pos = [np.array([at[u] for u in dom], dtype=np.intp) for dom in self.domains]
 
     def run(self, block):
@@ -577,21 +601,11 @@ class _Grid:
     def _eval(self, node):
         kind, free = node[0], node[1]
         mt, jt, it = self.mt, self.jt, self.it
-        if kind is Eq:
+        if kind in (Eq, Member):
             l, r = node[2:]
             pl, pr = self._rows(l, self.pos[l]), self._rows(r, self.pos[r])
-            return self.EQ[self._at(pl, l, free), self._at(pr, r, free)]
-        if kind is Member:
-            # [l in r] = \/_b V[r, b] /\ [l = K[r, b]]
-            l, r = node[2:]
-            pl, pr = self._rows(l, self.pos[l]), self._rows(r, self.pos[r])
-            il = self._at(pl, l, free)
-            out = self._full(free, self.algebra.bottom)
-            for b in range(self.K.shape[1]):
-                kids = self._at(self.K[pr, b], r, free)
-                vals = self._at(self.V[pr, b], r, free)
-                out = jt[out, mt[vals, self.EQ[il, kids]]]
-            return out
+            table = self.EQ if kind is Eq else self.MEM
+            return table[self._at(pl, l, free), self._at(pr, r, free)]
         if kind is Not:
             return it[self._eval(node[2]), self.algebra.bottom]
         if kind in (And, Or, Implies):

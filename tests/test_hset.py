@@ -8,13 +8,14 @@ on small carriers.
 import itertools
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hvmodels import checks, cli
+from hvmodels import checks, cli, hset
 from hvmodels.errors import (
     BudgetExceeded,
     CrossAlgebra,
@@ -309,6 +310,34 @@ def test_product_rejects_mixed_algebras_and_caps(chain3, four):
     big = HSet(chain3, list(range(17)), np.full((17, 17), 2, dtype=np.int64))
     with pytest.raises(BudgetExceeded):
         product([big, big, big])
+
+
+def test_product_refuses_before_it_enumerates(four, monkeypatch):
+    X = HSet(four, list("abcd"), np.full((4, 4), four.top, dtype=np.int64))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as err:
+            product([X] * 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.predicted, err.value.budget) == (4 ** 12, 4096)
+    assert peak < 1 << 20  # the 4**12 points were never listed
+    # up to the cap the product is built as before
+    monkeypatch.setattr(hset, "PRODUCT_CAP", 16)
+    Y = HSet(four, ["a", "b"], [[3, 1], [1, 3]])
+    P, projs = product([X, Y, Y])
+    assert P.points == list(itertools.product(X.points, Y.points, Y.points))
+    meet = four.meet_table
+    for (i, p), (j, q) in itertools.product(enumerate(P.points), repeat=2):
+        want = meet[meet[X.delta[X.index[p[0]], X.index[q[0]]],
+                         Y.delta[Y.index[p[1]], Y.index[q[1]]]],
+                    Y.delta[Y.index[p[2]], Y.index[q[2]]]]
+        assert P.delta[i, j] == want
+    assert all(validate_morphism(m) for m in projs)
+    with pytest.raises(BudgetExceeded) as err:
+        product([X, X, Y])
+    assert (err.value.predicted, err.value.budget) == (32, 16)
 
 
 def test_empty_product_with_algebra_is_terminal(chain3):

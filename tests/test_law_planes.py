@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hvmodels import checks
+from hvmodels import checks, valuation
 from hvmodels.checks import (
     CheckReport,
     fragment_forms,
@@ -235,7 +235,7 @@ def test_slot_folds_agree_in_blocks_of_one_row(monkeypatch):
 
     whole = families()
     assert any(v for name, _, v in whole if name.startswith(("2 ", "4 ", "8 ", "10 ")))
-    monkeypatch.setattr(checks, "FOLD_CELLS", 1)
+    monkeypatch.setattr(valuation, "FOLD_CELLS", 1)
     assert families() == whole
 
 

@@ -25,7 +25,6 @@ from hvmodels.names import (
     pad_equivalent,
     parse_name_literal,
     pool_size,
-    rank,
     singleton_h,
     unordered_pair_h,
 )
@@ -65,11 +64,11 @@ def test_intern_validates_keys_and_values(store3):
 
 def test_rank_convention(store3):
     e = store3.intern({})
-    assert rank(store3, e) == 0
+    assert store3.rank(e) == 0
     u = store3.intern({e: 0})
-    assert rank(store3, u) == 1
+    assert store3.rank(u) == 1
     v = store3.intern({u: 1, e: 1})
-    assert rank(store3, v) == 2
+    assert store3.rank(v) == 2
 
 
 @pytest.mark.parametrize("alg_size,max_rank,cap,expect", [
@@ -86,7 +85,7 @@ def test_enumeration_counts_match_closed_form(alg_size, max_rank, cap, expect):
     assert len(pool) == expect
     assert pool_count(alg_size, max_rank, cap) == expect
     assert len(set(pool)) == len(pool)
-    assert all(rank(store, x) <= max_rank for x in pool)
+    assert all(store.rank(x) <= max_rank for x in pool)
 
 
 def test_enumeration_is_downward_closed_and_sorted(store3):

@@ -147,7 +147,8 @@ def test_kernel_on_lift_images_that_are_not_downward_closed():
     _assert_matrices_match_oracle(sb, [], images[:3])
 
 
-ALGEBRAS = (make_chain(3), make_boolean(2), make_chain(5))
+# every built-in algebra (chain2, chain3, four) and chain5
+ALGEBRAS = (make_chain(2), make_chain(3), make_boolean(2), make_chain(5))
 
 
 @st.composite
@@ -171,6 +172,72 @@ def _names(draw):
 @given(_names())
 def test_kernel_matches_oracle_on_generated_names(case):
     _assert_matrices_match_oracle(*case)
+
+
+# -- the kernel itself: mutual inclusion by child-slot folds ---------------------
+
+
+def _assert_kernel_matches_oracle(store, ids):
+    """`_build_kernel(store, ids)` lays out exactly the downward closure
+    of `ids`, and its EQ and MEM equal the naive recursion on every pair
+    of it; with folds in blocks of one row it builds the same arrays."""
+    pos, EQ, MEM = valuation._build_kernel(store, ids)
+    closure, stack = set(), list(ids)
+    while stack:
+        u = stack.pop()
+        if u not in closure:
+            closure.add(u)
+            stack.extend(k for k, _ in store.entries(u))
+    assert set(pos) == closure and sorted(pos.values()) == list(range(len(closure)))
+    assert EQ.shape == MEM.shape == (len(closure), len(closure))
+    for u, v in itertools.product(closure, repeat=2):
+        assert EQ[pos[u], pos[v]] == ref_eq(store, u, v)
+        assert MEM[pos[u], pos[v]] == ref_mem(store, u, v)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(valuation, "FOLD_CELLS", 1)
+        pos1, EQ1, MEM1 = valuation._build_kernel(store, ids)
+    assert pos1 == pos and np.array_equal(EQ1, EQ) and np.array_equal(MEM1, MEM)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_names())
+def test_kernel_arrays_match_oracle_on_generated_stores(case):
+    store, rows, cols = case
+    _assert_kernel_matches_oracle(store, rows + cols)
+
+
+def test_kernel_arrays_pad_mixed_domain_widths(store3):
+    # widths 0 to 4, mixed within the levels of rank 2 and 3, so most
+    # rows of the child layout end in padding
+    e = store3.empty
+    a = store3.intern({e: 1})
+    b = store3.intern({e: 2, a: 1})
+    c = store3.intern({a: 2})
+    d = store3.intern({e: 0, a: 2, b: 1, c: 2})
+    x = store3.intern({d: 1, a: 2})
+    y = store3.intern({b: 2, c: 1, d: 2, e: 1})
+    _assert_kernel_matches_oracle(store3, [x, y, c])
+
+
+def test_kernel_arrays_on_lift_images_with_equivalence_pads():
+    f = standard_morphisms()["f"]
+    sa, sb = NameStore(f.source), NameStore(f.target)
+    pool = enumerate_names(sa, max_rank=2, max_domain=2)
+    images = {lift(f, x, sa, sb).image for x in pool[::11]}
+    images.add(lift(f, counterexample_names(sa), sa, sb).image)
+    w = sb.intern({sb.empty: f.target.bottom})
+    assert pad_equivalent(sb, w, 1) in {k for u in images for k, _ in sb.entries(u)}
+    _assert_kernel_matches_oracle(sb, sorted(images))
+
+
+def test_kernel_arrays_of_the_empty_name_and_of_no_name(store3):
+    A = store3.algebra
+    pos, EQ, MEM = valuation._build_kernel(store3, [store3.empty])
+    assert pos == {store3.empty: 0}
+    assert EQ.tolist() == [[A.top]] and MEM.tolist() == [[A.bottom]]
+    _assert_kernel_matches_oracle(store3, [store3.empty])
+    pos, EQ, MEM = valuation._build_kernel(store3, [])
+    assert pos == {} and EQ.shape == MEM.shape == (0, 0)
 
 
 @settings(max_examples=80, deadline=None)
