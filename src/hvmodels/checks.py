@@ -25,6 +25,7 @@ from .names import (
     NameStore,
     check_project,
     enumerate_names,
+    function_predicate,
     hat_embed,
     pad_equivalent,
     pool_size,
@@ -39,7 +40,6 @@ from .valuation import (
     child_arrays,
     eq_matrix,
     eval_grid,
-    make_function_predicate,
     mem_matrix,
 )
 
@@ -745,8 +745,8 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2, budget=None)
             fam.record(ok, {"algebra": aname, "points": len(X)})
             h = hs.dagger_morphism(store, hs.identity(X))
             xd = hs.dagger_hset(store, X)
-            pred = make_function_predicate(h, xd, xd)
-            fam_fun.record(eval_grid(ctx, pred, {}) == algebra.top,
+            fun = eval_grid(ctx, function_predicate(), {"H": [h], "X": [xd], "Y": [xd]})
+            fam_fun.record(fun.item() == algebra.top,
                            {"algebra": aname, "points": len(X)})
 
     fam = rep.family("completion is complete and idempotent")

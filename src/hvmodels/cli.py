@@ -30,9 +30,21 @@ def _load_algebra_file(path):
     return load_algebra(p.read_text(), name=p.stem)
 
 
+def _sibling_file(near, filename):
+    """The file `filename` next to the file `near`, or None when there is
+    none or the operating system refuses the name (too long, say)."""
+    candidate = Path(near).parent / filename
+    try:
+        return candidate if candidate.is_file() else None
+    except OSError:
+        return None
+
+
 class Session:
     """Resolved context for one command: algebras by identifier plus the
-    cap/seed configuration every sweep must respect."""
+    cap/seed configuration every sweep must respect.  Only `check`
+    declares the sweep options; every other command reports their
+    defaults."""
 
     def __init__(self, args):
         self.algebras = {}
@@ -58,7 +70,7 @@ class Session:
             if name in BUILTIN_ALGEBRAS:
                 self.algebras[name] = BUILTIN_ALGEBRAS[name]()
                 self.algebras[name].name = name
-            elif near is not None and (candidate := Path(near).parent / f"{name}.alg").exists():
+            elif near is not None and (candidate := _sibling_file(near, f"{name}.alg")):
                 self.algebras[name] = _load_algebra_file(candidate)
             else:
                 raise KeyError(name)
@@ -354,14 +366,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--rank", type=int, default=2,
-                       help="name rank ceiling for sweeps (default 2)")
-        p.add_argument("--max-domain", type=int, default=2,
-                       help="domain-size cap for enumerated names (default 2)")
-        p.add_argument("--budget", type=int, default=None,
-                       help="hard ceiling on enumeration/search work")
-        p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED,
-                       help="seed for sampled corpora (default %(default)s)")
         p.add_argument("--algebra", action="append", metavar="NAME[=PATH]",
                        help="select a builtin algebra or register a file")
         p.add_argument("--json", metavar="PATH",
@@ -393,6 +397,14 @@ def build_parser():
                  "functoriality", "hset-laws"),
     )
     common(p)
+    p.add_argument("--rank", type=int, default=2,
+                   help="name rank ceiling for sweeps (default 2)")
+    p.add_argument("--max-domain", type=int, default=2,
+                   help="domain-size cap for enumerated names (default 2)")
+    p.add_argument("--budget", type=int, default=None,
+                   help="hard ceiling on enumeration/search work")
+    p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED,
+                   help="seed for sampled corpora (default %(default)s)")
     p.set_defaults(fn=cmd_check)
     return parser
 

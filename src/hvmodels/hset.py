@@ -37,7 +37,6 @@ from .errors import (
 )
 from . import names as names_mod
 from .lattice import split_arrow_header, text_lines
-from .valuation import make_function_predicate
 
 SINGLETON_BUDGET = 1 << 16
 PRODUCT_CAP = 4096
@@ -387,8 +386,9 @@ def lambda_iso(ctx, u, uprime):
 
 def lambda_f(ctx, h, x, y):
     """The H-set morphism from_name(x) -> from_name(y) induced by an
-    internal function name h; requires [fun(h: x -> y)] = top."""
-    if not ctx.models(make_function_predicate(h, x, y)):
+    internal function name h; requires [fun(h: x -> y)] = top, the
+    value of `names.function_predicate` at H = h, X = x, Y = y."""
+    if not ctx.models(names_mod.function_predicate(), {"H": h, "X": x, "Y": y}):
         raise NotAFunctionName("[fun(h)] < top")
     X, Y = from_name(ctx, x), from_name(ctx, y)
 

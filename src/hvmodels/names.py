@@ -4,9 +4,16 @@ A name is a finite mapping from previously created names to algebra
 elements.  Names are hash-consed in an append-only store: structurally
 equal mappings receive the same integer id, so the store is an acyclic
 DAG and structural recursion on entries always terminates.
+
+The internal pairing lives here whole: `ordered_pair_h` builds the
+pair (u, v) of names, and `FUNCTION_PREDICATE`, the formula
+fun(H: X -> Y), recognizes it.  The predicate is formula-language
+text, parsed on first use by `function_predicate`; callers evaluate
+that one formula with H, X and Y assigned.
 """
 
 import math
+from functools import cache
 from itertools import combinations, islice, product
 
 from .errors import (
@@ -18,6 +25,7 @@ from .errors import (
     UnknownKey,
     WrongAlgebra,
 )
+from .formula import parse_formula
 from .valuation import GRID_BUDGET
 
 
@@ -161,21 +169,35 @@ def enumerate_names(store, max_rank, max_domain=None, budget=None):
 
 
 def as_hf(obj):
-    """Normalize nested iterables into a nested-frozenset HF set, each
-    distinct frozenset subterm once."""
-    memo = {}
-
-    def norm(o):
-        if not isinstance(o, frozenset):
+    """Normalize nested iterables into a nested-frozenset HF set, without
+    recursion.  Each distinct input subterm is visited once, a frozenset
+    or any other iterable keyed by its id, so no input is hashed or
+    compared; equal results are interned to one frozenset, so equal
+    subterms of the result are the same object.  A string, a non-iterable
+    or a cycle raises ParseError."""
+    done = {}      # id of a visited input -> its normalized set
+    kids = {}      # id of an input -> its children, materialized once
+    interned = {}
+    stack = [obj]
+    while stack:
+        o = stack[-1]
+        key = id(o)
+        if key in done:
+            stack.pop()
+            continue
+        if key not in kids:
             # a one-character string iterates to itself
             if isinstance(o, (str, bytes)) or not hasattr(o, "__iter__"):
                 raise ParseError(f"not an HF set: {type(o).__name__} {o!r}")
-            return frozenset(map(norm, o))
-        if o not in memo:
-            memo[o] = frozenset(map(norm, o))
-        return memo[o]
-
-    return norm(obj)
+            kids[key] = list(o)
+            stack += [c for c in kids[key] if id(c) not in done]
+            continue
+        if not all(id(c) in done for c in kids[key]):
+            raise ParseError("not an HF set: it contains itself")
+        hf = frozenset(done[id(c)] for c in kids[key])
+        done[key] = interned.setdefault(hf, hf)
+        stack.pop()
+    return done[id(obj)]
 
 
 def ord_hf(k):
@@ -228,6 +250,33 @@ def unordered_pair_h(store, u, v):
 
 def ordered_pair_h(store, u, v):
     return unordered_pair_h(store, singleton_h(store, u), unordered_pair_h(store, u, v))
+
+
+# "{p} is the pair ({u}, {v})", as `ordered_pair_h` builds it: p has a
+# member that is the singleton of u and one that is the doubleton of u
+# and v, and every member of p is one or the other.  The bound variables
+# s, t, r and c are none of the variables filled in.
+_PAIR = (r"((exists s in {p} . {u} in s /\ (forall c in s . c = {u}))"
+         r" /\ (exists t in {p} . {u} in t /\ {v} in t /\ (forall c in t . c = {u} \/ c = {v}))"
+         r" /\ (forall r in {p} . ({u} in r /\ (forall c in r . c = {u}))"
+         r" \/ ({u} in r /\ {v} in r /\ (forall c in r . c = {u} \/ c = {v}))))")
+
+FUNCTION_PREDICATE = (
+    r"(forall p in H . exists u in X . exists v in Y . {puv})"
+    r" /\ (forall u in X . exists p in H . exists v in Y . {puv})"
+    r" /\ (forall p in H . forall q in H . forall u in X . forall v in Y . forall w in Y ."
+    r" {puv} /\ {quw} -> v = w)"
+).format(puv=_PAIR.format(p="p", u="u", v="v"), quw=_PAIR.format(p="q", u="u", v="w"))
+"""fun(H: X -> Y), the formula stating that H is a functional relation
+from X to Y: every member of H is a pair (u, v) with u in X and v in Y,
+every u in X has such a pair, and its v is unique up to equality."""
+
+
+@cache
+def function_predicate():
+    """`FUNCTION_PREDICATE` parsed, with the free variables H, X and Y;
+    parsed on the first call."""
+    return parse_formula(FUNCTION_PREDICATE, free=("H", "X", "Y"))
 
 
 # -- equivalence padding ------------------------------------------------------

@@ -90,19 +90,20 @@ def validate_locale_morphism(source, target, table, name=None):
     if table[source.top] != target.top:
         raise TopNotPreserved((source.labels[source.top],),
                               f"maps to {target.labels[table[source.top]]}")
-    fm = table[source.meet_table]            # f(a /\ b)
-    mf = target.meet_table[table[:, None], table[None, :]]
-    bad = np.argwhere(fm != mf)
-    if len(bad):
-        a, b = map(int, bad[0])
-        raise NotMeetPreserving((source.labels[a], source.labels[b]))
-    fj = table[source.join_table]
-    jf = target.join_table[table[:, None], table[None, :]]
-    bad = np.argwhere(fj != jf)
-    if len(bad):
-        a, b = map(int, bad[0])
-        raise NotJoinPreserving((source.labels[a], source.labels[b]))
+    for op, op_target, error in ((source.meet_table, target.meet_table, NotMeetPreserving),
+                                 (source.join_table, target.join_table, NotJoinPreserving)):
+        bad = np.argwhere(_mismatch(table, op, op_target))
+        if len(bad):
+            a, b = map(int, bad[0])
+            raise error((source.labels[a], source.labels[b]))
     return LocaleMorphism(source, target, table, name=name)
+
+
+def _mismatch(table, op, op_target):
+    """The mask of the pairs (a, b) with f(a op b) != f(a) op' f(b), for
+    the map f = `table` and the operation tables `op` of its source and
+    `op_target` of its target."""
+    return table[op] != op_target[table[:, None], table[None, :]]
 
 
 def identity_morphism(algebra):
@@ -122,9 +123,7 @@ def compose_locale(g, f):
 def preserves_implication(f):
     """True when f also strictly preserves the Heyting implication (and
     hence, over finite algebras, all the operations used by valuation)."""
-    fi = f.table[f.source.impl_table]
-    if_ = f.target.impl_table[f.table[:, None], f.table[None, :]]
-    return bool((fi == if_).all())
+    return not _mismatch(f.table, f.source.impl_table, f.target.impl_table).any()
 
 
 # -- the strict (first-proposal) relation ------------------------------------------

@@ -656,79 +656,3 @@ def _reduce(table, arr, axis):
         merged = table[arr[:half], arr[half:2 * half]]
         arr = np.concatenate([merged, arr[2 * half:]]) if len(arr) % 2 else merged
     return arr[0]
-
-
-# -- the functional-relation predicate ------------------------------------------
-
-
-def make_function_predicate(h, x, y):
-    """A bounded formula stating: h is a functional relation from x to y.
-
-    Membership of pairs is expressed through the internal ordered-pair
-    encoding: a member p of h "is the pair (u, v)" when p contains a
-    singleton of u, contains a doubleton of u and v, and contains
-    nothing else.  The three conjuncts assert that every member of h is
-    such a pair with coordinates in x and y, that h is total on x, and
-    that values are unique up to internal equality.
-    """
-    ch, cx, cy = Const(h), Const(x), Const(y)
-
-    def sing(s, u, w):
-        return And(Member(u, s), BForall(w, s, Eq(Var(w), u)))
-
-    def doub(t, u, v, w):
-        return And(
-            And(Member(u, t), Member(v, t)),
-            BForall(w, t, Or(Eq(Var(w), u), Eq(Var(w), v))),
-        )
-
-    def pair(p, u, v, tag):
-        return And(
-            And(
-                BExists(f"s{tag}", p, sing(Var(f"s{tag}"), u, f"w{tag}a")),
-                BExists(f"t{tag}", p, doub(Var(f"t{tag}"), u, v, f"w{tag}b")),
-            ),
-            BForall(
-                f"r{tag}",
-                p,
-                Or(
-                    sing(Var(f"r{tag}"), u, f"w{tag}c"),
-                    doub(Var(f"r{tag}"), u, v, f"w{tag}d"),
-                ),
-            ),
-        )
-
-    members_are_pairs = BForall(
-        "p", ch, BExists("u", cx, BExists("v", cy, pair(Var("p"), Var("u"), Var("v"), "1")))
-    )
-    total = BForall(
-        "u", cx, BExists("p", ch, BExists("v", cy, pair(Var("p"), Var("u"), Var("v"), "2")))
-    )
-    unique = BForall(
-        "p",
-        ch,
-        BForall(
-            "q",
-            ch,
-            BForall(
-                "u",
-                cx,
-                BForall(
-                    "v",
-                    cy,
-                    BForall(
-                        "w",
-                        cy,
-                        Implies(
-                            And(
-                                pair(Var("p"), Var("u"), Var("v"), "3"),
-                                pair(Var("q"), Var("u"), Var("w"), "4"),
-                            ),
-                            Eq(Var("v"), Var("w")),
-                        ),
-                    ),
-                ),
-            ),
-        ),
-    )
-    return And(And(members_are_pairs, total), unique)

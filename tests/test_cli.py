@@ -219,6 +219,20 @@ def test_check_budget_reaches_the_injective_suite(capsys):
     assert err.startswith("error: BudgetExceeded:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "excluded_middle.eval", "--rank", "3"],
+    ["algebra", "check", "four.alg", "--seed", "5"],
+    ["lift", "f.mor", "x.names", "--max-domain", "3"],
+    ["eval", "excluded_middle.eval", "--budget", "10"],
+])
+def test_sweep_options_belong_to_check(argv, capsys, fixtures_dir):
+    argv = [str(fixtures_dir / a) if "." in a else a for a in argv]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite", [
     lambda: checks.injective_suite(rank=3, budget=10**5),
     lambda: checks.preservation_suite(rank=2, budget=10),
@@ -336,6 +350,16 @@ def _eval_script(text, tmp_path):
     path = tmp_path / "bad.eval"
     path.write_text(text)
     return _run_script(Session(build_parser().parse_args(["eval", str(path)])), path)
+
+
+def test_an_algebra_name_too_long_for_a_file_is_a_parse_error(capsys, tmp_path, fixtures_dir):
+    long = "a" * 300
+    with pytest.raises(ParseError, match="cannot resolve algebra"):
+        _eval_script(f"algebra {long}\n", tmp_path)
+    mor = tmp_path / "long.mor"
+    mor.write_text(f"morphism g : {long} -> two\nmap: 0 -> 0\n")
+    code, _, err = run(capsys, "lift", str(mor), str(fixtures_dir / "x.names"))
+    assert code == 1 and err.startswith("error: ParseError: unknown algebra")
 
 
 # each text has its first error on line 3; a comment line and a blank

@@ -41,8 +41,8 @@ from hvmodels.formula import (
     parse_formula,
 )
 from hvmodels.lattice import make_boolean, make_chain
-from hvmodels.names import NameStore
-from hvmodels.valuation import EvalContext, eval_grid, make_function_predicate
+from hvmodels.names import NameStore, function_predicate
+from hvmodels.valuation import EvalContext, eval_grid
 
 
 def _per_assignment(ctx, phi, columns):
@@ -101,12 +101,14 @@ def test_function_predicate_on_dagger_names():
         for aname, algebra in algebras.items():
             store = NameStore(algebra)
             ctx = EvalContext(store)
-            for X in corpus[aname][:2]:
-                h = hs.dagger_morphism(store, hs.identity(X))
-                xd = hs.dagger_hset(store, X)
-                pred = make_function_predicate(h, xd, xd)
-                out = _assert_agrees(ctx, pred, {})
-                assert out.shape == () and out == algebra.top
+            # the dagger names of two H-sets, crossed: each identity's
+            # dagger is a function on its own H-set's dagger
+            hsets = corpus[aname][:2]
+            funs = [hs.dagger_morphism(store, hs.identity(X)) for X in hsets]
+            xs = [hs.dagger_hset(store, X) for X in hsets]
+            out = _assert_agrees(ctx, function_predicate(), {"H": funs, "X": xs, "Y": xs})
+            assert out.shape == (2, 2, 2)
+            assert out[0, 0, 0] == out[1, 1, 1] == algebra.top
 
 
 # -- edge cases ------------------------------------------------------------------

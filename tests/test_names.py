@@ -18,6 +18,7 @@ from hvmodels.names import (
     NameStore,
     check_project,
     enumerate_names,
+    function_predicate,
     hat_embed,
     ord_hf,
     ordered_pair_h,
@@ -28,9 +29,9 @@ from hvmodels.names import (
     singleton_h,
     unordered_pair_h,
 )
-from hvmodels.valuation import EvalContext
+from hvmodels.valuation import EvalContext, eval_grid
 
-from oracles import pool_count, ref_eq
+from oracles import hf_eval, pool_count, ref_eq
 
 
 def test_interning_is_canonical(store3):
@@ -157,6 +158,37 @@ def test_hat_embed_visits_each_distinct_subterm_once(store2, monkeypatch):
     assert check_project(store2, hat_embed(store2, ord_hf(12))) == ord_hf(12)
 
 
+def test_hat_embed_of_deep_chains(store2):
+    # {{...{}...}} 3,000 braces deep, as frozensets and as tuples: far
+    # deeper than the interpreter's recursion limit
+    nested, tupled = frozenset(), ()
+    for _ in range(3000):
+        nested, tupled = frozenset([nested]), (tupled,)
+    nid = hat_embed(store2, nested)
+    assert store2.rank(nid) == 3000
+    assert hat_embed(store2, tupled) == nid
+    assert hat_embed(store2, check_project(store2, nid)) == nid
+    # three equal deep chains, none the same object, collapse to one member
+    listed = []
+    for _ in range(3000):
+        listed = [listed]
+    assert hat_embed(store2, [nested, tupled, listed]) == singleton_h(store2, nid)
+
+
+def test_as_hf_shares_equal_subterms_and_rejects_cycles():
+    shared = [[], [[]]]
+    out = names_mod.as_hf([shared, [shared], (x for x in [shared])])
+    assert out == frozenset([ord_hf(2), frozenset([ord_hf(2)])])
+    # equal subterms of the result are one object
+    (a,) = [y for y in out if y == ord_hf(2)]
+    (b,) = [y for y in out if y != ord_hf(2)]
+    assert next(iter(b)) is a
+    cyclic = []
+    cyclic.append([cyclic])
+    with pytest.raises(ParseError):
+        names_mod.as_hf(cyclic)
+
+
 def test_ordinal_tags_are_the_hat_images_of_the_ordinals(store3):
     fresh = NameStore(store3.algebra)
     tags = list(islice(ordinal_tags(store3), 12))
@@ -268,3 +300,58 @@ def test_interning_literal_roundtrip_random(tree):
     assert parse_name_literal(store, store.to_literal(x)) == x
     # re-interning the parsed entries is stable
     assert store.intern(dict(store.entries(x))) == x
+
+
+# -- fun(h: x -> y) against the classical HF oracle ------------------------------
+
+HF_POINTS = (ord_hf(0), ord_hf(1), ord_hf(2), frozenset([ord_hf(1)]))
+
+
+def _kpair(u, v):
+    return frozenset([frozenset([u]), frozenset([u, v])])
+
+
+def _is_function(h, x, y):
+    """Classically: every member of h is a pair (u, v) with u in x and v
+    in y, and each u in x is the first coordinate of exactly one."""
+    graph = [(u, v) for u in x for v in y if _kpair(u, v) in h]
+    return len(graph) == len(h) == len(x) and {u for u, _ in graph} == x
+
+
+@st.composite
+def hf_relations(draw):
+    """(h, x, y) over small HF sets: h is the graph of a function from x
+    to y, then possibly loses a pair, gains one, gains a non-pair, or has
+    a pair widened by one more member or narrowed by one."""
+    points = st.sampled_from(HF_POINTS)
+    x = frozenset(draw(st.lists(points, max_size=3)))
+    y = frozenset(draw(st.lists(points, min_size=1, max_size=3)))
+    h = {_kpair(u, draw(st.sampled_from(sorted(y, key=len)))) for u in x}
+    change = draw(st.sampled_from(("none", "drop", "pair", "junk", "widen", "narrow")))
+    if change in ("drop", "widen", "narrow") and h:
+        p = draw(st.sampled_from(sorted(h, key=repr)))
+        h.discard(p)
+        if change == "widen":
+            h.add(p | {draw(points)})
+        elif change == "narrow":
+            h.add(p - {draw(st.sampled_from(sorted(p, key=repr)))})
+    elif change == "pair":  # most often a second value for some u in x
+        u = draw(st.sampled_from(sorted(x, key=len)) if x else points)
+        h.add(_kpair(u, draw(st.sampled_from(sorted(y, key=len)) | points)))
+    elif change == "junk":
+        h.add(draw(points))
+    return frozenset(h), x, y
+
+
+@settings(max_examples=150, deadline=None)
+@given(hf_relations())
+def test_function_predicate_matches_the_hf_oracle(rel):
+    store = NameStore(make_chain(2))
+    ctx = EvalContext(store)
+    h, x, y = rel
+    sigma = {"H": hat_embed(store, h), "X": hat_embed(store, x), "Y": hat_embed(store, y)}
+    expected = hf_eval(function_predicate(), {"H": h, "X": x, "Y": y})
+    assert expected == _is_function(h, x, y)
+    assert ctx.models(function_predicate(), sigma) == expected
+    grid = eval_grid(ctx, function_predicate(), {v: [u] for v, u in sigma.items()})
+    assert (grid.item() == store.algebra.top) == expected
