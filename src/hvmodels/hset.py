@@ -15,8 +15,11 @@ The validators return an `errors.Family`, the one report type for a
 single law, whose violations are `{"law", "witness", "values"}` dicts.
 The four morphism laws live in one slab helper, `morphism_law_masks`,
 which decides a stack of G candidate tables at once with memory
-G*nt^2 per source point (G*ns*nt for source congruence);
-`validate_morphism` is that helper on a stack of one.
+G*nt^2 per source point (G*ns*nt for source congruence).  The
+candidates share one pair of carriers or each bring their own; carriers
+of different sizes are padded with bottom to one shape, and a padded
+point, with bottom extent, row and column, satisfies every law
+vacuously.  `validate_morphism` is that helper on a stack of one.
 """
 
 import math
@@ -125,30 +128,41 @@ _MORPHISM_LAWS = (("target congruence", "target"), ("source congruence", "source
 
 def morphism_law_masks(A, ds, dt, phis, first=None):
     """The four morphism laws for a stack of candidate tables `phis` of
-    shape (G, ns, nt) between carriers with equality tables ds and dt;
-    returns the (G,) mask of candidates that satisfy all of them.
+    shape (G, ns, nt); returns the (G,) mask of candidates that satisfy
+    all of them.
+
+    The carriers' equality tables are ds, of shape (G, ns, ns), and dt,
+    of shape (G, nt, nt), one pair per candidate, or (ns, ns) and
+    (nt, nt), one pair shared by every candidate.  Carriers of different
+    sizes are padded with bottom to the common shape, padded points last:
+    a point with extent bottom, whose rows and columns in its carrier
+    and in the table are bottom too, satisfies every law vacuously, so
+    each mask entry is the verdict on the unpadded table.
 
     One loop over blocks of source points x decides every candidate at
     once on (G, block, nt, nt) slabs (G, block, ns, nt for source
     congruence); a block holds as many x as fit in `SLAB_CELLS` cells,
     and at least one, so a step never needs more than
-    max(SLAB_CELLS, G*nt*max(ns, nt)) cells.  Given a dict
-    `first`, it is filled with law -> (x, i, j, lhs, rhs) for the first
-    failure of candidate 0, lexicographic in (x, i, j).
+    max(SLAB_CELLS, G*nt*max(ns, nt)) cells beyond the G*(ns^2 + nt^2)
+    cells of per-candidate carriers.  Given a dict `first`, it is filled
+    with law -> (x, i, j, lhs, rhs) for the first failure of candidate
+    0, lexicographic in (x, i, j); padding, which comes last and never
+    fails, leaves it unchanged.
     """
     mt, leq = A.meet_table, A.leq
     G, ns, nt = phis.shape
+    ds, dt = (d if d.ndim == 3 else d[None] for d in (ds, dt))
     ok = np.ones(G, dtype=bool)
     step = max(1, SLAB_CELLS // max(1, G * nt * max(ns, nt)))
     for x0 in range(0, ns, step):
         px = phis[:, x0:x0 + step, None, :]      # phi(x, y') for the block
         slabs = (
             # 1. delta'(x',y') /\ phi(x,y') <= phi(x,x')
-            (mt[dt, px], px.swapaxes(2, 3)),
+            (mt[dt[:, None], px], px.swapaxes(2, 3)),
             # 2. delta(x,y) /\ phi(x,y') <= phi(y,y')
-            (mt[ds[x0:x0 + step, :, None], px], phis[:, None]),
+            (mt[ds[:, x0:x0 + step, :, None], px], phis[:, None]),
             # 3. phi(x,x') /\ phi(x,y') <= delta'(x',y')
-            (mt[px.swapaxes(2, 3), px], dt),
+            (mt[px.swapaxes(2, 3), px], dt[:, None]),
         )
         for (law, _), (lhs, rhs) in zip(_MORPHISM_LAWS, slabs):
             holds = leq[lhs, rhs]
@@ -159,14 +173,13 @@ def morphism_law_masks(A, ds, dt, phis, first=None):
                 first[law] = (x0 + b, i, j, lhs[0, b, i, j],
                               np.broadcast_to(rhs, lhs.shape)[0, b, i, j])
     # 4. \/_{z'} phi(x,z') = delta(x,x)
-    total = compose_tables(A, phis.reshape(G * ns, nt), np.full((nt, 1), A.top))
-    total = total.reshape(G, ns)
-    holds = total == ds.diagonal()
+    total = compose_tables(A, phis, np.full((nt, 1), A.top))[..., 0]
+    holds = total == ds.diagonal(axis1=1, axis2=2)
     good = holds.all(axis=1)
     ok &= good
     if first is not None and not good[0]:
         x = int(np.argmin(holds[0]))
-        first["totality"] = (x, None, None, total[0, x], ds[x, x])
+        first["totality"] = (x, None, None, total[0, x], ds[0, x, x])
     return ok
 
 
@@ -201,10 +214,14 @@ def identity(X):
 def compose_tables(A, P, Q):
     """The H-valued composite of two tables over the algebra A:
     (P ; Q)(i, k) = \\/_j P(i, j) /\\ Q(j, k), as an int64 array, one
-    n^2 step per middle j."""
-    out = np.full((P.shape[0], Q.shape[1]), A.bottom, dtype=np.int64)
-    for j in range(P.shape[1]):
-        out = A.join_table[out, A.meet_table[P[:, j, None], Q[j]]]
+    n^2 step per middle j.  A leading axis is a stack of tables: P of
+    shape (G, n, m) or Q of shape (G, m, k) composes each of its tables
+    with the other table, or with its own table of the same index when
+    both are stacks."""
+    lead = (P if P.ndim >= Q.ndim else Q).shape[:-2]
+    out = np.full(lead + (P.shape[-2], Q.shape[-1]), A.bottom, dtype=np.int64)
+    for j in range(P.shape[-1]):
+        out = A.join_table[out, A.meet_table[P[..., :, j, None], Q[..., j, None, :]]]
     return out
 
 

@@ -41,13 +41,14 @@ from .errors import (
     TopNotPreserved,
 )
 from .formula import Const, free_vars, is_positive_bounded
-from .hset import HSet, HSetMorphism, compose_tables, from_name, name_table
+from .hset import HSet, HSetMorphism, compose_tables
 from .lattice import split_arrow_header, text_lines
 from .names import _fold_dag, pad_equivalent
 from .valuation import (
     GRID_BUDGET,
     _closure,
     _element_dtype,
+    _eq_kernel,
     child_arrays,
     eq_matrix,
     eval_grid,
@@ -274,6 +275,9 @@ def witnessed_lift_with(f, x, tau, store_a, ctx_b):
     top) to the canonical child image."""
     store_b = ctx_b.store
     entries = store_a.entries(x)
+    for u, _ in entries:
+        if u not in tau:
+            raise ParseError(f"witness has no target for {u}")
     targets = [tau[u] for u, _ in entries]
     if len(set(targets)) != len(targets):
         raise ParseError("witness is not injective")
@@ -384,31 +388,83 @@ def _has_const(phi):
 # -- the induced H-set morphism ----------------------------------------------------
 
 
+def epsilon_tables(f, wls, ctx_a, ctx_b):
+    """The tables of the H-set morphisms induced by the witnessed lifts
+    `wls`, one stack per table: (ds, dt, phis) of shapes (G, ns, ns),
+    (G, nt, nt) and (G, ns, nt), with ns the widest source domain and
+    nt the widest image domain.  For a lift of x with image x' and
+    witness tau, over dom x and dom x' in domain order:
+
+        ds(u, v)   = f([u in x] /\\ [u = v] /\\ [v in x])
+        dt(v', w') = [v' in x'] /\\ [v' = w'] /\\ [w' in x']
+        phi(u, v') = f([u in x]) /\\ [tau(u) = v'] /\\ [v' in x']
+
+    Every [u = v] and [u in x] is a gather from the kernel of `ctx_a`
+    over the closure of the sources, and every [tau(u) = v'] and
+    [v' in x'] one from the kernel of `ctx_b` over the closure of the
+    images and the witness targets, at the names' `child_arrays`
+    positions.  A narrower domain is padded with bottom, its padded
+    points last, which `hset.morphism_law_masks` and `mono_epi_masks`
+    read as vacuous (f(bottom) = bottom).
+    """
+    A, B = f.source, f.target
+    xs = [wl.x for wl in wls]
+    images = [wl.image for wl in wls]
+    taus = [dict(wl.witness) for wl in wls]
+    pos_a, EQ_a, MEM_a = _eq_kernel(ctx_a, xs)
+    pos_b, EQ_b, MEM_b = _eq_kernel(ctx_b, images + [t for tau in taus for t in tau.values()])
+    Ka, _, size_a = child_arrays(ctx_a.store, xs, pos_a, _element_dtype(A))
+    Kb, _, size_b = child_arrays(ctx_b.store, images, pos_b, _element_dtype(B))
+    T = np.zeros(Ka.shape, dtype=np.intp)   # tau(u) at the slot of u
+    for g, (x, tau) in enumerate(zip(xs, taus)):
+        T[g, :size_a[g]] = [pos_b[tau[u]] for u in ctx_a.store.domain(x)]
+
+    def extents(K, sizes, MEM, owners, bottom):
+        live = np.arange(K.shape[1]) < sizes[:, None]
+        return np.where(live, MEM[K, owners[:, None]], bottom)
+
+    ext_a = extents(Ka, size_a, MEM_a, np.array([pos_a[x] for x in xs], dtype=np.intp),
+                    A.bottom)
+    ext_b = extents(Kb, size_b, MEM_b, np.array([pos_b[x] for x in images], dtype=np.intp),
+                    B.bottom)
+    ma, mb = A.meet_table, B.meet_table
+    fa = f.table[ext_a]
+    ds = f.table[ma[ma[ext_a[:, :, None], EQ_a[Ka[:, :, None], Ka[:, None, :]]],
+                    ext_a[:, None, :]]]
+    dt = mb[mb[ext_b[:, :, None], EQ_b[Kb[:, :, None], Kb[:, None, :]]], ext_b[:, None, :]]
+    phis = mb[mb[fa[:, :, None], EQ_b[T[:, :, None], Kb[:, None, :]]], ext_b[:, None, :]]
+    return ds, dt, phis
+
+
 def epsilon_hset_morphism(f, wl, ctx_a, ctx_b):
     """The H-set morphism (dom x, f . delta_x) -> (dom x', delta_x')
     induced by a witnessed lift:
-    eps(u, v') = f([u in x]) /\\ [tau(u) = v'] /\\ [v' in x']."""
-    source_a = from_name(ctx_a, wl.x)
-    source = HSet(f.target, source_a.points, f.table[source_a.delta])
-    target = from_name(ctx_b, wl.image)
-    tau = dict(wl.witness)
-    phi = name_table(f.target, source.delta.diagonal(), ctx_b.atomic_eq,
-                     [tau[u] for u in source.points], target.points,
-                     target.delta.diagonal())
-    return HSetMorphism(source, target, phi)
+    eps(u, v') = f([u in x]) /\\ [tau(u) = v'] /\\ [v' in x'].  This is
+    `epsilon_tables` on a stack of one."""
+    ds, dt, phis = epsilon_tables(f, [wl], ctx_a, ctx_b)
+    source = HSet(f.target, ctx_a.store.domain(wl.x), ds[0])
+    target = HSet(f.target, ctx_b.store.domain(wl.image), dt[0])
+    return HSetMorphism(source, target, phis[0])
+
+
+def mono_epi_masks(A, ds, dt, phis):
+    """Experimental probes for the open question about eps being an iso,
+    for a stack of tables as `hset.morphism_law_masks` takes it: the
+    (G,) masks of the usual mono characterization
+    phi(x,z') /\\ phi(y,z') <= delta(x,y) and epi characterization
+    \\/_x phi(x,x') = delta'(x',x').  Points padded with bottom pass both
+    vacuously."""
+    # \/_{z'} phi(x,z') /\ phi(y,z') <= delta(x,y) holds iff every z' does
+    mono = A.leq[compose_tables(A, phis, phis.swapaxes(1, 2)), ds].all(axis=(1, 2))
+    column_joins = compose_tables(A, np.full((1, phis.shape[1]), A.top), phis)[:, 0]
+    epi = (column_joins == dt.diagonal(axis1=-2, axis2=-1)).all(axis=1)
+    return mono, epi
 
 
 def mono_epi_experiment(m):
-    """Experimental probes for the open question about eps being an iso:
-    the usual mono characterization phi(x,z') /\\ phi(y,z') <= delta(x,y)
-    and epi characterization \\/_x phi(x,x') = delta'(x',x')."""
-    A = m.source.algebra
-    phi, ds, dt = m.phi, m.source.delta, m.target.delta
-    # \/_{z'} phi(x,z') /\ phi(y,z') <= delta(x,y) holds iff every z' does
-    mono = A.leq[compose_tables(A, phi, phi.T), ds].all()
-    column_joins = compose_tables(A, np.full((1, len(phi)), A.top), phi)[0]
-    epi = np.array_equal(column_joins, dt.diagonal())
-    return {"mono": bool(mono), "epi": bool(epi)}
+    """`mono_epi_masks` on the stack of one morphism."""
+    mono, epi = mono_epi_masks(m.source.algebra, m.source.delta, m.target.delta, m.phi[None])
+    return {"mono": bool(mono[0]), "epi": bool(epi[0])}
 
 
 # -- morphism text format -------------------------------------------------------------

@@ -271,10 +271,24 @@ def test_rank3_preservation_is_refused_before_enumerating():
     assert "kernel over 261365 names" in lines[0] and str(GRID_BUDGET) in lines[0]
 
 
+def test_rank3_hset_laws_is_refused_before_enumerating():
+    # the witnessed-lift families stack a kernel over the 261,365-name
+    # rank-3 pool over four; it is predicted before the suite starts
+    proc = subprocess.run(
+        [sys.executable, "-m", "hvmodels", "check", "hset-laws", "--rank", "3"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: BudgetExceeded:")
+    assert "kernel over 261365 names" in lines[0] and str(GRID_BUDGET) in lines[0]
+
+
 @pytest.mark.parametrize("suite,names", [
     (lambda: checks.valuation_property_suite(make_chain(3), rank=3), 20101),
     (lambda: checks.preservation_suite(rank=3), 261365),
-], ids=["properties", "preservation"])
+    (lambda: checks.hset_law_suite(rank=3), 261365),
+], ids=["properties", "preservation", "hset-laws"])
 def test_kernel_suites_refuse_before_enumerating(suite, names, monkeypatch):
     def enumerate_names(*args, **kw):
         raise AssertionError("enumerated")

@@ -671,6 +671,36 @@ def test_law_masks_match_the_four_loops(case, G):
         bool(frozen_validate_morphism(HSetMorphism(X, Y, phi))) for phi in phis]
 
 
+def _padded(tables, bottom):
+    """The tables stacked and padded with bottom to the widest shape."""
+    rows, cols = (max(t.shape[k] for t in tables) for k in (0, 1))
+    out = np.full((len(tables), rows, cols), bottom, dtype=np.int64)
+    for g, t in enumerate(tables):
+        out[g, :t.shape[0], :t.shape[1]] = t
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_hset_pairs(), min_size=1, max_size=8))
+def test_law_masks_on_padded_stacks_of_mixed_carriers(cases):
+    # one algebra per stack; each candidate brings its own carriers
+    A = cases[0][0].algebra
+    ms = []
+    for X, Y, rng in cases:
+        if X.algebra is A:
+            ms.append(HSetMorphism(X, Y, _candidate(X, Y, rng)))
+    ds, dt, phis = (_padded([t(m) for m in ms], A.bottom) for t in (
+        lambda m: m.source.delta, lambda m: m.target.delta, lambda m: m.phi))
+    mask = morphism_law_masks(A, ds, dt, phis)
+    assert mask.tolist() == [bool(frozen_validate_morphism(m)) for m in ms]
+    # padding comes last, so a stack of one keeps its first witnesses
+    m = ms[0]
+    padded, plain = {}, {}
+    morphism_law_masks(A, ds[:1], dt[:1], phis[:1], padded)
+    morphism_law_masks(A, m.source.delta, m.target.delta, m.phi[None], plain)
+    assert padded == plain
+
+
 @settings(max_examples=40, deadline=None)
 @given(_hset_pairs())
 def test_graph_morphisms_match_the_brute_filter(case):

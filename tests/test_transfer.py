@@ -33,7 +33,7 @@ from hvmodels.errors import (
     TopNotPreserved,
 )
 from hvmodels.formula import free_vars, parse_formula
-from hvmodels.hset import HSet, HSetMorphism, validate_morphism
+from hvmodels.hset import HSet, HSetMorphism, morphism_law_masks, validate_morphism
 from hvmodels.lattice import make_boolean, make_chain
 from hvmodels.names import NameStore, enumerate_names, pad_equivalent
 from hvmodels.transfer import (
@@ -42,11 +42,13 @@ from hvmodels.transfer import (
     check_positive_bounded_preservation,
     compose_locale,
     epsilon_hset_morphism,
+    epsilon_tables,
     first_proposal_images,
     identity_morphism,
     is_generalized_related,
     lift,
     mono_epi_experiment,
+    mono_epi_masks,
     parse_morphism,
     preserves_implication,
     strict_images,
@@ -60,6 +62,8 @@ from oracles import (
     brute_generalized_closed,
     brute_generalized_related,
     brute_strict_related,
+    ref_eq,
+    ref_mem,
 )
 
 
@@ -389,6 +393,15 @@ def test_witnessed_lift_with_rejects_bad_witnesses(morphisms):
         witnessed_lift_with(f, x, {u1: t1, u2: stray}, sa, EvalContext(sb))
 
 
+def test_witnessed_lift_with_names_a_child_without_a_target(morphisms):
+    f = morphisms["f"]
+    sa, sb = NameStore(f.source), NameStore(f.target)
+    x = counterexample_names(sa)
+    (u1, t1), (u2, _) = lift(f, x, sa, sb).witness
+    with pytest.raises(ParseError, match=f"no target for {u2}$"):
+        witnessed_lift_with(f, x, {u1: t1}, sa, EvalContext(sb))
+
+
 # -- the generalized relation -------------------------------------------------------
 
 
@@ -591,6 +604,43 @@ def test_epsilon_morphism_validates_and_ignores_the_witness(morphisms):
     assert set(probes) == {"mono", "epi"}
 
 
+@pytest.mark.parametrize("name,mono", [
+    ("f", 181), ("i", 19), ("collapse0", 65), ("collapse1", 67)])
+def test_epsilon_tables_match_the_cell_by_cell_definition(morphisms, name, mono):
+    # every name of the rank-2, domain cap 2 pool, lifted canonically;
+    # lifted in descending order, a name's children are lifted last
+    # first, so tau need not follow the domain order of the image
+    f = morphisms[name]
+    A, B = f.source, f.target
+    sa, sb = NameStore(A), NameStore(B)
+    pool = enumerate_names(sa, max_rank=2, max_domain=2)[::-1]
+    wls = [lift(f, x, sa, sb) for x in pool]
+    ds, dt, phis = epsilon_tables(f, wls, EvalContext(sa), EvalContext(sb))
+    for g, wl in enumerate(wls):
+        dom, img, tau = sa.domain(wl.x), sb.domain(wl.image), dict(wl.witness)
+        ext_a = [ref_mem(sa, u, wl.x) for u in dom]
+        ext_b = [ref_mem(sb, v, wl.image) for v in img]
+        want_ds = [[f(A.big_meet([ext_a[i], ref_eq(sa, u, v), ext_a[j]]))
+                    for j, v in enumerate(dom)] for i, u in enumerate(dom)]
+        want_dt = [[B.big_meet([ext_b[i], ref_eq(sb, v, w), ext_b[j]])
+                    for j, w in enumerate(img)] for i, v in enumerate(img)]
+        want_phi = [[B.big_meet([f(ext_a[i]), ref_eq(sb, tau[u], v), ext_b[j]])
+                     for j, v in enumerate(img)] for i, u in enumerate(dom)]
+        ns, nt = len(dom), len(img)
+        assert ds[g, :ns, :ns].tolist() == want_ds
+        assert dt[g, :nt, :nt].tolist() == want_dt
+        assert phis[g, :ns, :nt].tolist() == want_phi
+        # the padding is bottom
+        for table, (rows, cols) in ((ds[g], (ns, ns)), (dt[g], (nt, nt)),
+                                    (phis[g], (ns, nt))):
+            padded = np.ones(table.shape, dtype=bool)
+            padded[:rows, :cols] = False
+            assert (table[padded] == B.bottom).all()
+    assert morphism_law_masks(B, ds, dt, phis).all()
+    mono_mask, epi_mask = mono_epi_masks(B, ds, dt, phis)
+    assert (int(mono_mask.sum()), int(epi_mask.sum())) == (mono, len(pool))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_mono_epi_probes_match_the_per_column_loops(data):
@@ -611,6 +661,14 @@ def test_mono_epi_probes_match_the_per_column_loops(data):
                for z in range(nt))
     epi = all(A.big_join(phi[:, z]) == m.target.delta[z, z] for z in range(nt))
     assert mono_epi_experiment(m) == {"mono": mono, "epi": epi}
+    # padded with bottom points, in a stack with its unpadded self, the
+    # probes do not change
+    ps, pt = ns + data.draw(st.integers(0, 2)), nt + data.draw(st.integers(0, 2))
+    stacks = [np.full((2, n, k), A.bottom, dtype=np.int64)
+              for n, k in ((ps, ps), (pt, pt), (ps, pt))]
+    for stack, table in zip(stacks, (m.source.delta, m.target.delta, phi)):
+        stack[:, :table.shape[0], :table.shape[1]] = table
+    assert [mask.tolist() for mask in mono_epi_masks(A, *stacks)] == [[mono] * 2, [epi] * 2]
 
 
 # -- text format -----------------------------------------------------------------------
