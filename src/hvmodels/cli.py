@@ -16,6 +16,8 @@ import sys
 from functools import cache
 from pathlib import Path
 
+import numpy as np
+
 from . import checks
 from . import transfer as tr
 from .errors import CrossAlgebra, HvError, ParseError
@@ -103,13 +105,10 @@ def _emit(args, payload, text):
 
 def _table_text(algebra, table, title):
     width = max(len(l) for l in algebra.labels) + 1
-    head = " " * width + " ".join(l.rjust(width) for l in algebra.labels)
-    lines = [f"{title}:", head]
-    for i, row in enumerate(table):
-        lines.append(
-            algebra.labels[i].rjust(width)
-            + " ".join(algebra.labels[v].rjust(width) for v in row)
-        )
+    padded = [l.rjust(width) for l in algebra.labels]
+    lines = [f"{title}:", " " * width + " ".join(padded)]
+    lines += [padded[i] + " ".join([padded[v] for v in row])
+              for i, row in enumerate(table.tolist())]
     return "\n".join(lines)
 
 
@@ -133,12 +132,9 @@ def cmd_algebra(args, session):
         _emit(args, payload, text)
         return 0
     parts = [f"{algebra.name}: {algebra.n} elements: " + " ".join(algebra.labels)]
-    order = [
-        f"{algebra.labels[a]} <= {algebra.labels[b]}"
-        for a in range(algebra.n)
-        for b in range(algebra.n)
-        if a != b and algebra.leq[a, b]
-    ]
+    strict = algebra.leq & ~np.eye(algebra.n, dtype=bool)
+    order = [f"{algebra.labels[a]} <= {algebra.labels[b]}"
+             for a, b in np.argwhere(strict).tolist()]
     parts.append("order: " + ("; ".join(order) if order else "(discrete)"))
     parts.append(_table_text(algebra, algebra.meet_table, "meet"))
     parts.append(_table_text(algebra, algebra.join_table, "join"))
@@ -353,6 +349,14 @@ def cmd_check(args, session):
     return 0 if payload["ok"] else 1
 
 
+def _count(text):
+    """An argparse type: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 @cache
 def build_parser():
     """The `hvm` argument parser, built once per process: `parse_args`
@@ -397,9 +401,9 @@ def build_parser():
                  "functoriality", "hset-laws"),
     )
     common(p)
-    p.add_argument("--rank", type=int, default=2,
+    p.add_argument("--rank", type=_count, default=2,
                    help="name rank ceiling for sweeps (default 2)")
-    p.add_argument("--max-domain", type=int, default=2,
+    p.add_argument("--max-domain", type=_count, default=2,
                    help="domain-size cap for enumerated names (default 2)")
     p.add_argument("--budget", type=int, default=None,
                    help="hard ceiling on enumeration/search work")

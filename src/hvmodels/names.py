@@ -120,8 +120,11 @@ def pool_size(algebra_size, max_rank, max_domain=None, budget=None):
     c_{k+1} = sum_{s <= cap} C(c_k, s) * |H|^s distinct mappings, which
     are the names of rank <= k + 1.  A round over the budget,
     `GRID_BUDGET` when None, raises BudgetExceeded before the next
-    round's count is computed.
+    round's count is computed.  A negative rank or cap raises ParseError.
     """
+    if max_rank < 0 or (max_domain is not None and max_domain < 0):
+        raise ParseError(f"rank and domain cap must be >= 0, "
+                         f"got {max_rank} and {max_domain}")
     budget = GRID_BUDGET if budget is None else budget
     count = 1
     for _ in range(max_rank):
@@ -143,8 +146,8 @@ def enumerate_names(store, max_rank, max_domain=None, budget=None):
 
     Returns ids sorted ascending (equal to interning order for a fresh
     store).  Every round's count is predicted by `pool_size` before the
-    first round runs, so a round over the budget raises BudgetExceeded
-    before any name is interned.
+    first round runs, so a round over the budget raises BudgetExceeded,
+    and a negative rank or cap ParseError, before any name is interned.
     """
     nh = store.algebra.n
     pool_size(nh, max_rank, max_domain, budget)

@@ -6,13 +6,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hvmodels import checks
 from hvmodels.cli import Session, _run_script, build_parser, main
 from hvmodels.errors import MAX_NESTING, BudgetExceeded, ParseError
 from hvmodels.hset import parse_hset_file
-from hvmodels.lattice import load_algebra, make_boolean, make_chain
+from hvmodels.lattice import is_boolean, load_algebra, make_boolean, make_chain
 from hvmodels.transfer import parse_morphism
 from hvmodels.valuation import GRID_BUDGET
 
@@ -37,6 +39,75 @@ def test_algebra_check_rejects_non_frame(capsys, fixtures_dir):
     code, out, err = run(capsys, "algebra", "check", str(fixtures_dir / "m3.alg"))
     assert code == 1
     assert err.startswith("error: NotAFrame")
+
+
+def frozen_table_text(algebra, table, title):
+    # `_table_text` as it stood with one numpy scalar per cell
+    width = max(len(l) for l in algebra.labels) + 1
+    head = " " * width + " ".join(l.rjust(width) for l in algebra.labels)
+    lines = [f"{title}:", head]
+    for i, row in enumerate(table):
+        lines.append(
+            algebra.labels[i].rjust(width)
+            + " ".join(algebra.labels[v].rjust(width) for v in row)
+        )
+    return "\n".join(lines)
+
+
+def frozen_show_text(algebra):
+    # the text of `algebra show` as it stood, with an n^2 loop for the order
+    parts = [f"{algebra.name}: {algebra.n} elements: " + " ".join(algebra.labels)]
+    order = [
+        f"{algebra.labels[a]} <= {algebra.labels[b]}"
+        for a in range(algebra.n)
+        for b in range(algebra.n)
+        if a != b and algebra.leq[a, b]
+    ]
+    parts.append("order: " + ("; ".join(order) if order else "(discrete)"))
+    parts.append(frozen_table_text(algebra, algebra.meet_table, "meet"))
+    parts.append(frozen_table_text(algebra, algebra.join_table, "join"))
+    parts.append(frozen_table_text(algebra, algebra.impl_table, "implication"))
+    return "\n".join(parts) + "\n"
+
+
+def _chain_product_text(shape, seed):
+    """An .alg text of the product of chains of the given lengths, its
+    elements listed in a shuffled order, with every order pair."""
+    elems = [tuple(e) for e in np.ndindex(*shape)]
+    elems = [elems[i] for i in np.random.default_rng(seed).permutation(len(elems))]
+    labels = ["p" + "".join(map(str, e)) for e in elems]
+    lines = ["elements: " + ", ".join(labels)]
+    lines += [f"order: {labels[i]} <= {labels[j]}"
+              for i, x in enumerate(elems) for j, y in enumerate(elems)
+              if i != j and all(a <= b for a, b in zip(x, y))]
+    return "\n".join(lines) + "\n"
+
+
+def assert_show_matches_the_per_cell_rendering(path, capsys):
+    algebra = load_algebra(path.read_text(), name=path.stem)
+    code, out, err = run(capsys, "algebra", "show", str(path))
+    assert (code, err) == (0, "")
+    assert out == frozen_show_text(algebra)
+    assert is_boolean(algebra) == all(
+        algebra.join(a, algebra.neg(a)) == algebra.top for a in range(algebra.n))
+
+
+FIXTURE_FRAMES = sorted(p.name for p in (Path(__file__).parent.parent / "fixtures").glob("*.alg")
+                        if p.name != "m3.alg")
+
+
+@pytest.mark.parametrize("filename", FIXTURE_FRAMES)
+def test_algebra_show_of_fixtures_matches_the_per_cell_rendering(filename, capsys, fixtures_dir):
+    assert_show_matches_the_per_cell_rendering(fixtures_dir / filename, capsys)
+
+
+@pytest.mark.parametrize("shape, seed", [((1,), 0), ((2, 2), 1), ((3, 4), 2), ((2, 2, 2), 3),
+                                         ((4, 8), 4), ((2, 4, 4), 5), ((32,), 6)])
+def test_algebra_show_of_chain_products_matches_the_per_cell_rendering(shape, seed, capsys,
+                                                                      tmp_path):
+    path = tmp_path / f"product{seed}.alg"
+    path.write_text(_chain_product_text(shape, seed))
+    assert_show_matches_the_per_cell_rendering(path, capsys)
 
 
 def test_algebra_show_prints_tables(capsys, fixtures_dir):
@@ -243,6 +314,56 @@ def test_suites_take_the_enumeration_budget(suite):
     with pytest.raises(BudgetExceeded) as err:
         suite()
     assert err.value.predicted > err.value.budget
+
+
+@pytest.mark.parametrize("flag", ["--rank", "--max-domain"])
+def test_a_negative_sweep_flag_is_a_usage_error(flag):
+    proc = subprocess.run(
+        [sys.executable, "-m", "hvmodels", "check", "properties", flag, "-1"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith(f"argument {flag}: must be >= 0, got -1")
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+@pytest.mark.parametrize("flag", ["--rank", "--max-domain", "--budget", "--seed"])
+@pytest.mark.parametrize("suite", ["counterexample", "properties", "preservation",
+                                   "functoriality", "hset-laws"])
+def test_sweep_flags_at_zero_and_below_end_in_an_exit_code(suite, flag, value, capsys):
+    # an uncaught exception would fail the test here, as a traceback
+    try:
+        code = main(["check", suite, flag, value])
+    except SystemExit as exit_:
+        code = exit_.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if flag in ("--rank", "--max-domain") and value == "-1":
+        assert code == 2
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["counterexample", "properties", "preservation", "functoriality",
+                        "hset-laws"]),
+       st.fixed_dictionaries({flag: st.one_of(st.none(), st.integers(-3, 3)) for flag in
+                              ("--rank", "--max-domain", "--budget", "--seed")}))
+def test_small_sweep_flag_values_end_in_an_exit_code(suite, flags):
+    # every call is answered or refused at once: rank 3 is refused by the
+    # enumeration prediction, a negative rank or cap by the parser
+    argv = ["check", suite]
+    for flag, value in flags.items():
+        if value is not None:
+            argv += [flag, str(value)]
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    assert code in (0, 1, 2)
+    negative = any((flags[f] or 0) < 0 for f in ("--rank", "--max-domain"))
+    assert (code == 2) == negative
 
 
 def test_rank3_counterexample_stops_at_the_enumeration_budget():

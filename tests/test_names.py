@@ -117,6 +117,17 @@ def test_enumeration_budget():
     assert len(store) == 1
 
 
+@pytest.mark.parametrize("rank, cap", [(-1, None), (-1, 2), (2, -1), (0, -1)])
+def test_negative_rank_or_cap_is_a_parse_error(rank, cap):
+    store = NameStore(make_chain(3))
+    with pytest.raises(ParseError) as err:
+        pool_size(3, rank, cap)
+    assert str(err.value) == f"rank and domain cap must be >= 0, got {rank} and {cap}"
+    with pytest.raises(ParseError):
+        enumerate_names(store, rank, cap)
+    assert len(store) == 1
+
+
 def test_hat_embed_and_project_roundtrip(store2):
     sets = [frozenset(), ord_hf(1), ord_hf(3),
             frozenset([frozenset(), frozenset([frozenset()])])]
