@@ -670,21 +670,147 @@ def _graph_morphisms(X, Y):
     """All valid morphisms X -> Y of graph shape phi(x, y') =
     delta_Y(g(x), y') for point maps g, in `iproduct` order of g.
 
-    The |Y|^|X| candidate tables are stacked and decided at once;
-    above `GRID_BUDGET` cells (the stack or the per-point slab of
-    `hset.morphism_law_masks`) `BudgetExceeded` is raised first."""
+    Every instance of a morphism law names at most two source points, so
+    a table is lawful iff its restriction to every pair of source points
+    x <= y is.  The restrictions to x, y with rows g(x) = v, g(y) = w
+    are one `hset.morphism_law_masks` stack, and each of the G = ny^nx
+    maps g gathers its pairs from it.  Above `GRID_BUDGET` cells (the
+    gather and the tables, G*nx*max(nx, ny), or a slab of the stack,
+    npairs*ny^3*max(2, ny)) `BudgetExceeded` is raised first."""
     nx, ny = len(X), len(Y)
     G = ny ** nx
-    cells = G * ny * max(nx, ny)
+    cells = max(G * nx * max(nx, ny), nx * (nx + 1) // 2 * ny ** 3 * max(2, ny))
     if cells > GRID_BUDGET:
         raise BudgetExceeded(
             f"{G} point maps of {nx} into {ny} points need {cells} cells, "
             f"over the {GRID_BUDGET}-cell budget",
             predicted=cells, budget=GRID_BUDGET)
+    pts = np.array([(x, y) for x in range(nx) for y in range(x, nx)], dtype=np.intp).reshape(-1, 2)
+    # candidate (p, v, w): the pair pts[p] with rows g(x) = v, g(y) = w
+    pvw = np.indices((len(pts), ny, ny)).reshape(3, -1)
+    xy = pts[pvw[0]]
+    lawful = hs.morphism_law_masks(X.algebra, X.delta[xy[:, :, None], xy[:, None, :]],
+                                   Y.delta, Y.delta[pvw[1:].T])
     gs = np.arange(G)[:, None] // ny ** np.arange(nx - 1, -1, -1) % ny
-    phis = Y.delta[gs]
-    mask = hs.morphism_law_masks(X.algebra, X.delta, Y.delta, phis)
-    return [hs.HSetMorphism(X, Y, phi) for phi in phis[mask]]
+    mask = lawful.reshape(len(pts), ny, ny)[
+        np.arange(len(pts)), gs[:, pts[:, 0]], gs[:, pts[:, 1]]].all(axis=1)
+    return [hs.HSetMorphism(X, Y, phi) for phi in Y.delta[gs[mask]]]
+
+
+# -- the category families, one stack per algebra -------------------------------------
+
+
+def _stack(A, tables):
+    """`tables` over the algebra A as one stack, padded with bottom to the
+    most rows and columns, padded points last, which `hset` reads as
+    vacuous, as `transfer.epsilon_tables` pads."""
+    shape = tuple(max((t.shape[k] for t in tables), default=0) for k in (0, 1))
+    out = np.full((len(tables),) + shape, A.bottom, dtype=np.int64)
+    for g, t in enumerate(tables):
+        out[g, :t.shape[0], :t.shape[1]] = t
+    return out
+
+
+def _verdicts(A, checks):
+    """For each (ms, laws) of `checks`, whether every morphism of ms is
+    lawful and P ; Q (`hset.compose(Q, P)`) <= R for every triple of
+    tables (P, Q, R) of laws, <= one-sided as in `hset.morphisms_equal`:
+    one `morphism_law_masks` and one `compose_tables` on stacks."""
+    ms = [m for mors, _ in checks for m in mors]
+    lawful = iter(hs.morphism_law_masks(A, *(_stack(A, [t(m) for m in ms]) for t in (
+        lambda m: m.source.delta, lambda m: m.target.delta, lambda m: m.phi))))
+    P, Q, R = (_stack(A, [law[k] for _, laws in checks for law in laws]) for k in range(3))
+    below = iter(A.leq[hs.compose_tables(A, P, Q), R].all(axis=(1, 2)))
+    return [all([next(lawful) for _ in mors] + [next(below) for _ in laws])
+            for mors, laws in checks]
+
+
+def _category_families(rep, algebras, corpus, graphs):
+    """Add the H-set category families, identity to equalizer, to `rep`,
+    over the H-sets `corpus[aname]` of each algebra `algebras[aname]` and
+    the morphisms `graphs[id(X), id(Y)]`.  Each is a fixed number of
+    whole-array calls per algebra on stacks of its tables (the function
+    predicate one `eval_grid` read on its diagonal); checks are recorded
+    in the order of the per-morphism loops these replace."""
+    fam_id = rep.family("identity is neutral for composition")
+    fam_assoc = rep.family("composition is associative")
+    fam_onesided = rep.family("one-sided comparison already implies equality")
+    fam_dagger = rep.family("dagger roundtrip is an isomorphism")
+    fam_fun = rep.family("dagger of the identity satisfies the function predicate")
+    fam_comp = rep.family("completion is complete and idempotent")
+    fam_prod = rep.family("product projections and pairing")
+    fam_eq = rep.family("equalizer equalizes and includes")
+    for aname, hsets in corpus.items():
+        A = algebras[aname]
+        pairs = list(iproduct(hsets, hsets))
+        mors = [graphs[id(X), id(Y)][:6] for X, Y in pairs]
+        # m . id_X <= m and id_Y . m <= m
+        for ok in _verdicts(A, [((), [(m.source.delta, m.phi, m.phi),
+                                      (m.phi, m.target.delta, m.phi)]) for ps in mors for m in ps]):
+            fam_id.record(ok, {"algebra": aname})
+        # m <= m2 implies m = m2, for the morphisms of one pair
+        lo, hi = (_stack(A, [mm[k].phi for ps in mors for mm in iproduct(ps, ps)])
+                  for k in (0, 1))
+        for ok in (lo == hi).all(axis=(1, 2))[A.leq[lo, hi].all(axis=(1, 2))]:
+            fam_onesided.record(bool(ok), {"algebra": aname})
+        # (m ; m2) ; m3 <= m ; (m2 ; m3)
+        triples = [(m, m2, m3) for X, Y, Z in iproduct(hsets, repeat=3)
+                   for m in graphs[id(X), id(Y)][:2] for m2 in graphs[id(Y), id(Z)][:2]
+                   for m3 in graphs[id(Z), id(X)][:2]]
+        M1, M2, M3 = (_stack(A, [t[k].phi for t in triples]) for k in range(3))
+        lhs = hs.compose_tables(A, hs.compose_tables(A, M1, M2), M3)
+        rhs = hs.compose_tables(A, M1, hs.compose_tables(A, M2, M3))
+        for ok in A.leq[lhs, rhs].all(axis=(1, 2)):
+            fam_assoc.record(bool(ok), {"algebra": aname})
+        # the dagger isos phi: X -> Y and psi: Y -> X are lawful and inverse
+        store = NameStore(A)
+        ctx = EvalContext(store)
+        firsts = hsets[:2]
+        isos = [(X,) + hs.dagger_iso(ctx, X) for X in firsts]
+        roundtrips = [((phi, psi), [(phi.phi, psi.phi, X.delta),
+                                    (psi.phi, phi.phi, phi.target.delta)]) for X, phi, psi in isos]
+        for X, ok in zip(firsts, _verdicts(A, roundtrips)):
+            fam_dagger.record(ok, {"algebra": aname, "points": len(X)})
+        dots = [hs.dagger_hset(store, X) for X in firsts]
+        fun = eval_grid(ctx, function_predicate(), {
+            "H": [hs.dagger_morphism(store, hs.identity(X)) for X in firsts], "X": dots, "Y": dots})
+        for k, X in enumerate(firsts):
+            fam_fun.record(fun[k, k, k] == A.top, {"algebra": aname, "points": len(X)})
+        # fwd: X -> C and bwd: C -> X are lawful and inverse, C is complete,
+        # and so are the isos of C and its completion C2
+        roundtrips = []
+        for X in firsts:
+            C, (f, b) = hs.completion(X)
+            C2, (f2, b2) = hs.completion(C)
+            roundtrips.append(((f, b), [(f.phi, b.phi, X.delta), (b.phi, f.phi, C.delta),
+                                        (f2.phi, b2.phi, C.delta), (b2.phi, f2.phi, C2.delta)]))
+        for ((f, _), _), ok in zip(roundtrips, _verdicts(A, roundtrips)):
+            fam_comp.record(ok and hs.is_complete(f.target), {"algebra": aname})
+        # the projections of X x Y, and the pairing W -> X x Y of the first
+        # morphisms h1: W -> X and h2: W -> Y of the first W that has both
+        products = [hs.product([X, Y]) for X, Y in pairs]
+        pairings = {}
+        for k, ((X, Y), (P, (p1, p2))) in enumerate(zip(pairs, products)):
+            W = next((W for W in hsets if graphs[id(W), id(X)] and graphs[id(W), id(Y)]), None)
+            if W is not None:
+                h1, h2 = graphs[id(W), id(X)][0].phi, graphs[id(W), id(Y)][0].phi
+                m = hs.HSetMorphism(W, P, A.meet_table[h1[:, :, None], h2[:, None, :]])
+                pairings[k] = ([m], [(m.phi, p1.phi, h1), (m.phi, p2.phi, h2)])
+        # stacked apart, as P -> X and W -> P padded together are |P| x |P|
+        paired = dict(zip(pairings, _verdicts(A, list(pairings.values()))))
+        for k, ok in enumerate(_verdicts(A, [(projs, []) for _, projs in products])):
+            fam_prod.record(ok, {"algebra": aname, "kind": "projections"})
+            if k in paired:
+                fam_prod.record(paired[k], {"algebra": aname, "kind": "pairing"})
+        # the inclusion incl of the equalizer of m and m2 is lawful, and
+        # m . incl <= m2 . incl
+        both = [mm for ps in mors for mm in iproduct(ps[:2], ps[:2])]
+        D = _stack(A, [m.source.delta for m, _ in both])
+        M, M2 = (_stack(A, [mm[k].phi for mm in both]) for k in (0, 1))
+        tau, inc = hs.equalizer_tables(A, D, M, M2)
+        for ok in hs.morphism_law_masks(A, tau, D, inc) & A.leq[
+                hs.compose_tables(A, inc, M), hs.compose_tables(A, inc, M2)].all(axis=(1, 2)):
+            fam_eq.record(bool(ok), {"algebra": aname})
 
 
 def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2, budget=None):
@@ -692,6 +818,9 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2, budget=None)
     completion roundtrips, product/equalizer behavior, bridge coherence,
     and the induced morphism of a witnessed lift.
 
+    The category families run on a seeded corpus of `corpus_per_algebra`
+    H-sets of up to 3 points per algebra and their graph morphisms, each
+    family decided as one stack per algebra by `_category_families`.
     The induced morphisms of every name of the rank-`rank`, domain cap 2
     pool over `four`, lifted along `f`, are decided as one stack on the
     equality kernels of the pool and of its images, so a pool whose
@@ -711,95 +840,7 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2, budget=None)
     graphs = {(id(X), id(Y)): _graph_morphisms(X, Y)
               for hsets in corpus.values() for X, Y in iproduct(hsets, hsets)}
 
-    fam_id = rep.family("identity is neutral for composition")
-    fam_assoc = rep.family("composition is associative")
-    fam_onesided = rep.family("one-sided comparison already implies equality")
-    for aname, hsets in corpus.items():
-        for X, Y in iproduct(hsets, hsets):
-            mors = graphs[id(X), id(Y)][:6]
-            for m in mors:
-                fam_id.record(
-                    hs.morphisms_equal(hs.compose(m, hs.identity(X)), m)
-                    and hs.morphisms_equal(hs.compose(hs.identity(Y), m), m),
-                    {"algebra": aname},
-                )
-            for m, m2 in iproduct(mors, mors):
-                leq_both = hs.hsets_equal(m.source, m2.source) and hs.hsets_equal(
-                    m.target, m2.target)
-                if leq_both and alg[aname].leq[m.phi, m2.phi].all():
-                    fam_onesided.record(np.array_equal(m.phi, m2.phi),
-                                        {"algebra": aname})
-        for X, Y, Z in iproduct(hsets, hsets, hsets):
-            for m in graphs[id(X), id(Y)][:2]:
-                for m2 in graphs[id(Y), id(Z)][:2]:
-                    for m3 in graphs[id(Z), id(X)][:2]:
-                        lhs = hs.compose(m3, hs.compose(m2, m))
-                        rhs = hs.compose(hs.compose(m3, m2), m)
-                        fam_assoc.record(hs.morphisms_equal(lhs, rhs),
-                                         {"algebra": aname})
-
-    fam = rep.family("dagger roundtrip is an isomorphism")
-    fam_fun = rep.family("dagger of the identity satisfies the function predicate")
-    for aname, algebra in alg.items():
-        store = NameStore(algebra)
-        ctx = EvalContext(store)
-        for X in corpus[aname][:2]:
-            phi, psi = hs.dagger_iso(ctx, X)
-            ok = (bool(hs.validate_morphism(phi)) and bool(hs.validate_morphism(psi))
-                  and hs.morphisms_equal(hs.compose(psi, phi), hs.identity(X))
-                  and hs.morphisms_equal(hs.compose(phi, psi),
-                                         hs.identity(phi.target)))
-            fam.record(ok, {"algebra": aname, "points": len(X)})
-            h = hs.dagger_morphism(store, hs.identity(X))
-            xd = hs.dagger_hset(store, X)
-            fun = eval_grid(ctx, function_predicate(), {"H": [h], "X": [xd], "Y": [xd]})
-            fam_fun.record(fun.item() == algebra.top,
-                           {"algebra": aname, "points": len(X)})
-
-    fam = rep.family("completion is complete and idempotent")
-    for aname, algebra in alg.items():
-        for X in corpus[aname][:2]:
-            comp, (fwd, bwd) = hs.completion(X)
-            ok = (bool(hs.validate_morphism(fwd)) and bool(hs.validate_morphism(bwd))
-                  and hs.is_complete(comp)
-                  and hs.morphisms_equal(hs.compose(bwd, fwd), hs.identity(X))
-                  and hs.morphisms_equal(hs.compose(fwd, bwd), hs.identity(comp)))
-            comp2, (f2, b2) = hs.completion(comp)
-            ok = ok and hs.morphisms_equal(hs.compose(b2, f2), hs.identity(comp))
-            ok = ok and hs.morphisms_equal(hs.compose(f2, b2), hs.identity(comp2))
-            fam.record(ok, {"algebra": aname})
-
-    fam = rep.family("product projections and pairing")
-    fam_eq = rep.family("equalizer equalizes and includes")
-    for aname, algebra in alg.items():
-        hsets = corpus[aname]
-        mt = algebra.meet_table
-        for X, Y in iproduct(hsets, hsets):
-            P, projs = hs.product([X, Y])
-            ok = all(bool(hs.validate_morphism(p)) for p in projs)
-            fam.record(ok, {"algebra": aname, "kind": "projections"})
-            for W in hsets:
-                h1 = graphs[id(W), id(X)][:1]
-                h2 = graphs[id(W), id(Y)][:1]
-                if not (h1 and h2):
-                    continue
-                pair_phi = np.empty((len(W), len(P)), dtype=np.int64)
-                for k, (ix, iy) in enumerate(
-                        iproduct(range(len(X)), range(len(Y)))):
-                    pair_phi[:, k] = mt[h1[0].phi[:, ix], h2[0].phi[:, iy]]
-                paired = hs.HSetMorphism(W, P, pair_phi)
-                ok = bool(hs.validate_morphism(paired))
-                ok = ok and hs.morphisms_equal(hs.compose(projs[0], paired), h1[0])
-                ok = ok and hs.morphisms_equal(hs.compose(projs[1], paired), h2[0])
-                fam.record(ok, {"algebra": aname, "kind": "pairing"})
-                break
-            mors = graphs[id(X), id(Y)][:2]
-            for m, m2 in iproduct(mors, mors):
-                E, incl = hs.equalizer(m, m2)
-                ok = bool(hs.validate_morphism(incl))
-                ok = ok and hs.morphisms_equal(hs.compose(m, incl),
-                                               hs.compose(m2, incl))
-                fam_eq.record(ok, {"algebra": aname})
+    _category_families(rep, alg, corpus, graphs)
 
     fam = rep.family("name bridge coherence (identity and composition)")
     for aname, algebra in alg.items():

@@ -2,25 +2,26 @@
 
 An H-set is a carrier of opaque points with an H-valued equality table
 delta (symmetric, transitive).  Morphisms are H-valued functional
-relations, and every table composes through `compose_tables`, one
-n^2 step per middle.  The bridges: from_name turns a name u into the
-H-set (dom u, delta_u); the dagger constructions go back, turning an
-H-set (or morphism) into a name; lambda tables give the canonical
-isomorphisms between from_name images of equal names and the morphism
-induced by an internal function name.  Each bridge takes the
-`EvalContext` of its store, and its table is one `name_table` between
-the extents, the diagonals of from_name images.
+relations.  The bridges: from_name turns a name u into the H-set
+(dom u, delta_u); the dagger constructions go back, turning an H-set
+(or morphism) into a name; lambda tables give the canonical isomorphisms
+between from_name images of equal names and the morphism induced by an
+internal function name.  Each bridge takes the `EvalContext` of its
+store, and its table is one `name_table` between the extents, the
+diagonals of from_name images.
 
-The validators return an `errors.Family`, the one report type for a
-single law, whose violations are `{"law", "witness", "values"}` dicts.
-The four morphism laws live in one slab helper, `morphism_law_masks`,
-which decides a stack of G candidate tables at once with memory
-G*nt^2 per source point (G*ns*nt for source congruence).  The
-candidates share one pair of carriers or each bring their own; carriers
-of different sizes are padded with bottom to one shape, and a padded
-point, with bottom extent, row and column, satisfies every law
-vacuously.  `validate_morphism` is that helper on a stack of one.
-"""
+The table kernels decide a whole stack of tables at once, and each
+single-morphism operation is its kernel on a stack of one:
+`compose_tables` (for `compose`) takes one step per middle over every
+table of the stack, `equalizer_tables` (for `equalizer`) is one such
+composition, and `morphism_law_masks` (for `validate_morphism`, which
+returns an `errors.Family` with `{"law", "witness", "values"}`
+violations) decides the four morphism laws with memory G*nt^2 per
+source point (G*ns*nt for source congruence).  Tables of different
+carriers are padded with bottom to one shape, padded points last; a
+padded point, with bottom extent, row and column, composes to bottom
+and satisfies every law vacuously.  `checks.hset_law_suite` decides its
+category families this way, one stack per algebra and family."""
 
 import math
 import re
@@ -133,11 +134,8 @@ def morphism_law_masks(A, ds, dt, phis, first=None):
 
     The carriers' equality tables are ds, of shape (G, ns, ns), and dt,
     of shape (G, nt, nt), one pair per candidate, or (ns, ns) and
-    (nt, nt), one pair shared by every candidate.  Carriers of different
-    sizes are padded with bottom to the common shape, padded points last:
-    a point with extent bottom, whose rows and columns in its carrier
-    and in the table are bottom too, satisfies every law vacuously, so
-    each mask entry is the verdict on the unpadded table.
+    (nt, nt), one pair shared by every candidate.  A padded point is
+    vacuous, so each mask entry is the verdict on the unpadded table.
 
     One loop over blocks of source points x decides every candidate at
     once on (G, block, nt, nt) slabs (G, block, ns, nt for source
@@ -346,23 +344,25 @@ def product(hsets, algebra=None):
 
 
 def equalizer(phi, psi):
-    """Equalizer of parallel morphisms.
-
-    Carrier is the source carrier with
-    tau(x, y) = delta(x, y) /\\ \\/_{x'} phi(x,x') /\\ psi(y,x'),
-    which works out to delta(x, y) /\\ e(x) where e is the extent of
-    agreement e(x) = \\/_{x'} phi(x,x') /\\ psi(x,x').
-    """
+    """Equalizer of parallel morphisms: the source carrier with
+    `equalizer_tables`' tau, and its inclusion."""
     if not (hsets_equal(phi.source, psi.source) and hsets_equal(phi.target, psi.target)):
         raise NotComposable("equalizer needs parallel morphisms")
     X = phi.source
-    A = X.algebra
-    mt = A.meet_table
-    agree = compose_tables(A, phi.phi, psi.phi.T)   # \/_{x'} phi(x,x') /\ psi(y,x')
-    tau = mt[X.delta, agree]
-    E = HSet(A, X.points, tau)
-    inc = mt[tau.diagonal()[:, None], X.delta]
+    tau, inc = equalizer_tables(X.algebra, X.delta, phi.phi, psi.phi)
+    E = HSet(X.algebra, X.points, tau)
     return E, HSetMorphism(E, X, inc)
+
+
+def equalizer_tables(A, delta, phi, psi):
+    """The equalizer of the parallel tables phi, psi out of the carrier
+    delta, for one pair or, with a leading axis, a stack:
+    tau(x, y) = delta(x, y) /\\ \\/_{x'} phi(x,x') /\\ psi(y,x'), which
+    works out to delta(x, y) /\\ e(x) with e(x) = \\/_{x'} phi(x,x') /\\
+    psi(x,x') the extent of agreement, and inc(x, y) = tau(x, x) /\\ delta(x, y)."""
+    mt = A.meet_table
+    tau = mt[delta, compose_tables(A, phi, psi.swapaxes(-1, -2))]
+    return tau, mt[tau.diagonal(axis1=-2, axis2=-1)[..., :, None], delta]
 
 
 # -- bridges to the name universe ----------------------------------------------------

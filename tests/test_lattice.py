@@ -330,9 +330,9 @@ def test_join_irreducibles_are_computed_on_first_use():
 
 class FrozenLoops(HeytingAlgebra):
     """The construction as it stood before the row-at-a-time kernels, kept
-    verbatim as the reference: per-pair Python loops for meets and joins,
-    a frame check over n^3 arrays, a triple loop for the implication, and
-    bottom and top as folds."""
+    verbatim as the reference: per-pair Python loops for the poset laws
+    and for meets and joins, a frame check over n^3 arrays, a triple loop
+    for the implication, and bottom and top as folds."""
 
     def __init__(self, labels, leq, name=None):
         labels = [str(s) for s in labels]
@@ -367,6 +367,21 @@ class FrozenLoops(HeytingAlgebra):
         self.impl_table = self._compute_implication()
         for arr in (self.leq, self.meet_table, self.join_table, self.impl_table):
             arr.setflags(write=False)
+
+    def _check_poset(self):
+        # each law reports its first failing element or pair in row order
+        n, leq, labels = self.n, self.leq, self.labels
+        for i in range(n):
+            if not leq[i, i]:
+                raise NotAPoset("reflexivity", (labels[i],))
+        for i in range(n):
+            for j in range(n):
+                if i != j and leq[i, j] and leq[j, i]:
+                    raise NotAPoset("antisymmetry", (labels[i], labels[j]))
+        for i in range(n):
+            for j in range(n):
+                if not leq[i, j] and any(leq[i, k] and leq[k, j] for k in range(n)):
+                    raise NotAPoset("transitivity", (labels[i], labels[j]))
 
     def _compute_bounds(self):
         n = self.n
@@ -472,18 +487,39 @@ def shuffled_chain_products(draw):
     return ["_".join(map(str, e)) for e in elems], leq
 
 
+@st.composite
+def broken_posets(draw):
+    """A `shuffled_posets` order with 1 to 3 cells flipped: most break
+    reflexivity, antisymmetry or transitivity, and some break several,
+    so the law reported first and its witness are both compared."""
+    labels, leq = draw(shuffled_posets())
+    leq = leq.copy()
+    n = len(labels)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        leq[i, j] = not leq[i, j]
+    return labels, leq
+
+
+@settings(max_examples=300, deadline=None)
+@given(broken_posets())
+def test_broken_posets_match_the_frozen_loops(poset):
+    labels, leq = poset
+    assert_same_as_frozen_loops(lambda: lattice.HeytingAlgebra(labels, leq))
+
+
 @settings(max_examples=150, deadline=None)
 @given(shuffled_posets())
 def test_random_posets_match_the_frozen_loops(poset):
     labels, leq = poset
-    assert_same_as_frozen_loops(lambda: HeytingAlgebra(labels, leq))
+    assert_same_as_frozen_loops(lambda: lattice.HeytingAlgebra(labels, leq))
 
 
 @settings(max_examples=60, deadline=None)
 @given(shuffled_chain_products())
 def test_shuffled_chain_products_match_the_frozen_loops(poset):
     labels, leq = poset
-    assert_same_as_frozen_loops(lambda: HeytingAlgebra(labels, leq))
+    assert_same_as_frozen_loops(lambda: lattice.HeytingAlgebra(labels, leq))
 
 
 FIXTURE_ALGEBRAS = sorted((Path(__file__).parent.parent / "fixtures").glob("*.alg"))
@@ -562,7 +598,7 @@ def test_hidden_m3_and_n5_match_the_frozen_loops(factors, rnd):
     labels, leq = _hidden(*factors)
     perm = np.array(rnd.sample(range(len(labels)), len(labels)))
     labels, leq = [labels[i] for i in perm], leq[np.ix_(perm, perm)]
-    assert_same_as_frozen_loops(lambda: HeytingAlgebra(labels, leq))
+    assert_same_as_frozen_loops(lambda: lattice.HeytingAlgebra(labels, leq))
     with pytest.raises(NotAFrame):
         HeytingAlgebra(labels, leq)
 
