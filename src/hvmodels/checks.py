@@ -10,7 +10,6 @@ them, so the laws live in exactly one place.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import combinations, product as iproduct
 
 import numpy as np
@@ -33,9 +32,9 @@ from .names import (
 from .valuation import (
     GRID_BUDGET,
     EvalContext,
+    _code_fold,
     _element_dtype,
     _row_blocks,
-    _slot_fold,
     check_kernel_size,
     child_arrays,
     eq_matrix,
@@ -135,7 +134,7 @@ def valuation_property_suite(algebra, rank=2, max_domain=2, budget=None):
     enumeration or kernel is over its budget raises BudgetExceeded
     before any name is enumerated.
     """
-    check_kernel_size(pool_size(algebra.n, rank, max_domain, budget))
+    check_kernel_size(pool_size(algebra.n, rank, max_domain, budget), algebra.codes.width)
     store = NameStore(algebra)
     pool = enumerate_names(store, max_rank=rank, max_domain=max_domain, budget=budget)
     ctx = EvalContext(store, fragment=pool)
@@ -146,21 +145,6 @@ def valuation_property_suite(algebra, rank=2, max_domain=2, budget=None):
         config=_config(algebra, rank=rank, max_domain=max_domain, pool=len(pool)),
     )
     return valuation_law_families(rep, ctx, EQ, MEM)
-
-
-def _planes(algebra, values):
-    """One boolean plane per join-irreducible p, made as it is needed:
-    where p <= values."""
-    return (algebra.leq[p][values] for p in algebra.join_irreducibles)
-
-
-def _from_planes(algebra, shape, planes):
-    """The element array whose join-irreducibles below are given by one
-    plane per join-irreducible: the join of the p whose plane holds."""
-    out = np.full(shape, algebra.bottom, dtype=_element_dtype(algebra))
-    for p, plane in zip(algebra.join_irreducibles, planes):
-        out[plane] = algebra.join_table[out[plane], p]
-    return out
 
 
 def _count(A, B):
@@ -230,47 +214,55 @@ def _distinct_rows(M):
 def fragment_forms(algebra, MEM):
     """The unbounded quantifier forms over the whole pool as fragment:
     fex[x, z] = \\/_w [w in x] /\\ [w in z] and
-    ffa[x, z] = /\\_w [w in x] -> [w in z].
+    ffa[x, z] = /\\_w [w in x] -> [w in z]."""
+    codes = algebra.codes
+    return tuple(codes.decode(form) for form in _fragment_codes(codes, codes.encode(MEM)))
 
-    On p's plane fex is M_p^T @ M_p > 0.  p <= a -> b iff q <= a
-    implies q <= b for every join-irreducible q <= p, so ffa holds on
-    p's plane where no such q has a w with M_q[w, x] and not M_q[w, z].
-    Each product runs over the distinct rows w of the plane only: a
-    repeated row changes no OR, so both forms stay exact on any MEM.
+
+def _fragment_codes(codes, MEM):
+    """`fragment_forms` on the Birkhoff codes of MEM, as codes.
+
+    Bit p of fex is M_p^T @ M_p > 0 on the plane M_p of p, bit p of MEM.
+    p <= a -> b iff q <= a implies q <= b for every join-irreducible
+    q <= p, so ffa is the interior of the planes where no w has
+    M_p[w, x] and not M_p[w, z].  Each product runs over the distinct
+    rows w of the plane only: a repeated row changes no OR, so both
+    forms stay exact on any MEM.
     """
-    leq, J = algebra.leq, algebra.join_irreducibles
-    planes = [_distinct_rows(M) for M in _planes(algebra, MEM)]
-    fex = _from_planes(algebra, MEM.shape, (_count(U.T, U) > 0 for U in planes))
-    escapes = [_count(U.T, ~U) > 0 for U in planes]
-    ffa = _from_planes(algebra, MEM.shape, (
-        ~reduce(np.logical_or, [esc for q, esc in zip(J, escapes) if leq[q, p]])
-        for p in J))
-    return fex, ffa
+    planes = [_distinct_rows(codes.plane(MEM, i)) for i in range(codes.size)]
+    fex = codes.from_planes(MEM.shape[:2], (_count(U.T, U) > 0 for U in planes))
+    ffa = codes.from_planes(MEM.shape[:2], (_count(U.T, ~U) == 0 for U in planes))
+    return fex, codes.interior(ffa)
 
 
 def valuation_law_families(rep, ctx, EQ, MEM):
     """Add the eleven law families over the pool `ctx.fragment`, given
     its [x = y] and [x in y] matrices, to the report `rep` and return it.
 
+    EQ, MEM and the entry values are converted once to Birkhoff codes
+    (`HeytingAlgebra.codes`: the join-irreducibles below a value, as
+    bits), and the families compare codes, which are injective.
+
     The order laws 5, 6, 7 and 9 quantify over a middle name k, n^2
     checks per middle.  They are decided on join-irreducible bitplanes
     (Birkhoff): a /\\ b <= c holds iff for every join-irreducible p,
     p <= a and p <= b imply p <= c, and a = b iff they have the same
-    join-irreducibles below.  With E_p = (p <= EQ) and M_p = (p <= MEM)
-    the families are decided on the classes of E_p, in O(n^2) per p:
-    when E_p is an equivalence relation, family 5 holds on it, family 6
-    holds iff every row of M_p is constant on the classes, family 7 iff
-    every column is, and the columns k of M_p, M_p^T and E_p that are
-    not constant on the classes are the middles failing family 9.  The
-    0/1 matrix products `_failing_middles` and `_unequal_columns` run
-    only on a plane whose E_p is not an equivalence (all four families)
-    or where family 6 or 7 fails (that family), to name the failing
-    middles.
+    join-irreducibles below.  The planes E_p = (p <= EQ) and
+    M_p = (p <= MEM) are bit p of the codes, and the families are
+    decided on the classes of E_p, in O(n^2) per p: when E_p is an
+    equivalence relation, family 5 holds on it, family 6 holds iff every
+    row of M_p is constant on the classes, family 7 iff every column is,
+    and the columns k of M_p, M_p^T and E_p that are not constant on the
+    classes are the middles failing family 9.  The 0/1 matrix products
+    `_failing_middles` and `_unequal_columns` run only on a plane whose
+    E_p is not an equivalence (all four families) or where family 6 or
+    7 fails (that family), to name the failing middles.
 
     Families 2, 4 and 8 and the bounded forms of 10 and 11 are folds
     over the child slots of the pool's `child_arrays`: families 4, 10
-    and 11 by `valuation._slot_fold`, the fold the kernel builds EQ and
-    MEM with, and family 8 in its row blocks.
+    and 11 by `valuation._code_fold`, the fold the kernel builds EQ and
+    MEM with, and family 8 in its row blocks, where a <= b iff
+    a & ~b is 0.
 
     Families 10 and 11 also compare `EVAL_SAMPLES` x `EVAL_SAMPLES`
     samples: the bounded form through `ctx.eval`, and the unbounded form
@@ -281,9 +273,8 @@ def valuation_law_families(rep, ctx, EQ, MEM):
     idx = {nid: k for k, nid in enumerate(pool)}
     # the entries (K[x, s], V[x, s]) of each pool name x, by child slot s
     K, V, sizes = child_arrays(store, pool, idx, _element_dtype(algebra))
-    mt, jt, it = (t.astype(V.dtype) for t in (
-        algebra.meet_table, algebra.join_table, algebra.impl_table))
-    leq, top, bottom = algebra.leq, algebra.top, algebra.bottom
+    codes, leq, top = algebra.codes, algebra.leq, algebra.top
+    EQc, MEMc, Vc = codes.encode(EQ), codes.encode(MEM), codes.encode(V)
 
     def lit(p):
         return store.to_literal(pool[p])
@@ -301,7 +292,7 @@ def valuation_law_families(rep, ctx, EQ, MEM):
     fam.bulk(n * n, np.array_equal(EQ, EQ.T), "asymmetric pair")
 
     fam = rep.family("4 mirrored membership [x in y] = [y ni x]")
-    mirrored = (_slot_fold(jt, mt, bottom, K, V, EQ) == MEM.T).all(axis=1)
+    mirrored = (_code_fold(codes, K, Vc, EQc) == MEMc.transpose(1, 0, 2)).all(axis=(1, 2))
     fam.checked += n * n
     fam.violations.extend({"x": lit(i)} for i in np.flatnonzero(~mirrored))
 
@@ -310,8 +301,8 @@ def valuation_law_families(rep, ctx, EQ, MEM):
     substituted = ("w in z", "z in w", "w = z")
     fail5, fail6, fail7 = (np.zeros(n, dtype=bool) for _ in range(3))
     fail9 = np.zeros((len(substituted), n), dtype=bool)
-    for E, M in zip(_planes(algebra, EQ), _planes(algebra, MEM)):
-        f5, f6, f7, f9 = _plane_failures(E, M)
+    for p in range(codes.size):
+        f5, f6, f7, f9 = _plane_failures(codes.plane(EQc, p), codes.plane(MEMc, p))
         fail5 |= f5
         fail6 |= f6
         fail7 |= f7
@@ -326,10 +317,10 @@ def valuation_law_families(rep, ctx, EQ, MEM):
 
     fam = rep.family("8 equality carries entries")
     carried = np.ones(K.shape, dtype=bool)
-    for rows in _row_blocks(n, n):
+    for rows in _row_blocks(n, EQc[:1].size):
         for s in range(K.shape[1]):
-            carried[rows, s] = leq[mt[EQ[rows], V[rows, s, None]],
-                                   MEM[K[rows, s]]].all(axis=1)
+            carried[rows, s] = ~(EQc[rows] & Vc[rows, s, None]
+                                 & ~MEMc[K[rows, s]]).any(axis=(1, 2))
     fam.checked += n * int(sizes.sum())
     fam.violations.extend({"x": lit(i), "u": lit(K[i, s])}
                           for i, s in np.argwhere(~carried))
@@ -341,11 +332,12 @@ def valuation_law_families(rep, ctx, EQ, MEM):
 
     # bounded-quantifier expansion over dom x, with the value of the
     # unbounded form over the full pool as fragment for comparison
-    bex = _slot_fold(jt, mt, bottom, K, V, MEM)
-    bfa = _slot_fold(mt, it, top, K, V, MEM)
-    fex, ffa = fragment_forms(algebra, MEM)
+    bex = _code_fold(codes, K, Vc, MEMc)
+    bfa = _code_fold(codes, K, Vc, MEMc, implies=True)
+    fex, ffa = _fragment_codes(codes, MEMc)
 
     sample = pool[:: max(1, n // EVAL_SAMPLES)]
+    at = [idx[x] for x in sample]
     for name, value, form, bounded, unbounded in (
         ("10 bounded exists expands over the domain", bex, fex,
          "exists u in X . u in Z", "exists u . u in X /\\ u in Z"),
@@ -357,9 +349,10 @@ def valuation_law_families(rep, ctx, EQ, MEM):
                               {"X": sample, "Z": sample})
         fam = rep.family(name)
         fam.bulk(n * n, np.array_equal(value, form), "fragment form differs")
+        value = codes.decode(value[np.ix_(at, at)])
         for (i, x), (j, z) in iproduct(enumerate(sample), repeat=2):
             b = ctx.eval(bounded, {"X": x, "Z": z})
-            ok = b == value[idx[x], idx[z]] == unbounded[i, j]
+            ok = b == value[i, j] == unbounded[i, j]
             fam.record(ok, None if ok else
                        {"x": store.to_literal(x), "z": store.to_literal(z)})
 

@@ -95,11 +95,13 @@ class Session:
         }
 
 
-def _emit(args, payload, text):
+def _emit(args, text, payload):
+    """Print `text`; with --json, also write `payload()`, which is built
+    only then."""
     print(text)
     if getattr(args, "json", None):
         Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            json.dumps(payload(), indent=2, sort_keys=True) + "\n"
         )
 
 
@@ -114,22 +116,34 @@ def _table_text(algebra, table, title):
 
 def cmd_algebra(args, session):
     algebra = _load_algebra_file(args.file)
-    payload = {
-        "config": session.config(f"algebra {args.mode}"),
-        "file": Path(args.file).name,
-        "name": algebra.name,
-        "elements": list(algebra.labels),
-        "bottom": algebra.labels[algebra.bottom],
-        "top": algebra.labels[algebra.top],
-        "boolean": is_boolean(algebra),
-        "hash": algebra.content_hash(),
-        "valid": True,
-    }
+    bottom, top = algebra.labels[algebra.bottom], algebra.labels[algebra.top]
+    boolean = is_boolean(algebra)
+
+    def payload():
+        out = {
+            "config": session.config(f"algebra {args.mode}"),
+            "file": Path(args.file).name,
+            "name": algebra.name,
+            "elements": list(algebra.labels),
+            "bottom": bottom,
+            "top": top,
+            "boolean": boolean,
+            "hash": algebra.content_hash(),
+            "valid": True,
+        }
+        if args.mode != "check":
+            out["tables"] = {
+                "meet": algebra.meet_table.tolist(),
+                "join": algebra.join_table.tolist(),
+                "implication": algebra.impl_table.tolist(),
+            }
+        return out
+
     if args.mode == "check":
         text = (f"{algebra.name}: valid frame with {algebra.n} elements\n"
-                f"bottom: {payload['bottom']}  top: {payload['top']}\n"
-                f"boolean: {'yes' if payload['boolean'] else 'no'}")
-        _emit(args, payload, text)
+                f"bottom: {bottom}  top: {top}\n"
+                f"boolean: {'yes' if boolean else 'no'}")
+        _emit(args, text, payload)
         return 0
     parts = [f"{algebra.name}: {algebra.n} elements: " + " ".join(algebra.labels)]
     strict = algebra.leq & ~np.eye(algebra.n, dtype=bool)
@@ -139,12 +153,7 @@ def cmd_algebra(args, session):
     parts.append(_table_text(algebra, algebra.meet_table, "meet"))
     parts.append(_table_text(algebra, algebra.join_table, "join"))
     parts.append(_table_text(algebra, algebra.impl_table, "implication"))
-    payload["tables"] = {
-        "meet": algebra.meet_table.tolist(),
-        "join": algebra.join_table.tolist(),
-        "implication": algebra.impl_table.tolist(),
-    }
-    _emit(args, payload, "\n".join(parts))
+    _emit(args, "\n".join(parts), payload)
     return 0
 
 
@@ -231,7 +240,7 @@ def cmd_eval(args, session):
         value = ctx.eval(phi)
         results.append({"formula": text, "value": algebra.labels[value]})
         lines.append(f"{text}  =  {algebra.labels[value]}")
-    payload = {
+    _emit(args, "\n".join(lines) if lines else "(no eval lines)", lambda: {
         "config": session.config("eval"),
         "script": Path(args.script).name,
         "algebra": script["algebra_name"],
@@ -239,8 +248,7 @@ def cmd_eval(args, session):
             n: store.to_literal(v) for n, v in script["bindings"].items()
         },
         "results": results,
-    }
-    _emit(args, payload, "\n".join(lines) if lines else "(no eval lines)")
+    })
     return 0
 
 
@@ -279,7 +287,7 @@ def cmd_lift(args, session):
     ]
     lines += [f"  {u} -> {v}" for u, v in witness] or ["  (empty domain)"]
     lines.append(f"generalized related: {'yes' if related else 'no'}")
-    payload = {
+    _emit(args, "\n".join(lines), lambda: {
         "config": session.config("lift"),
         "morphism": name,
         "name": target,
@@ -287,8 +295,7 @@ def cmd_lift(args, session):
         "image": store_b.to_literal(wl.image),
         "witness": witness,
         "generalized_related": bool(related),
-    }
-    _emit(args, payload, "\n".join(lines))
+    })
     return 0
 
 
@@ -339,14 +346,13 @@ def cmd_check(args, session):
                                              budget=session.budget))
     else:
         raise ParseError(f"unknown suite {suite!r}")
-    text = "\n".join(r.render_text() for r in reports)
-    payload = {
+    ok = all(r.ok for r in reports)
+    _emit(args, "\n".join(r.render_text() for r in reports), lambda: {
         "config": session.config(f"check {suite}"),
         "reports": [r.to_json_dict() for r in reports],
-        "ok": all(r.ok for r in reports),
-    }
-    _emit(args, payload, text)
-    return 0 if payload["ok"] else 1
+        "ok": ok,
+    })
+    return 0 if ok else 1
 
 
 def _count(text):

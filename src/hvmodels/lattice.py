@@ -18,7 +18,7 @@ in about 0.2 s on one core with under 10 MiB of numpy buffers at peak.
 """
 
 import hashlib
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -36,12 +36,15 @@ from .errors import (
 MAX_ELEMENTS = 512
 # Cells of one slab of a row-block step: 256 KiB of booleans
 SLAB_CELLS = 1 << 18
+# Cells of one block of a gather of Birkhoff codes, whose intp indices
+# then stay in cache
+GATHER_CELLS = 1 << 14
 
 
-def _row_blocks(n, row_cells):
+def _row_blocks(n, row_cells, cells=SLAB_CELLS):
     """(start, stop) ranges that cover the rows 0..n-1, each of at most
-    SLAB_CELLS // row_cells rows and of at least one."""
-    step = max(1, SLAB_CELLS // max(1, row_cells))
+    cells // row_cells rows and of at least one."""
+    step = max(1, cells // max(1, row_cells))
     return [(a, min(a + step, n)) for a in range(0, n, step)]
 
 
@@ -214,6 +217,11 @@ class HeytingAlgebra:
         use, not at construction."""
         return tuple(int(p) for p in np.flatnonzero(_join_irreducible_mask(self.leq)))
 
+    @cached_property
+    def codes(self):
+        """The `BirkhoffCodes` of the elements, built on first use."""
+        return BirkhoffCodes(self)
+
     # -- scalar operations ----------------------------------------------
 
     def check_element(self, a):
@@ -257,6 +265,86 @@ class HeytingAlgebra:
         h.update(("|".join(self.labels)).encode())
         h.update(np.packbits(self.leq).tobytes())
         return h.hexdigest()
+
+
+class BirkhoffCodes:
+    r"""Every element as its Birkhoff code: the bitmask of the
+    join-irreducibles J below it, bit i for J[i] (Davey & Priestley,
+    ch. 5).  A code is `width` bytes, little-endian in bits, so an array
+    of codes has a trailing axis of `width` bytes; bits past |J| are 0.
+
+    Codes are injective, a /\ b is AND and a \/ b is OR.  a -> b is the
+    interior of ~a | b, the largest down-set of J inside it: bit p is
+    kept iff every bit q <= p in J is set.  The interior preserves AND.
+    It is one 256-entry lookup per pair of bytes related by the order
+    (one lookup when |J| <= 8), and `decode` walks a trie of the bytes.
+    """
+
+    def __init__(self, algebra):
+        J, n = list(algebra.join_irreducibles), algebra.n
+        self.size, self.width = len(J), max(1, -(-len(J) // 8))
+        w = self.width
+        bits = np.zeros((n + 8 * w, 8 * w), dtype=bool)
+        bits[:n, :len(J)] = algebra.leq[J].T
+        bits[n:n + len(J), :len(J)] = algebra.leq[np.ix_(J, J)].T  # down-sets
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        self.table, down = packed[:n], packed[n:]
+        self.top = self.table[algebra.top]
+        values, valid = np.arange(256, dtype=np.uint8)[:, None], np.arange(8 * w) < len(J)
+        self._interior = [
+            [(c, np.packbits(((values & need) == need) & valid[8 * b:8 * b + 8],
+                             axis=1, bitorder="little")[:, 0])
+             for c, need in enumerate(down[8 * b:8 * b + 8].T) if c == b or need.any()]
+            for b in range(w)]
+        # byte c of the codes maps a prefix state and the byte to the next
+        # state; the last byte's step gives the element
+        self._trie, state, states = [], np.zeros(n, dtype=np.intp), 1
+        for c in range(w):
+            found, state = np.unique(state * 256 + self.table[:, c], return_inverse=True)
+            step = np.zeros(256 * states, dtype=np.intp)
+            step[found] = np.arange(len(found))
+            self._trie.append(step)
+            states = len(found)
+        element = np.empty(states, dtype=np.min_scalar_type(n - 1))
+        element[state] = np.arange(n)
+        self._trie[-1] = element[self._trie[-1]]
+
+    def encode(self, elements):
+        return np.take(self.table, elements, axis=0)
+
+    # decode and interior take arrays of codes with rows on the first
+    # axis, and gather in row blocks of GATHER_CELLS cells
+
+    def decode(self, codes):
+        out = np.empty(codes.shape[:-1], dtype=self._trie[-1].dtype)
+        for a0, a1 in _row_blocks(len(codes), codes[:1].size, GATHER_CELLS):
+            block = codes[a0:a1]
+            state = np.take(self._trie[0], block[..., 0])
+            for c in range(1, self.width):
+                state = np.take(self._trie[c], state * 256 + block[..., c])
+            out[a0:a1] = state
+        return out
+
+    def interior(self, codes):
+        """Every code replaced by its interior, in place; returns `codes`."""
+        for a0, a1 in _row_blocks(len(codes), codes[:1].size, GATHER_CELLS):
+            block = codes[a0:a1]
+            kept = [reduce(np.bitwise_and, (np.take(t, block[..., c]) for c, t in tables))
+                    for tables in self._interior]
+            for b, bits in enumerate(kept):
+                block[..., b] = bits
+        return codes
+
+    def plane(self, codes, i):
+        """Where J[i] is below, as booleans."""
+        return (codes[..., i >> 3] & (1 << (i & 7))) != 0
+
+    def from_planes(self, shape, planes):
+        """The codes whose bit i is the i-th boolean plane."""
+        out = np.zeros((*shape, self.width), dtype=np.uint8)
+        for i, plane in enumerate(planes):
+            out[..., i >> 3] |= plane.view(np.uint8) << (i & 7)
+        return out
 
 
 # -- module-level operations (validated entry points) ---------------------

@@ -37,6 +37,7 @@ class NameStore:
         self._entries = []  # canonical tuples of (key_id, value) sorted by key
         self._ranks = []
         self._interned = {}
+        self._tags = []  # the ordinal tags made so far, see `ordinal_tags`
         self.empty = self.intern(())
 
     def __len__(self):
@@ -221,12 +222,14 @@ def hat_embed(store, x):
 
 def ordinal_tags(store):
     """hat_embed(store, ord_hf(k)) for k = 0, 1, 2, ...: each ordinal is
-    interned from the names of the ones before it, so tag k costs k."""
-    top = store.algebra.top
-    tags = []
+    interned from the names of the ones before it, once per store; the
+    store keeps the chain and it is extended on demand."""
+    tags, k = store._tags, 0
     while True:
-        tags.append(store.intern(tuple((t, top) for t in tags)))
-        yield tags[-1]
+        if k == len(tags):
+            tags.append(store.intern(tuple((t, store.algebra.top) for t in tags)))
+        yield tags[k]
+        k += 1
 
 
 def check_project(store, nid):

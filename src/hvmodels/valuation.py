@@ -21,8 +21,12 @@ its free variables.  Atoms are gathers from an array kernel over the
 downward closure of the names involved, laid out by rank in the one
 padded child layout, `child_arrays` (shared with `transfer` and
 `checks`), and membership, inclusion and equality are filled one rank
-level at a time, each by the one fold over child slots, `_slot_fold`.
-Connectives are table lookups and bounded quantifiers are reductions
+level at a time, each by the one fold over child slots, `_code_fold`.
+The kernel holds every value as its Birkhoff code, the bitmask of the
+join-irreducibles below it (`HeytingAlgebra.codes`), so a fold is
+bitwise AND and OR, and an implication one interior step per fold;
+the values are encoded once and EQ and MEM decoded once.  Grid
+connectives are table lookups and bounded quantifiers are reductions
 over child slots.  `eq_matrix` and `mem_matrix` are `eval_grid` on a
 single atom.  The context keeps its last kernel and reuses it while
 the requested names lie in its closure; no cell of a bulk result goes
@@ -293,18 +297,19 @@ def child_arrays(store, nodes, pos, dtype):
     return K, V, sizes
 
 
-def check_kernel_size(n):
+def check_kernel_size(n, width=1):
     """Raise `BudgetExceeded` when the equality kernel over n names, n^2
-    cells, is over `GRID_BUDGET`."""
-    if n * n > GRID_BUDGET:
+    Birkhoff codes of `width` bytes each (one byte when |J| <= 8), is
+    over `GRID_BUDGET` bytes."""
+    if n * n * width > GRID_BUDGET:
         raise BudgetExceeded(
-            f"the equality kernel over {n} names needs {n * n} cells, "
-            f"over the {GRID_BUDGET}-cell budget",
-            predicted=n * n, budget=GRID_BUDGET)
+            f"the equality kernel over {n} names needs {n * n * width} bytes "
+            f"of codes, over the {GRID_BUDGET}-byte budget",
+            predicted=n * n * width, budget=GRID_BUDGET)
 
 
 FOLD_CELLS = 1 << 20
-"""Cells of the widest temporary of a fold over child slots."""
+"""Bytes of the widest temporary of a fold over child slots."""
 
 
 def _row_blocks(n, cols):
@@ -312,15 +317,21 @@ def _row_blocks(n, cols):
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
-def _slot_fold(fold, op, unit, K, V, M):
-    """Row x is fold_s op(V[x, s], M[K[x, s], :]) over the child slots s
-    of x from `unit`, in blocks of rows; the padding value bottom must
-    give op(bottom, a) = unit."""
-    out = np.full((len(K), M.shape[1]), unit, dtype=fold.dtype)
-    for rows in _row_blocks(len(K), M.shape[1]):
+def _code_fold(codes, K, V, M, implies=False):
+    r"""Row x is \/_s V[x, s] /\ M[K[x, s], :], or with `implies`
+    /\_s V[x, s] -> M[K[x, s], :], over the Birkhoff codes `codes` of
+    the algebra, in blocks of rows.  A join of meets is an OR of ANDs.
+    The meet of implications is the interior of the AND of the
+    ~V | M: the interior preserves AND, so it is taken once.  The
+    padding code of bottom, 0, is neutral in both."""
+    out = np.full((len(K), *M.shape[1:]), 255 if implies else 0, dtype=np.uint8)
+    for rows in _row_blocks(len(K), M[:1].size):
         for s in range(K.shape[1]):
-            out[rows] = fold[out[rows], op[V[rows, s, None], M[K[rows, s]]]]
-    return out
+            if implies:
+                out[rows] &= ~V[rows, s, None] | M[K[rows, s]]
+            else:
+                out[rows] |= V[rows, s, None] & M[K[rows, s]]
+    return codes.interior(out) if implies else out
 
 
 def _build_kernel(store, ids):
@@ -329,10 +340,14 @@ def _build_kernel(store, ids):
     Returns (pos, EQ, MEM).  The names of the closure have positions
     ordered by rank, and `pos` maps each name to its position; EQ and
     MEM are indexed by position, MEM[u, v] = [u in v], and hold elements
-    in the smallest dtype.  Both come from the closure's `child_arrays`
-    K and V by `_slot_fold`, whose padding value bottom is neutral in
-    both folds (bottom /\ a = bottom joins to nothing, bottom -> a = top
-    meets to nothing).
+    in the smallest dtype.  They are computed on the Birkhoff codes of
+    the values (`HeytingAlgebra.codes`), converted once at each end:
+    the closure's `child_arrays` V is encoded, and EQ and MEM decoded.
+    A code is the set of join-irreducibles J below a value, and in a
+    finite frame the map to down-sets of J is an isomorphism
+    (Birkhoff), so /\ is AND, \/ is OR and a -> b is the interior of
+    ~a | b: the kernel is exact on codes.  Both folds are `_code_fold`,
+    whose padding code of bottom, 0, is neutral.
 
     Equality is mutual inclusion.  The positions of rank <= r are a
     prefix [:end], those of rank < r the prefix [:lo], and every child
@@ -340,34 +355,41 @@ def _build_kernel(store, ids):
     [:lo, :lo], pairs of names of rank < r, which the levels below have
     made final (the first level is the empty name alone, [{} = {}] = top):
 
-        MEMt[y, u] = \/_b V[y, b] /\ EQ[K[y, b], u]     (u < lo)
-        SUB[x, y]  = /\_a V[x, a] -> MEMt[y, K[x, a]]   = [x sub y]
-        EQ[:end, :end] = SUB /\ SUB^T
+        MEMt[y, u] = OR_b  V[y, b] & EQ[K[y, b], u]       (u < lo)
+        SUB[x, y]  = int AND_a (~V[x, a] | MEMt[y, K[x, a]])  = [x sub y]
+        EQ[:end, :end] = SUB & SUB^T
 
-    MEMt is [u in y] for u below the level, so it is final too.  Once
-    the last level is filled, one more fold over the whole EQ gives MEM.
+    where int keeps bit p only if every q <= p in J is kept.  Each level
+    folds over the widest domain among its own rows.  MEMt is [u in y]
+    for u below the level, so it is final too.  Once the last level is
+    filled, one more fold over the whole EQ gives MEM.
 
-    The n^2 cells of EQ are predicted from the closure before any array
-    is allocated; above `GRID_BUDGET` `BudgetExceeded` is raised.
+    The n^2 codes of EQ, n^2 * width bytes, are predicted from the
+    closure before any array is allocated; above `GRID_BUDGET` bytes
+    `BudgetExceeded` is raised.  With |J| <= 8 a code is one byte, so
+    the cap is the n^2 <= `GRID_BUDGET` it was on elements.
     """
     A = store.algebra
+    codes = A.codes
     nodes = _closure(store, ids)
     n = len(nodes)
-    check_kernel_size(n)
-    dtype = _element_dtype(A)
-    mt, jt, it = (t.astype(dtype) for t in (A.meet_table, A.join_table, A.impl_table))
+    check_kernel_size(n, codes.width)
     pos = {u: p for p, u in enumerate(nodes)}
-    K, V, _ = child_arrays(store, nodes, pos, dtype)
+    K, V, sizes = child_arrays(store, nodes, pos, _element_dtype(A))
+    V = codes.encode(V)
     rank = [store.rank(u) for u in nodes]
     ends = [p + 1 for p in range(n) if p + 1 == n or rank[p + 1] != rank[p]]
-    EQ = np.full((n, n), A.top, dtype=dtype)
+    EQ = np.empty((n, n, codes.width), dtype=np.uint8)
+    EQ[:1, :1] = codes.top
     for lo, end in zip(ends, ends[1:]):
-        k, v = K[:end], V[:end]
-        MEMt = _slot_fold(jt, mt, A.bottom, k, v, EQ[:lo, :lo])
-        SUB = _slot_fold(mt, it, A.top, k, v, MEMt.T)
-        EQ[:end, :end] = mt[SUB, SUB.T]
-    MEM = _slot_fold(jt, mt, A.bottom, K, V, EQ).T
-    return pos, EQ, MEM
+        wide = sizes[:end].max()
+        k, v = K[:end, :wide], V[:end, :wide]
+        MEMt = np.ascontiguousarray(_code_fold(codes, k, v, EQ[:lo, :lo]).transpose(1, 0, 2))
+        SUB = _code_fold(codes, k, v, MEMt, implies=True)
+        np.bitwise_and(SUB, SUB.transpose(1, 0, 2), out=EQ[:end, :end])
+        del MEMt, SUB  # before the arrays of the next level or of MEM
+    MEM = codes.decode(_code_fold(codes, K, V, EQ)).T
+    return pos, codes.decode(EQ), MEM
 
 
 def eval_grid(ctx, phi, columns):

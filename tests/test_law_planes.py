@@ -10,6 +10,12 @@ run on intact [x = y] / [x in y] matrices and on seeded corruptions of
 them, and must agree on every family's name, check count and violation
 list, order included.
 
+Families 4, 8, 10 and 11 are also compared with `element_table_families`,
+which computes them with `_slot_fold`, the fold over child slots on
+element tables that Birkhoff codes replaced, kept here as it was; and
+`valuation._code_fold` is compared with it on hypothesis inputs with
+codes of one to nine bytes.
+
 On each plane the families are decided on the classes of E_p, and the
 0/1 matrix products run only where E_p is not an equivalence or a
 family fails.  Hypothesis planes compare the two paths mask for mask,
@@ -18,6 +24,7 @@ and counted calls pin which path runs.
 
 import random
 import time
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -33,7 +40,15 @@ from hvmodels.checks import (
 from hvmodels.formula import parse_formula
 from hvmodels.lattice import load_algebra, make_boolean, make_chain
 from hvmodels.names import NameStore, enumerate_names
-from hvmodels.valuation import EvalContext, eq_matrix, mem_matrix
+from hvmodels.valuation import (
+    EvalContext,
+    _element_dtype,
+    _row_blocks,
+    child_arrays,
+    eq_matrix,
+    eval_grid,
+    mem_matrix,
+)
 
 
 def reference_fragment_forms(algebra, MEM):
@@ -141,9 +156,78 @@ def reference_families(store, pool, EQ, MEM, ctx, eval_samples):
     return rep
 
 
+def _slot_fold(fold, op, unit, K, V, M):
+    """Row x is fold_s op(V[x, s], M[K[x, s], :]) over the child slots s
+    of x from `unit`, in blocks of rows; the padding value bottom must
+    give op(bottom, a) = unit."""
+    out = np.full((len(K), M.shape[1]), unit, dtype=fold.dtype)
+    for rows in _row_blocks(len(K), M.shape[1]):
+        for s in range(K.shape[1]):
+            out[rows] = fold[out[rows], op[V[rows, s, None], M[K[rows, s]]]]
+    return out
+
+
+def element_table_families(ctx, EQ, MEM):
+    """Families 4, 8, 10 and 11 as element-table folds: `_slot_fold`
+    above, the fold over child slots before Birkhoff codes, and family
+    8 by table lookups in row blocks."""
+    store, pool, algebra = ctx.store, ctx.fragment, ctx.algebra
+    n = len(pool)
+    idx = {nid: k for k, nid in enumerate(pool)}
+    K, V, sizes = child_arrays(store, pool, idx, _element_dtype(algebra))
+    mt, jt, it = (t.astype(V.dtype) for t in (
+        algebra.meet_table, algebra.join_table, algebra.impl_table))
+    leq, top, bottom = algebra.leq, algebra.top, algebra.bottom
+
+    def lit(p):
+        return store.to_literal(pool[p])
+
+    rep = CheckReport("element tables")
+    fam = rep.family("4 mirrored membership [x in y] = [y ni x]")
+    mirrored = (_slot_fold(jt, mt, bottom, K, V, EQ) == MEM.T).all(axis=1)
+    fam.checked += n * n
+    fam.violations.extend({"x": lit(i)} for i in np.flatnonzero(~mirrored))
+
+    fam = rep.family("8 equality carries entries")
+    carried = np.ones(K.shape, dtype=bool)
+    for rows in _row_blocks(n, n):
+        for s in range(K.shape[1]):
+            carried[rows, s] = leq[mt[EQ[rows], V[rows, s, None]],
+                                   MEM[K[rows, s]]].all(axis=1)
+    fam.checked += n * int(sizes.sum())
+    fam.violations.extend({"x": lit(i), "u": lit(K[i, s])}
+                          for i, s in np.argwhere(~carried))
+
+    bex = _slot_fold(jt, mt, bottom, K, V, MEM)
+    bfa = _slot_fold(mt, it, top, K, V, MEM)
+    fex, ffa = reference_fragment_forms(algebra, MEM)
+    sample = pool[:: max(1, n // checks.EVAL_SAMPLES)]
+    for name, value, form, bounded, unbounded in (
+        ("10 bounded exists expands over the domain", bex, fex,
+         "exists u in X . u in Z", "exists u . u in X /\\ u in Z"),
+        ("11 bounded forall expands over the domain", bfa, ffa,
+         "forall u in X . u in Z", "forall u . u in X -> u in Z"),
+    ):
+        bounded = parse_formula(bounded, free=("X", "Z"))
+        unbounded = eval_grid(ctx, parse_formula(unbounded, free=("X", "Z")),
+                              {"X": sample, "Z": sample})
+        fam = rep.family(name)
+        fam.bulk(n * n, np.array_equal(value, form), "fragment form differs")
+        for (i, x), (j, z) in iproduct(enumerate(sample), repeat=2):
+            b = ctx.eval(bounded, {"X": x, "Z": z})
+            ok = b == value[idx[x], idx[z]] == unbounded[i, j]
+            fam.record(ok, None if ok else
+                       {"x": store.to_literal(x), "z": store.to_literal(z)})
+    return rep
+
+
 DIAMOND_ON_TOP = load_algebra(
     "elements: 0, a, b, ab, 1\nhasse: 0 < a\nhasse: 0 < b\n"
     "hasse: a < ab\nhasse: b < ab\nhasse: ab < 1\n", name="diamond_on_top")
+
+# the folds are checked over codes of one byte (|J| <= 8) and more
+FOLD_ALGEBRAS = (make_chain(2), make_chain(5), make_boolean(2), make_boolean(3),
+                 DIAMOND_ON_TOP, make_chain(12), make_chain(70))
 
 # (algebra, domain cap at rank 2, corruption seeds); seed 0 leaves the
 # matrices intact
@@ -237,6 +321,53 @@ def test_slot_folds_agree_in_blocks_of_one_row(monkeypatch):
     assert any(v for name, _, v in whole if name.startswith(("2 ", "4 ", "8 ", "10 ")))
     monkeypatch.setattr(valuation, "FOLD_CELLS", 1)
     assert families() == whole
+
+
+@pytest.mark.parametrize("algebra,cap,seeds", CASES, ids=[c[0].name for c in CASES])
+def test_code_families_match_the_element_table_folds(algebra, cap, seeds, monkeypatch):
+    # families 4, 8, 10 and 11 on Birkhoff codes against the same
+    # families on element tables, on intact and corrupted matrices
+    store, pool, EQ0, MEM0 = _matrices(algebra, cap)
+    monkeypatch.setattr(checks, "EVAL_SAMPLES", 3)
+    cases = [_corrupt(algebra, EQ0, MEM0, seed) for seed in seeds]
+    cases.append((EQ0, _lower_entry(store, pool, MEM0, len(seeds))))
+    failing = set()
+    for EQ, MEM in cases:
+        want = _summary(element_table_families(EvalContext(store, fragment=pool), EQ, MEM))
+        got = _summary(valuation_law_families(CheckReport("codes"),
+                                              EvalContext(store, fragment=pool), EQ, MEM))
+        assert [f for f in got if f[0].startswith(("4 ", "8 ", "10 ", "11 "))] == want
+        failing |= {name for name, _, v in want if v}
+    assert len(failing) == 4, failing  # the corruptions reach all four
+
+
+@st.composite
+def _folds(draw):
+    """An algebra (codes of one to nine bytes), a padded child layout K,
+    V over m rows and any element matrix M of m rows."""
+    algebra = draw(st.sampled_from(FOLD_ALGEBRAS))
+    rows, width, cols = (draw(st.integers(1, 7)) for _ in range(3))
+    m = draw(st.integers(1, 6))
+    def matrix(shape, top):
+        return np.array(draw(st.lists(st.integers(0, top - 1), min_size=shape[0] * shape[1],
+                                      max_size=shape[0] * shape[1]))).reshape(shape)
+    dtype = _element_dtype(algebra)
+    return (algebra, matrix((rows, width), m), matrix((rows, width), algebra.n).astype(dtype),
+            matrix((m, cols), algebra.n).astype(dtype))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_folds())
+def test_code_fold_matches_the_element_table_fold(case):
+    algebra, K, V, M = case
+    codes = algebra.codes
+    mt, jt, it = (t.astype(V.dtype) for t in (
+        algebra.meet_table, algebra.join_table, algebra.impl_table))
+    Vc, Mc = codes.encode(V), codes.encode(M)
+    assert np.array_equal(codes.decode(valuation._code_fold(codes, K, Vc, Mc)),
+                          _slot_fold(jt, mt, algebra.bottom, K, V, M))
+    assert np.array_equal(codes.decode(valuation._code_fold(codes, K, Vc, Mc, implies=True)),
+                          _slot_fold(mt, it, algebra.top, K, V, M))
 
 
 def test_bigger_sweep_boolean4_domain_cap_3():

@@ -7,6 +7,7 @@ text round-trips.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hvmodels.errors import (
     MAX_NESTING,
     BudgetExceeded,
     EmptyFragment,
+    NotAFrame,
     ParseError,
     UnboundVariable,
     UnknownConstant,
@@ -45,12 +47,14 @@ from hvmodels.formula import (
     parse_formula,
     to_text,
 )
-from hvmodels.lattice import make_boolean, make_chain
+from hvmodels.lattice import load_algebra, make_boolean, make_chain
 from hvmodels.names import NameStore, enumerate_names, ordered_pair_h, pad_equivalent
 from hvmodels.transfer import check_positive_bounded_preservation, lift
 from hvmodels.valuation import EvalContext, eq_matrix, eval_grid, mem_matrix
 
+from conftest import FIXTURES
 from oracles import ref_eq, ref_mem, ref_ni
+from test_law_planes import DIAMOND_ON_TOP
 
 
 # -- atomic values against the reference recursion ---------------------------
@@ -147,8 +151,23 @@ def test_kernel_on_lift_images_that_are_not_downward_closed():
     _assert_matrices_match_oracle(sb, [], images[:3])
 
 
-# every built-in algebra (chain2, chain3, four) and chain5
-ALGEBRAS = (make_chain(2), make_chain(3), make_boolean(2), make_chain(5))
+def _fixture_frames():
+    """Every frame among the `fixtures/*.alg` files (m3 is no frame)."""
+    frames = []
+    for path in sorted(FIXTURES.glob("*.alg")):
+        try:
+            frames.append(load_algebra(path.read_text(), name=f"fixture-{path.stem}"))
+        except NotAFrame:
+            continue
+    return frames
+
+
+# Birkhoff codes of every width: |J| = 1 (chain2) to 69 (the 70-chain,
+# 9 bytes), through every built-in algebra (chain2, chain3, four),
+# chain5, boolean8, the diamond on top, the fixture frames and the
+# 12-chain (|J| = 11, 2 bytes)
+ALGEBRAS = (make_chain(2), make_chain(3), make_boolean(2), make_chain(5), make_boolean(3),
+            DIAMOND_ON_TOP, *_fixture_frames(), make_chain(12), make_chain(70))
 
 
 @st.composite
@@ -204,6 +223,42 @@ def _assert_kernel_matches_oracle(store, ids):
 def test_kernel_arrays_match_oracle_on_generated_stores(case):
     store, rows, cols = case
     _assert_kernel_matches_oracle(store, rows + cols)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS,
+                         ids=[f"{a.name}-J{len(a.join_irreducibles)}" for a in ALGEBRAS])
+def test_kernel_arrays_match_oracle_at_every_code_width(algebra):
+    # a seeded store of 16 names with up to 3 children each, valued over
+    # the whole algebra, so every width of code is built and decoded
+    rng = random.Random(algebra.n)
+    store = NameStore(algebra)
+    ids = [store.empty]
+    for _ in range(16):
+        kids = rng.sample(ids, rng.randint(0, min(3, len(ids))))
+        ids.append(store.intern({k: rng.randrange(algebra.n) for k in kids}))
+    _assert_kernel_matches_oracle(store, ids[-6:])
+
+
+def test_kernel_cap_counts_the_bytes_of_the_codes(monkeypatch):
+    # a 12-chain has 11 join-irreducibles, so a code is 2 bytes and the
+    # kernel over n names needs 2 n^2 bytes; one byte per code below 9
+    for algebra, width in ((make_chain(12), 2), (make_chain(9), 1)):
+        store = NameStore(algebra)
+        e = store.empty
+        x = store.intern({store.intern({e: 1}): 3, e: 2})  # closure of 3 names
+        assert algebra.codes.width == width
+        monkeypatch.setattr(valuation, "GRID_BUDGET", 9 * width - 1)
+        with pytest.raises(BudgetExceeded) as err:
+            valuation._build_kernel(store, [x])
+        assert (err.value.predicted, err.value.budget) == (9 * width, 9 * width - 1)
+        monkeypatch.setattr(valuation, "GRID_BUDGET", 9 * width)
+        _assert_kernel_matches_oracle(store, [x])
+    # the property suite predicts the same bytes before it enumerates:
+    # 13 names of rank <= 1 over the 12-chain
+    monkeypatch.setattr(valuation, "GRID_BUDGET", 2 * 13 * 13 - 1)
+    with pytest.raises(BudgetExceeded) as err:
+        valuation_property_suite(make_chain(12), rank=1)
+    assert err.value.predicted == 2 * 13 * 13
 
 
 def test_kernel_arrays_pad_mixed_domain_widths(store3):
