@@ -171,10 +171,12 @@ def _unequal_columns(E, F):
 
 def _classes(E):
     """The first member of each row's class when the boolean plane E is
-    an equivalence relation, else None.  A reflexive, symmetric E whose
-    every row equals the row of its first member is transitive."""
+    an equivalence relation, else None.  E is an equivalence exactly when
+    it relates the rows whose first members agree: such an E is the
+    kernel of a map, and in an equivalence the first member of a row is
+    the least member of its class."""
     first = E.argmax(axis=1)
-    if E.diagonal().all() and np.array_equal(E, E.T) and np.array_equal(E, E[first]):
+    if np.array_equal(E, first[:, None] == first[None, :]):
         return first
     return None
 

@@ -399,41 +399,49 @@ def epsilon_tables(f, wls, ctx_a, ctx_b):
         dt(v', w') = [v' in x'] /\\ [v' = w'] /\\ [w' in x']
         phi(u, v') = f([u in x]) /\\ [tau(u) = v'] /\\ [v' in x']
 
-    Every [u = v] and [u in x] is a gather from the kernel of `ctx_a`
-    over the closure of the sources, and every [tau(u) = v'] and
+    Every [u = v] and [u in x] is a gather of codes from the kernel of
+    `ctx_a` over the closure of the sources, and every [tau(u) = v'] and
     [v' in x'] one from the kernel of `ctx_b` over the closure of the
-    images and the witness targets, at the names' `child_arrays`
-    positions.  A narrower domain is padded with bottom, its padded
-    points last, which `hset.morphism_law_masks` and `mono_epi_masks`
-    read as vacuous (f(bottom) = bottom).
+    images and the witness targets, at the kernel's child positions of
+    the names.  The meets are ANDs of the gathered Birkhoff codes, each
+    table decoded once (and f([u in x]) re-encoded in B).  A narrower
+    domain is padded with bottom, code 0, its padded points last, which
+    `hset.morphism_law_masks` and `mono_epi_masks` read as vacuous
+    (f(bottom) = bottom).
     """
     A, B = f.source, f.target
     xs = [wl.x for wl in wls]
     images = [wl.image for wl in wls]
     taus = [dict(wl.witness) for wl in wls]
-    pos_a, EQ_a, MEM_a = _eq_kernel(ctx_a, xs)
-    pos_b, EQ_b, MEM_b = _eq_kernel(ctx_b, images + [t for tau in taus for t in tau.values()])
-    Ka, _, size_a = child_arrays(ctx_a.store, xs, pos_a, _element_dtype(A))
-    Kb, _, size_b = child_arrays(ctx_b.store, images, pos_b, _element_dtype(B))
+    pos_a, EQ_a, MEM_a, K_a, _, kids_a = _eq_kernel(ctx_a, xs)
+    pos_b, EQ_b, MEM_b, K_b, _, kids_b = _eq_kernel(
+        ctx_b, images + [t for tau in taus for t in tau.values()])
+
+    def slots(pos, K, kids, names):
+        rows = np.array([pos[x] for x in names], dtype=np.intp)
+        sizes = kids[rows]
+        return rows, K[rows, :sizes.max(initial=0)], sizes
+
+    rows_a, Ka, size_a = slots(pos_a, K_a, kids_a, xs)
+    rows_b, Kb, size_b = slots(pos_b, K_b, kids_b, images)
     T = np.zeros(Ka.shape, dtype=np.intp)   # tau(u) at the slot of u
     for g, (x, tau) in enumerate(zip(xs, taus)):
         T[g, :size_a[g]] = [pos_b[tau[u]] for u in ctx_a.store.domain(x)]
 
-    def extents(K, sizes, MEM, owners, bottom):
+    def extents(K, sizes, MEM, owners):
         live = np.arange(K.shape[1]) < sizes[:, None]
-        return np.where(live, MEM[K, owners[:, None]], bottom)
+        return np.where(live[:, :, None], MEM[K, owners[:, None]], 0)
 
-    ext_a = extents(Ka, size_a, MEM_a, np.array([pos_a[x] for x in xs], dtype=np.intp),
-                    A.bottom)
-    ext_b = extents(Kb, size_b, MEM_b, np.array([pos_b[x] for x in images], dtype=np.intp),
-                    B.bottom)
-    ma, mb = A.meet_table, B.meet_table
-    fa = f.table[ext_a]
-    ds = f.table[ma[ma[ext_a[:, :, None], EQ_a[Ka[:, :, None], Ka[:, None, :]]],
-                    ext_a[:, None, :]]]
-    dt = mb[mb[ext_b[:, :, None], EQ_b[Kb[:, :, None], Kb[:, None, :]]], ext_b[:, None, :]]
-    phis = mb[mb[fa[:, :, None], EQ_b[T[:, :, None], Kb[:, None, :]]], ext_b[:, None, :]]
-    return ds, dt, phis
+    ext_a = extents(Ka, size_a, MEM_a, rows_a)
+    ext_b = extents(Kb, size_b, MEM_b, rows_b)
+    fa = B.codes.encode(f.table[A.codes.decode(ext_a)])
+    ds = f.table[A.codes.decode(
+        ext_a[:, :, None] & EQ_a[Ka[:, :, None], Ka[:, None, :]] & ext_a[:, None, :])]
+    dt = B.codes.decode(
+        ext_b[:, :, None] & EQ_b[Kb[:, :, None], Kb[:, None, :]] & ext_b[:, None, :])
+    phis = B.codes.decode(
+        fa[:, :, None] & EQ_b[T[:, :, None], Kb[:, None, :]] & ext_b[:, None, :])
+    return ds, dt.astype(np.int64), phis.astype(np.int64)
 
 
 def epsilon_hset_morphism(f, wl, ctx_a, ctx_b):

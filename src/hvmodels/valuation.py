@@ -24,10 +24,11 @@ padded child layout, `child_arrays` (shared with `transfer` and
 level at a time, each by the one fold over child slots, `_code_fold`.
 The kernel holds every value as its Birkhoff code, the bitmask of the
 join-irreducibles below it (`HeytingAlgebra.codes`), so a fold is
-bitwise AND and OR, and an implication one interior step per fold;
-the values are encoded once and EQ and MEM decoded once.  Grid
-connectives are table lookups and bounded quantifiers are reductions
-over child slots.  `eq_matrix` and `mem_matrix` are `eval_grid` on a
+bitwise AND and OR, and an implication one interior step per fold.
+The grid computes on the same codes: connectives are AND, OR and
+interiors, and bounded quantifiers fold over the kernel's own child
+slots.  Values are encoded once, in the kernel, and decoded once, at
+the grid's output.  `eq_matrix` and `mem_matrix` are `eval_grid` on a
 single atom.  The context keeps its last kernel and reuses it while
 the requested names lie in its closure; no cell of a bulk result goes
 into the memo, which only the one-off path fills.  `EvalContext.eval`
@@ -35,7 +36,7 @@ stays the path for one assignment, where compiling a grid would cost
 more than it saves.
 """
 
-from itertools import product as iproduct
+from itertools import product as iproduct, repeat
 
 import numpy as np
 
@@ -227,9 +228,10 @@ def rebind(sigma, var, nid):
 # -- bulk valuation: whole grids on one kernel per context ---------------------
 
 GRID_BUDGET = 1 << 24
-"""Cells of the largest array `eval_grid` or the equality kernel builds
-at once; above it a grid is evaluated in blocks of its first column, and
-a kernel is refused."""
+"""Bytes of the largest array `eval_grid` or the equality kernel builds
+at once, a cell being one Birkhoff code of `width` bytes (one byte, so
+one cell, when |J| <= 8); above it a grid is evaluated in blocks of its
+first column, and a kernel is refused."""
 
 
 def eq_matrix(ctx, ids_row, ids_col=None):
@@ -335,19 +337,21 @@ def _code_fold(codes, K, V, M, implies=False):
 
 
 def _build_kernel(store, ids):
-    r"""[u = v] and [u in v] over the downward closure of `ids`.
+    r"""[u = v] and [u in v] over the downward closure of `ids`, as
+    Birkhoff codes.
 
-    Returns (pos, EQ, MEM).  The names of the closure have positions
-    ordered by rank, and `pos` maps each name to its position; EQ and
-    MEM are indexed by position, MEM[u, v] = [u in v], and hold elements
-    in the smallest dtype.  They are computed on the Birkhoff codes of
-    the values (`HeytingAlgebra.codes`), converted once at each end:
-    the closure's `child_arrays` V is encoded, and EQ and MEM decoded.
-    A code is the set of join-irreducibles J below a value, and in a
-    finite frame the map to down-sets of J is an isomorphism
-    (Birkhoff), so /\ is AND, \/ is OR and a -> b is the interior of
-    ~a | b: the kernel is exact on codes.  Both folds are `_code_fold`,
-    whose padding code of bottom, 0, is neutral.
+    Returns (pos, EQ, MEM, K, V, sizes).  The names of the closure have
+    positions ordered by rank, and `pos` maps each name to its position.
+    EQ and MEM are indexed by position, MEM[u, v] = [u in v], and hold
+    the codes of the values (`HeytingAlgebra.codes`) on a trailing axis
+    of `width` bytes; K, V and sizes are the closure's `child_arrays`,
+    V encoded.  The values are encoded once and nothing is decoded here:
+    a caller decodes what it gathers.  A code is the set of
+    join-irreducibles J below a value, and in a finite frame the map to
+    down-sets of J is an isomorphism (Birkhoff), so /\ is AND, \/ is OR
+    and a -> b is the interior of ~a | b: the kernel is exact on codes.
+    Both folds are `_code_fold`, whose padding code of bottom, 0, is
+    neutral.
 
     Equality is mutual inclusion.  The positions of rank <= r are a
     prefix [:end], those of rank < r the prefix [:lo], and every child
@@ -362,7 +366,8 @@ def _build_kernel(store, ids):
     where int keeps bit p only if every q <= p in J is kept.  Each level
     folds over the widest domain among its own rows.  MEMt is [u in y]
     for u below the level, so it is final too.  Once the last level is
-    filled, one more fold over the whole EQ gives MEM.
+    filled, one more fold over the whole EQ gives MEM, returned as a
+    transposed view.
 
     The n^2 codes of EQ, n^2 * width bytes, are predicted from the
     closure before any array is allocated; above `GRID_BUDGET` bytes
@@ -388,8 +393,8 @@ def _build_kernel(store, ids):
         SUB = _code_fold(codes, k, v, MEMt, implies=True)
         np.bitwise_and(SUB, SUB.transpose(1, 0, 2), out=EQ[:end, :end])
         del MEMt, SUB  # before the arrays of the next level or of MEM
-    MEM = codes.decode(_code_fold(codes, K, V, EQ)).T
-    return pos, codes.decode(EQ), MEM
+    MEM = _code_fold(codes, K, V, EQ).transpose(1, 0, 2)
+    return pos, EQ, MEM, K, V, sizes
 
 
 def eval_grid(ctx, phi, columns):
@@ -400,20 +405,26 @@ def eval_grid(ctx, phi, columns):
     a 0-d array.  A column the formula does not use is a broadcast axis.
 
     Every subformula is evaluated once, as an array over its own free
-    variables (a relation annotated by the algebra): atoms are gathers
-    from the context's kernel over all the names involved, connectives
-    are broadcast lookups in the meet, join and implication tables, a
-    bounded quantifier is a meet or join reduction over the child slots
-    of its bound, padded with value bottom (bottom -> a = top and
-    bottom /\ a = bottom are neutral for the two reductions), and an
-    unbounded one reduces over the fragment.  See `_Grid` for how the
-    variables and their domains are laid out.
+    variables (a relation annotated by the algebra) that holds the
+    Birkhoff codes of its values, as the context's kernel does.  Atoms
+    are gathers from the kernel's EQ and MEM over all the names
+    involved.  /\ is AND, \/ is OR, and a -> b and ~a are the interiors
+    of ~a | b and of ~a.  A bounded quantifier folds over the child
+    slots of its bound in the kernel's own child layout, padded with
+    code 0 (bottom), which is neutral in both folds:
+    OR_s V_s & g_s for exists, and the interior of AND_s ~V_s | g_s
+    for forall, taken once.  An unbounded one is an AND or OR reduction
+    over the fragment.  The result is decoded to elements once.  See
+    `_Grid` for how the variables and their domains are laid out.
 
     The largest intermediate array is predicted before anything is
-    built; above `GRID_BUDGET` cells the grid is evaluated in blocks of
-    rows of the first column, and when a single row is still too large
-    `BudgetExceeded` is raised; so it is when the kernel's n^2 cells
-    over the closure of the names involved exceed the budget.  When
+    built, in bytes: its cells times the code width.  Above
+    `GRID_BUDGET` bytes the grid is evaluated in blocks of rows of the
+    first column, and when a single row is still too large
+    `BudgetExceeded` is raised; so it is when the kernel's n^2 codes
+    over the closure of the names involved exceed the budget.  With
+    |J| <= 8 a code is one byte, so the budget counts cells; wider codes
+    make it tighter (a 12-chain, |J| = 11, has two bytes a cell).  When
     some assignment would make `eval` raise (an unbound variable, an
     unbounded quantifier with no fragment, an unknown id), the grid is
     evaluated assignment by assignment instead, on a private context,
@@ -436,10 +447,11 @@ def eval_grid(ctx, phi, columns):
         return grid.run(None)
     row = grid.predict(1)
     if row > GRID_BUDGET:
+        unit = "cell" if grid.width == 1 else "byte"
         raise BudgetExceeded(
-            f"the formula needs an array of {row} cells"
+            f"the formula needs an array of {row} {unit}s"
             f"{' for one row of its first column' if shape else ''}, "
-            f"over the {GRID_BUDGET}-cell budget",
+            f"over the {GRID_BUDGET}-{unit} budget",
             predicted=row, budget=GRID_BUDGET)
     grid.prepare()
     step = grid.rows_per_block(GRID_BUDGET)
@@ -459,26 +471,36 @@ class _Grid:
     variable bound by `Q u in t` the sorted union of the children of
     t's domain, an unboundedly quantified one the fragment.  Nodes are
     tuples (formula class, free axes, ...) with the free axes sorted, so
-    the array of a node is laid out on exactly those axes in that order.
+    the array of a node is laid out on exactly those axes in that order,
+    then one trailing axis of the `width` bytes of a code.
 
     Compilation follows `eval`'s order and tracks whether a node can be
     reached: the body of a bounded quantifier whose domain is empty is
     never evaluated, by `eval` or here.  `risky` is set when a reachable
     node would raise, and only reachable nodes count towards the size
     prediction.
+
+    `prepare` places every domain in the context's kernel: `pos[a]`
+    holds the kernel positions of axis a's names.  The child slots of a
+    bound axis u's bound t are the kernel's K and V at t's positions,
+    with K read through the inverse of u's positions.
     """
 
     def __init__(self, ctx, phi, names, domains):
         self.ctx = ctx
         self.store, self.algebra = ctx.store, ctx.algebra
+        self.codes = self.algebra.codes
+        self.width = self.codes.width
         self.ncols = len(domains)
         self.domains = domains
         self.frees = []
         self._const_axes = {}
         self._children = {}
-        valid = range(len(self.store))
-        self.risky = not all(isinstance(u, int) and u in valid
-                             for dom in domains for u in dom)
+        # every id an int in range, as `NameStore.check_id` requires
+        n = len(self.store)
+        self.risky = not all(
+            all(map(isinstance, dom, repeat(int))) and (not dom or 0 <= min(dom) <= max(dom) < n)
+            for dom in domains)
         if not self.risky:
             self.root = self._compile(phi, dict(zip(names, range(self.ncols))), True)
 
@@ -558,32 +580,30 @@ class _Grid:
         return cells
 
     def predict(self, rows):
-        """Cells of the largest node array when the first column has
-        `rows` entries."""
-        return max(self._cells(free, rows) for free in self.frees)
+        """Bytes of the largest node array, cells times the code width,
+        when the first column has `rows` entries."""
+        return self.width * max(self._cells(free, rows) for free in self.frees)
 
     def rows_per_block(self, budget):
-        """The most rows of the first column whose blocks fit the budget."""
-        return min(budget // self._cells(free, 1) for free in self.frees if 0 in free)
+        """The most rows of the first column whose blocks fit the budget
+        in bytes."""
+        return min(budget // (self.width * self._cells(free, 1))
+                   for free in self.frees if 0 in free)
 
     # -- evaluation ---------------------------------------------------------
 
     def prepare(self):
-        """The positions of every domain in the context's kernel, whose
-        EQ and MEM every atom gathers from, and the tables in the
-        smallest element dtype, which is the kernel's."""
-        A = self.algebra
-        dtype = _element_dtype(A)
-        self.mt = A.meet_table.astype(dtype)
-        self.jt = A.join_table.astype(dtype)
-        self.it = A.impl_table.astype(dtype)
-        names = {u for dom in self.domains for u in dom}
-        at, self.EQ, self.MEM = _eq_kernel(self.ctx, names)
-        self.pos = [np.array([at[u] for u in dom], dtype=np.intp) for dom in self.domains]
+        """The context's kernel, whose EQ and MEM every atom gathers from
+        and whose child layout every bounded quantifier folds over, and
+        the kernel positions of every domain."""
+        names = set().union(*self.domains)
+        at, self.EQ, self.MEM, self.K, self.V, self.kids = _eq_kernel(self.ctx, names)
+        self.pos = [np.fromiter(map(at.__getitem__, dom), dtype=np.intp, count=len(dom))
+                    for dom in self.domains]
 
     def run(self, block):
         """The values over the columns, for the rows `block` of the first
-        column (all rows when None), as an int64 array."""
+        column (all rows when None), decoded to an int64 array."""
         self.block = slice(None) if block is None else block
         self.slots = {}
         self.sizes = [len(dom) for dom in self.domains]
@@ -592,49 +612,61 @@ class _Grid:
         arr, free = self._eval(self.root), self.root[1]
         # drop the size-one constant axes, then lay the rest out on the columns
         kept = [a for a in free if a < self.ncols]
-        arr = arr.reshape([self.sizes[a] for a in kept])
-        arr = self._expand(arr, kept, range(self.ncols))
+        arr = self.codes.decode(arr.reshape(-1, self.width))
+        arr = self._expand(arr.reshape([self.sizes[a] for a in kept]), kept, range(self.ncols))
         return np.broadcast_to(arr, self.sizes[:self.ncols]).astype(np.int64)
 
     def _rows(self, axis, arr):
         return arr[self.block] if axis == 0 else arr
 
     def _at(self, vec, axis, free):
-        """`vec`, which runs along `axis`, shaped to broadcast over `free`."""
-        return vec.reshape([-1 if a == axis else 1 for a in free])
+        """`vec`, which runs along `axis` (its trailing axes kept), shaped
+        to broadcast over `free`."""
+        return vec.reshape([-1 if a == axis else 1 for a in free] + list(vec.shape[1:]))
 
     def _expand(self, arr, have, free):
-        """An array laid out on the axes `have`, reshaped to broadcast over
-        the axes `free`, which contain them in the same order."""
-        return arr.reshape([self.sizes[a] if a in have else 1 for a in free])
+        """An array laid out on the axes `have` (its trailing axes kept),
+        reshaped to broadcast over the axes `free`, which contain them in
+        the same order."""
+        return arr.reshape([self.sizes[a] if a in have else 1 for a in free]
+                           + list(arr.shape[len(have):]))
 
-    def _full(self, free, value):
-        return np.full([self.sizes[a] for a in free], value, dtype=self.mt.dtype)
+    def _full(self, free, code):
+        return np.full([self.sizes[a] for a in free] + [self.width], code, dtype=np.uint8)
 
-    def _slots(self, t):
-        """The `child_arrays` of t's domain, with positions in the sorted
-        union of its children: the domain of any variable bound by t."""
-        if t not in self.slots:
-            where = {k: i for i, k in enumerate(self._children[t])}
-            self.slots[t] = child_arrays(self.store, self._rows(t, self.domains[t]),
-                                         where, self.mt.dtype)[:2]
-        return self.slots[t]
+    def _interior(self, arr):
+        return self.codes.interior(arr.reshape(-1, self.width)).reshape(arr.shape)
+
+    def _slots(self, u, t):
+        """The child slots of t's rows in the kernel, slot first: the
+        indices of the children in u's domain, the domain of the variable
+        bound by t, read through the inverse of u's kernel positions, and
+        the codes of their values, padded with index 0 and code 0."""
+        if u not in self.slots:
+            inv = np.zeros(len(self.kids), dtype=np.intp)
+            inv[self.pos[u]] = np.arange(len(self.pos[u]))
+            rows = self._rows(t, self.pos[t])
+            wide = self.kids[rows].max(initial=0)
+            self.slots[u] = (inv[self.K[rows, :wide].T],
+                             np.ascontiguousarray(self.V[rows, :wide].transpose(1, 0, 2)))
+        return self.slots[u]
 
     def _eval(self, node):
         kind, free = node[0], node[1]
-        mt, jt, it = self.mt, self.jt, self.it
         if kind in (Eq, Member):
             l, r = node[2:]
             pl, pr = self._rows(l, self.pos[l]), self._rows(r, self.pos[r])
             table = self.EQ if kind is Eq else self.MEM
             return table[self._at(pl, l, free), self._at(pr, r, free)]
         if kind is Not:
-            return it[self._eval(node[2]), self.algebra.bottom]
+            return self._interior(~self._eval(node[2]))
         if kind in (And, Or, Implies):
             a, b = node[2:]
-            table = {And: mt, Or: jt, Implies: it}[kind]
-            return table[self._expand(self._eval(a), a[1], free),
-                         self._expand(self._eval(b), b[1], free)]
+            a = self._expand(self._eval(a), a[1], free)
+            b = self._expand(self._eval(b), b[1], free)
+            if kind is And:
+                return a & b
+            return a | b if kind is Or else self._interior(~a | b)
         if kind in (BForall, BExists):
             return self._bounded(kind is BForall, free, *node[2:])
         # unbounded: the fragment is not empty, or the plan is risky
@@ -642,39 +674,33 @@ class _Grid:
         arr, have = self._eval(body), body[1]
         if u not in have:  # meet and join are idempotent
             return arr
-        return _reduce(mt if kind is UForall else jt, arr, have.index(u))
+        fold = np.bitwise_and if kind is UForall else np.bitwise_or
+        return fold.reduce(arr, axis=have.index(u))
 
     def _bounded(self, forall, free, u, t, body):
-        A = self.algebra
-        K, V = self._slots(t)
-        out = self._full(free, A.top if forall else A.bottom)
-        if not K.shape[1]:  # no child anywhere: the body is never reached
-            return out
-        arr, have = self._eval(body), body[1]
-        if u not in have:
-            gathered = self._expand(arr, have, free)
-        for s in range(K.shape[1]):
-            if u in have:
-                # the bound's own axis indexes the diagonal when the body has it
-                index = tuple(
-                    self._at(K[:, s], t, free) if a == u
-                    else self._at(np.arange(self.sizes[a]), a, free)
-                    for a in have)
-                gathered = arr[index]
-            vals = self._at(V[:, s], t, free)
-            if forall:
-                out = self.mt[out, self.it[vals, gathered]]
+        """OR over the slots s of V_s & g_s, or the interior of the AND of
+        ~V_s | g_s, where g_s is the body at the child in slot s: one
+        `np.take` along the bound axis, moved to t's place beforehand."""
+        K, V = self._slots(u, t)
+        out = self._full(free, 255 if forall else 0)
+        if len(K):  # with no child anywhere the body is never reached
+            arr, have = self._eval(body), body[1]
+            at = free.index(t)
+            gather = u in have
+            if not gather:
+                arr = self._expand(arr, have, free)
+            elif t in have:
+                # the body also runs along t: take its diagonal with u from
+                # the two axes merged into one, u next to t
+                arr = np.moveaxis(arr, have.index(u), at + 1)
+                arr = arr.reshape(arr.shape[:at] + (-1,) + arr.shape[at + 2:])
+                K = K + np.arange(K.shape[1]) * self.sizes[u]
             else:
-                out = self.jt[out, self.mt[vals, gathered]]
-        return out
-
-
-def _reduce(table, arr, axis):
-    """Fold `arr` along `axis` with an associative, commutative table, by
-    halving: log2(n) whole-array lookups."""
-    arr = np.moveaxis(arr, axis, 0)
-    while len(arr) > 1:
-        half = len(arr) // 2
-        merged = table[arr[:half], arr[half:2 * half]]
-        arr = np.concatenate([merged, arr[2 * half:]]) if len(arr) % 2 else merged
-    return arr[0]
+                arr = np.moveaxis(arr, have.index(u), at)
+            fold, meet = (np.bitwise_and, np.bitwise_or) if forall else (np.bitwise_or, np.bitwise_and)
+            part = np.empty_like(out)
+            for k, v in zip(K, ~V if forall else V):
+                g = np.take(arr, k, axis=at, out=part, mode="clip") if gather else arr
+                meet(g, self._at(v, t, free), out=part)
+                fold(out, part, out=out)
+        return self._interior(out) if forall else out

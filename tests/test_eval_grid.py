@@ -40,9 +40,11 @@ from hvmodels.formula import (
     Var,
     parse_formula,
 )
-from hvmodels.lattice import make_boolean, make_chain
+from hvmodels.lattice import make_chain
 from hvmodels.names import NameStore, function_predicate
 from hvmodels.valuation import EvalContext, eval_grid
+
+from test_valuation import ALGEBRAS
 
 
 def _per_assignment(ctx, phi, columns):
@@ -236,6 +238,54 @@ def test_blocked_evaluation_matches_unblocked(pools, monkeypatch):
         monkeypatch.undo()
 
 
+def test_id_errors_match_eval():
+    # bool ids are ints to `NameStore.check_id`, so the grid computes
+    # them; np.int64, negative and out-of-range ids make both raise
+    store, names = _chain3_names()
+    ctx = EvalContext(store)
+    phi = parse_formula("exists u in X . u in Y", free=("X", "Y"))
+    cols = {"X": names, "Y": names}
+    for bad in (True, False, np.int64(1), -1, len(store), 10 ** 30):
+        for column in ("X", "Y"):
+            grid_cols = {**cols, column: [*names[:2], bad]}
+            grid = valuation._Grid(ctx, phi, list(grid_cols), list(grid_cols.values()))
+            assert grid.risky is not isinstance(bad, bool)
+            _assert_agrees(ctx, phi, grid_cols)
+    out = _assert_agrees(ctx, phi, {"X": [True, 1], "Y": [False, 0]})
+    assert out[0].tolist() == out[1].tolist()
+
+
+def test_budget_counts_the_bytes_of_wider_codes(monkeypatch):
+    # a 12-chain has 11 join-irreducibles, so a grid cell is a two-byte
+    # code and the budget is tighter; below 9 a cell is one byte
+    for algebra, width, unit in ((make_chain(12), 2, "byte"), (make_chain(9), 1, "cell")):
+        store = NameStore(algebra)
+        names = [store.empty]
+        for v in (1, 5, 8):
+            names.append(store.intern({names[-1]: v, store.empty: v // 2}))
+        ctx = EvalContext(store)
+        phi = parse_formula("forall u in X . u in Y", free=("X", "Y"))
+        cols = {"X": names, "Y": names}
+        whole = eval_grid(ctx, phi, cols)  # builds the kernel before the budget shrinks
+        # at one row of X the largest node is u in Y, 3 children by 4 names
+        row = 3 * 4 * width
+        monkeypatch.setattr(valuation, "GRID_BUDGET", row - 1)
+        with pytest.raises(BudgetExceeded) as err:
+            eval_grid(ctx, phi, cols)
+        assert (err.value.predicted, err.value.budget) == (row, row - 1)
+        assert str(err.value) == (f"the formula needs an array of {row} {unit}s for one "
+                                  f"row of its first column, over the {row - 1}-{unit} budget")
+        runs = []
+        real_run = valuation._Grid.run
+        monkeypatch.setattr(valuation._Grid, "run",
+                            lambda self, block: runs.append(block) or real_run(self, block))
+        # the whole grid's 4 x 4 root is over 14 cells; blocks of 3 rows fit
+        monkeypatch.setattr(valuation, "GRID_BUDGET", 14 * width)
+        np.testing.assert_array_equal(eval_grid(ctx, phi, cols), whole)
+        assert [(b.start, b.stop) for b in runs] == [(0, 3), (3, 6)]
+        monkeypatch.undo()
+
+
 def test_one_row_over_budget_raises(pools, monkeypatch):
     store, ctx, pool = pools["chain3"]
     monkeypatch.setattr(valuation, "GRID_BUDGET", 10)
@@ -251,13 +301,14 @@ def test_one_row_over_budget_raises(pools, monkeypatch):
 
 # -- generated formulas over generated stores ------------------------------------
 
-ALGEBRAS = (make_chain(3), make_boolean(2), make_chain(5))
 _BOUND = ("u", "v")
 
 
 @st.composite
 def _cases(draw):
-    """A store with up to ten hypothesis-built names, columns for a, b
+    """A store over one of the `ALGEBRAS` of the kernel tests, whose
+    Birkhoff codes are 1 to 9 bytes wide (|J| = 1 to 69), with up to ten
+    hypothesis-built names, columns for a, b
     and X drawn from them in some order, a fragment (sometimes empty),
     and a formula over those variables, two bound ones, and constants
     of the store."""

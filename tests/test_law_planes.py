@@ -465,6 +465,40 @@ def test_class_decision_matches_the_products(planes):
         assert g.shape == w.shape and np.array_equal(g, w)
 
 
+def _classes_by_three_comparisons(E):
+    """The first member of each row's class when the boolean plane E is
+    an equivalence relation, else None.  A reflexive, symmetric E whose
+    every row equals the row of its first member is transitive."""
+    first = E.argmax(axis=1)
+    if E.diagonal().all() and np.array_equal(E, E.T) and np.array_equal(E, E[first]):
+        return first
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_plane_pairs())
+def test_one_comparison_finds_the_classes_three_found(planes):
+    # the draws are equivalences with 0 to 3 cells flipped, mirrored or not
+    E, _ = planes
+    got, want = checks._classes(E), _classes_by_three_comparisons(E)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert np.array_equal(got, want)
+
+
+def test_classes_of_an_equivalence_and_of_near_misses():
+    labels = np.array([2, 0, 2, 1, 0])
+    E = labels[:, None] == labels[None, :]
+    assert checks._classes(E).tolist() == [0, 1, 0, 3, 1]
+    for i, j in ((0, 0), (0, 1), (1, 3)):  # reflexivity, symmetry, transitivity
+        F = E.copy()
+        F[i, j] = not F[i, j]
+        assert checks._classes(F) is None and _classes_by_three_comparisons(F) is None
+    F = E.copy()
+    F[0, 1] = F[1, 0] = True  # symmetric, but 0 ~ 1 ~ 4 and 0 ~ 2 without 1 ~ 2
+    assert checks._classes(F) is None and _classes_by_three_comparisons(F) is None
+
+
 @st.composite
 def _mem_matrices(draw):
     """An algebra and a MEM matrix whose rows come from a small palette,

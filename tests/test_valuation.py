@@ -198,9 +198,17 @@ def test_kernel_matches_oracle_on_generated_names(case):
 
 def _assert_kernel_matches_oracle(store, ids):
     """`_build_kernel(store, ids)` lays out exactly the downward closure
-    of `ids`, and its EQ and MEM equal the naive recursion on every pair
-    of it; with folds in blocks of one row it builds the same arrays."""
-    pos, EQ, MEM = valuation._build_kernel(store, ids)
+    of `ids`, its EQ and MEM, decoded, equal the naive recursion on every
+    pair of it, and its K, V and sizes are the closure's `child_arrays`
+    with V encoded; with folds in blocks of one row it builds the same
+    arrays."""
+    codes = store.algebra.codes
+    pos, EQ, MEM, K, V, sizes = valuation._build_kernel(store, ids)
+    nodes = sorted(pos, key=pos.get)
+    K0, V0, sizes0 = valuation.child_arrays(store, nodes, pos, np.intp)
+    assert np.array_equal(K, K0) and np.array_equal(sizes, sizes0)
+    assert np.array_equal(V, codes.encode(V0))
+    EQ, MEM = codes.decode(EQ), codes.decode(MEM)
     closure, stack = set(), list(ids)
     while stack:
         u = stack.pop()
@@ -214,7 +222,8 @@ def _assert_kernel_matches_oracle(store, ids):
         assert MEM[pos[u], pos[v]] == ref_mem(store, u, v)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(valuation, "FOLD_CELLS", 1)
-        pos1, EQ1, MEM1 = valuation._build_kernel(store, ids)
+        pos1, EQ1, MEM1 = valuation._build_kernel(store, ids)[:3]
+    EQ1, MEM1 = codes.decode(EQ1), codes.decode(MEM1)
     assert pos1 == pos and np.array_equal(EQ1, EQ) and np.array_equal(MEM1, MEM)
 
 
@@ -287,12 +296,13 @@ def test_kernel_arrays_on_lift_images_with_equivalence_pads():
 
 def test_kernel_arrays_of_the_empty_name_and_of_no_name(store3):
     A = store3.algebra
-    pos, EQ, MEM = valuation._build_kernel(store3, [store3.empty])
+    decode = A.codes.decode
+    pos, EQ, MEM = valuation._build_kernel(store3, [store3.empty])[:3]
     assert pos == {store3.empty: 0}
-    assert EQ.tolist() == [[A.top]] and MEM.tolist() == [[A.bottom]]
+    assert decode(EQ).tolist() == [[A.top]] and decode(MEM).tolist() == [[A.bottom]]
     _assert_kernel_matches_oracle(store3, [store3.empty])
-    pos, EQ, MEM = valuation._build_kernel(store3, [])
-    assert pos == {} and EQ.shape == MEM.shape == (0, 0)
+    pos, EQ, MEM = valuation._build_kernel(store3, [])[:3]
+    assert pos == {} and decode(EQ).shape == decode(MEM).shape == (0, 0)
 
 
 @settings(max_examples=80, deadline=None)
