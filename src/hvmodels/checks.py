@@ -33,13 +33,11 @@ from .valuation import (
     GRID_BUDGET,
     EvalContext,
     _code_fold,
-    _element_dtype,
+    _eq_kernel,
     _row_blocks,
     check_kernel_size,
-    child_arrays,
     eq_matrix,
     eval_grid,
-    mem_matrix,
 )
 
 DEFAULT_SEED = 1729
@@ -138,13 +136,11 @@ def valuation_property_suite(algebra, rank=2, max_domain=2, budget=None):
     store = NameStore(algebra)
     pool = enumerate_names(store, max_rank=rank, max_domain=max_domain, budget=budget)
     ctx = EvalContext(store, fragment=pool)
-    EQ = eq_matrix(ctx, pool)
-    MEM = mem_matrix(ctx, pool)
     rep = CheckReport(
         title=f"valuation laws over {algebra.name or algebra.n}",
         config=_config(algebra, rank=rank, max_domain=max_domain, pool=len(pool)),
     )
-    return valuation_law_families(rep, ctx, EQ, MEM)
+    return valuation_law_families(rep, ctx, _eq_kernel(ctx, pool))
 
 
 def _count(A, B):
@@ -213,16 +209,10 @@ def _distinct_rows(M):
     return M[list(last.values())]
 
 
-def fragment_forms(algebra, MEM):
-    """The unbounded quantifier forms over the whole pool as fragment:
-    fex[x, z] = \\/_w [w in x] /\\ [w in z] and
-    ffa[x, z] = /\\_w [w in x] -> [w in z]."""
-    codes = algebra.codes
-    return tuple(codes.decode(form) for form in _fragment_codes(codes, codes.encode(MEM)))
-
-
 def _fragment_codes(codes, MEM):
-    """`fragment_forms` on the Birkhoff codes of MEM, as codes.
+    """The unbounded forms fex[x, z] = \\/_w [w in x] /\\ [w in z] and
+    ffa[x, z] = /\\_w [w in x] -> [w in z] over the whole pool as
+    fragment, on the Birkhoff codes of MEM, as codes.
 
     Bit p of fex is M_p^T @ M_p > 0 on the plane M_p of p, bit p of MEM.
     p <= a -> b iff q <= a implies q <= b for every join-irreducible
@@ -237,13 +227,18 @@ def _fragment_codes(codes, MEM):
     return fex, codes.interior(ffa)
 
 
-def valuation_law_families(rep, ctx, EQ, MEM):
-    """Add the eleven law families over the pool `ctx.fragment`, given
-    its [x = y] and [x in y] matrices, to the report `rep` and return it.
-
-    EQ, MEM and the entry values are converted once to Birkhoff codes
-    (`HeytingAlgebra.codes`: the join-irreducibles below a value, as
-    bits), and the families compare codes, which are injective.
+def valuation_law_families(rep, ctx, kernel):
+    """Add the eleven law families over the pool `ctx.fragment` to the
+    report `rep` and return it, given the context's kernel
+    (pos, EQ, MEM, K, V, sizes) from `valuation._eq_kernel(ctx, pool)`,
+    whose values are Birkhoff codes (`HeytingAlgebra.codes`: the
+    join-irreducibles below a value, as bits).  The families compare
+    codes, which are injective, and decode only the samples of 10 and
+    11.  They run in the kernel's (rank, id) order, the order of a pool
+    that `enumerate_names` builds on a fresh store; `ValueError` is
+    raised before any of them runs when `ctx.fragment`, which the
+    unbounded forms of 10 and 11 range over, is not the kernel's names
+    in that order.
 
     The order laws 5, 6, 7 and 9 quantify over a middle name k, n^2
     checks per middle.  They are decided on join-irreducible bitplanes
@@ -261,40 +256,42 @@ def valuation_law_families(rep, ctx, EQ, MEM):
     7 fails (that family), to name the failing middles.
 
     Families 2, 4 and 8 and the bounded forms of 10 and 11 are folds
-    over the child slots of the pool's `child_arrays`: families 4, 10
-    and 11 by `valuation._code_fold`, the fold the kernel builds EQ and
-    MEM with, and family 8 in its row blocks, where a <= b iff
-    a & ~b is 0.
+    over the kernel's child slots K, V: families 4, 10 and 11 by
+    `valuation._code_fold`, the fold the kernel builds EQ and MEM with,
+    and family 8 in its row blocks; families 2 and 8 test a <= b as
+    a & ~b == 0, which the padding code of bottom, 0, passes.
 
     Families 10 and 11 also compare `EVAL_SAMPLES` x `EVAL_SAMPLES`
     samples: the bounded form through `ctx.eval`, and the unbounded form
     over the pool as fragment through one `eval_grid`.
     """
-    store, pool, algebra = ctx.store, ctx.fragment, ctx.algebra
+    store, pool, codes = ctx.store, ctx.fragment, ctx.algebra.codes
+    pos, EQ, MEM, K, V, sizes = kernel
+    if tuple(pos) != pool:
+        raise ValueError("the fragment is not the kernel's names in kernel order")
     n = len(pool)
-    idx = {nid: k for k, nid in enumerate(pool)}
-    # the entries (K[x, s], V[x, s]) of each pool name x, by child slot s
-    K, V, sizes = child_arrays(store, pool, idx, _element_dtype(algebra))
-    codes, leq, top = algebra.codes, algebra.leq, algebra.top
-    EQc, MEMc, Vc = codes.encode(EQ), codes.encode(MEM), codes.encode(V)
+    # one contiguous copy: the kernel's MEM is a transposed view, and the
+    # families gather its rows
+    MEM = np.ascontiguousarray(MEM)
 
     def lit(p):
         return store.to_literal(pool[p])
 
     fam = rep.family("1 reflexivity [x = x] = top")
-    fam.bulk(n, EQ.diagonal() == top, "diagonal below top")
+    diagonal = EQ[np.arange(n), np.arange(n)]
+    fam.bulk(n, (diagonal == codes.top).all(axis=1), "diagonal below top")
 
     fam = rep.family("2 entry value below membership")
-    below = leq[V, MEM[K, np.arange(n)[:, None]]]
+    below = ~(V & ~MEM[K, np.arange(n)[:, None]]).any(axis=2)
     fam.checked += int(sizes.sum())
     fam.violations.extend({"y": lit(j), "u": lit(K[j, s])}
                           for j, s in np.argwhere(~below))
 
     fam = rep.family("3 symmetry [x = y] = [y = x]")
-    fam.bulk(n * n, np.array_equal(EQ, EQ.T), "asymmetric pair")
+    fam.bulk(n * n, np.array_equal(EQ, EQ.transpose(1, 0, 2)), "asymmetric pair")
 
     fam = rep.family("4 mirrored membership [x in y] = [y ni x]")
-    mirrored = (_code_fold(codes, K, Vc, EQc) == MEMc.transpose(1, 0, 2)).all(axis=(1, 2))
+    mirrored = (_code_fold(codes, K, V, EQ) == MEM.transpose(1, 0, 2)).all(axis=(1, 2))
     fam.checked += n * n
     fam.violations.extend({"x": lit(i)} for i in np.flatnonzero(~mirrored))
 
@@ -304,7 +301,7 @@ def valuation_law_families(rep, ctx, EQ, MEM):
     fail5, fail6, fail7 = (np.zeros(n, dtype=bool) for _ in range(3))
     fail9 = np.zeros((len(substituted), n), dtype=bool)
     for p in range(codes.size):
-        f5, f6, f7, f9 = _plane_failures(codes.plane(EQc, p), codes.plane(MEMc, p))
+        f5, f6, f7, f9 = _plane_failures(codes.plane(EQ, p), codes.plane(MEM, p))
         fail5 |= f5
         fail6 |= f6
         fail7 |= f7
@@ -319,10 +316,10 @@ def valuation_law_families(rep, ctx, EQ, MEM):
 
     fam = rep.family("8 equality carries entries")
     carried = np.ones(K.shape, dtype=bool)
-    for rows in _row_blocks(n, EQc[:1].size):
+    for rows in _row_blocks(n, EQ[:1].size):
         for s in range(K.shape[1]):
-            carried[rows, s] = ~(EQc[rows] & Vc[rows, s, None]
-                                 & ~MEMc[K[rows, s]]).any(axis=(1, 2))
+            carried[rows, s] = ~(EQ[rows] & V[rows, s, None]
+                                 & ~MEM[K[rows, s]]).any(axis=(1, 2))
     fam.checked += n * int(sizes.sum())
     fam.violations.extend({"x": lit(i), "u": lit(K[i, s])}
                           for i, s in np.argwhere(~carried))
@@ -334,12 +331,12 @@ def valuation_law_families(rep, ctx, EQ, MEM):
 
     # bounded-quantifier expansion over dom x, with the value of the
     # unbounded form over the full pool as fragment for comparison
-    bex = _code_fold(codes, K, Vc, MEMc)
-    bfa = _code_fold(codes, K, Vc, MEMc, implies=True)
-    fex, ffa = _fragment_codes(codes, MEMc)
+    bex = _code_fold(codes, K, V, MEM)
+    bfa = _code_fold(codes, K, V, MEM, implies=True)
+    fex, ffa = _fragment_codes(codes, MEM)
 
-    sample = pool[:: max(1, n // EVAL_SAMPLES)]
-    at = [idx[x] for x in sample]
+    step = max(1, n // EVAL_SAMPLES)
+    sample = pool[::step]
     for name, value, form, bounded, unbounded in (
         ("10 bounded exists expands over the domain", bex, fex,
          "exists u in X . u in Z", "exists u . u in X /\\ u in Z"),
@@ -351,7 +348,7 @@ def valuation_law_families(rep, ctx, EQ, MEM):
                               {"X": sample, "Z": sample})
         fam = rep.family(name)
         fam.bulk(n * n, np.array_equal(value, form), "fragment form differs")
-        value = codes.decode(value[np.ix_(at, at)])
+        value = codes.decode(value[::step, ::step])
         for (i, x), (j, z) in iproduct(enumerate(sample), repeat=2):
             b = ctx.eval(bounded, {"X": x, "Z": z})
             ok = b == value[i, j] == unbounded[i, j]

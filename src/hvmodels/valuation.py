@@ -19,21 +19,21 @@ against a non-memoized reference implementation in the tests.
 every assignment of a grid of columns, each subformula as an array over
 its free variables.  Atoms are gathers from an array kernel over the
 downward closure of the names involved, laid out by rank in the one
-padded child layout, `child_arrays` (shared with `transfer` and
-`checks`), and membership, inclusion and equality are filled one rank
-level at a time, each by the one fold over child slots, `_code_fold`.
+padded child layout, `child_arrays` (shared with `transfer`), and
+membership, inclusion and equality are filled one rank level at a
+time, each by the one fold over child slots, `_code_fold`.
 The kernel holds every value as its Birkhoff code, the bitmask of the
 join-irreducibles below it (`HeytingAlgebra.codes`), so a fold is
 bitwise AND and OR, and an implication one interior step per fold.
 The grid computes on the same codes: connectives are AND, OR and
 interiors, and bounded quantifiers fold over the kernel's own child
-slots.  Values are encoded once, in the kernel, and decoded once, at
-the grid's output.  `eq_matrix` and `mem_matrix` are `eval_grid` on a
-single atom.  The context keeps its last kernel and reuses it while
-the requested names lie in its closure; no cell of a bulk result goes
-into the memo, which only the one-off path fills.  `EvalContext.eval`
-stays the path for one assignment, where compiling a grid would cost
-more than it saves.
+slots, as do the valuation law families of `checks`.  Values are
+encoded once, in the kernel, and decoded once, at the grid's output.
+`eq_matrix` and `mem_matrix` are `eval_grid` on a single atom.  The
+context keeps its last kernel and reuses it while the requested names
+lie in its closure; no cell of a bulk result goes into the memo, which
+only the one-off path fills.  `EvalContext.eval` stays the path for
+one assignment, where compiling a grid would cost more than it saves.
 """
 
 from itertools import product as iproduct, repeat

@@ -5,10 +5,13 @@ families, kept frozen here: families 5, 6, 7 and 9 loop over every
 middle name k, the fragment forms of 10 and 11 loop over every
 fragment name w, and families 2, 4, 8, 10 and 11 loop over the entries
 of every pool name.  `checks.valuation_law_families` decides the same
-laws on join-irreducible bitplanes and by folds over child slots.  Both
-run on intact [x = y] / [x in y] matrices and on seeded corruptions of
-them, and must agree on every family's name, check count and violation
-list, order included.
+laws on join-irreducible bitplanes and by folds over child slots, on
+the Birkhoff codes of the equality kernel.  Both run on intact
+[x = y] / [x in y] matrices and on seeded corruptions of them (encoded
+into a kernel by `_kernel` for the families), and on the real
+`_build_kernel` output over hypothesis stores, intact and with seeded
+corrupted codes, and must agree on every family's name, check count and
+violation list, order included.
 
 Families 4, 8, 10 and 11 are also compared with `element_table_families`,
 which computes them with `_slot_fold`, the fold over child slots on
@@ -24,6 +27,7 @@ and counted calls pin which path runs.
 
 import random
 import time
+import tracemalloc
 from itertools import product as iproduct
 
 import numpy as np
@@ -31,24 +35,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hvmodels import checks, valuation
-from hvmodels.checks import (
-    CheckReport,
-    fragment_forms,
-    valuation_law_families,
-    valuation_property_suite,
-)
+from hvmodels.checks import CheckReport, valuation_law_families, valuation_property_suite
 from hvmodels.formula import parse_formula
-from hvmodels.lattice import load_algebra, make_boolean, make_chain
+from hvmodels.lattice import make_boolean, make_chain
 from hvmodels.names import NameStore, enumerate_names
 from hvmodels.valuation import (
     EvalContext,
+    _build_kernel,
     _element_dtype,
+    _eq_kernel,
     _row_blocks,
     child_arrays,
     eq_matrix,
     eval_grid,
     mem_matrix,
 )
+
+from test_valuation import DIAMOND_ON_TOP, _names
 
 
 def reference_fragment_forms(algebra, MEM):
@@ -221,10 +224,6 @@ def element_table_families(ctx, EQ, MEM):
     return rep
 
 
-DIAMOND_ON_TOP = load_algebra(
-    "elements: 0, a, b, ab, 1\nhasse: 0 < a\nhasse: 0 < b\n"
-    "hasse: a < ab\nhasse: b < ab\nhasse: ab < 1\n", name="diamond_on_top")
-
 # the folds are checked over codes of one byte (|J| <= 8) and more
 FOLD_ALGEBRAS = (make_chain(2), make_chain(5), make_boolean(2), make_boolean(3),
                  DIAMOND_ON_TOP, make_chain(12), make_chain(70))
@@ -281,6 +280,32 @@ def _summary(rep):
     return [(f.name, f.checked, f.violations) for f in rep.families]
 
 
+def _kernel(store, pool, EQ, MEM):
+    """The kernel tuple (pos, EQ, MEM, K, V, sizes) of `pool`, in pool
+    order, with the element matrices EQ and MEM and the entry values
+    encoded to Birkhoff codes, as `_build_kernel` lays them out."""
+    codes = store.algebra.codes
+    pos = {u: p for p, u in enumerate(pool)}
+    K, V, sizes = child_arrays(store, pool, pos, _element_dtype(store.algebra))
+    return pos, codes.encode(EQ), codes.encode(MEM), K, codes.encode(V), sizes
+
+
+def _families(store, pool, EQ, MEM):
+    """`valuation_law_families` on the element matrices EQ and MEM of
+    `pool`, through `_kernel`."""
+    return valuation_law_families(CheckReport("codes"), EvalContext(store, fragment=pool),
+                                  _kernel(store, pool, EQ, MEM))
+
+
+def fragment_forms(algebra, MEM):
+    """`checks._fragment_codes` on the element matrix MEM, decoded:
+    fex[x, z] = \\/_w [w in x] /\\ [w in z] and
+    ffa[x, z] = /\\_w [w in x] -> [w in z]."""
+    codes = algebra.codes
+    return tuple(codes.decode(form)
+                 for form in checks._fragment_codes(codes, codes.encode(MEM)))
+
+
 @pytest.mark.parametrize("algebra,cap,seeds", CASES, ids=[c[0].name for c in CASES])
 def test_bitplane_families_match_the_per_middle_reference(algebra, cap, seeds,
                                                           monkeypatch):
@@ -292,8 +317,7 @@ def test_bitplane_families_match_the_per_middle_reference(algebra, cap, seeds,
     for seed, EQ, MEM in cases:
         want = _summary(reference_families(store, pool, EQ, MEM,
                                            EvalContext(store), eval_samples=3))
-        got = _summary(valuation_law_families(CheckReport("planes"),
-                                              EvalContext(store, fragment=pool), EQ, MEM))
+        got = _summary(_families(store, pool, EQ, MEM))
         assert got == want, f"seed {seed}"
         assert [np.array_equal(a, b) for a, b in zip(
             fragment_forms(algebra, MEM), reference_fragment_forms(algebra, MEM))] \
@@ -314,8 +338,7 @@ def test_slot_folds_agree_in_blocks_of_one_row(monkeypatch):
     monkeypatch.setattr(checks, "EVAL_SAMPLES", 3)
 
     def families():
-        return _summary(valuation_law_families(CheckReport("planes"),
-                                               EvalContext(store, fragment=pool), EQ, MEM))
+        return _summary(_families(store, pool, EQ, MEM))
 
     whole = families()
     assert any(v for name, _, v in whole if name.startswith(("2 ", "4 ", "8 ", "10 ")))
@@ -334,8 +357,7 @@ def test_code_families_match_the_element_table_folds(algebra, cap, seeds, monkey
     failing = set()
     for EQ, MEM in cases:
         want = _summary(element_table_families(EvalContext(store, fragment=pool), EQ, MEM))
-        got = _summary(valuation_law_families(CheckReport("codes"),
-                                              EvalContext(store, fragment=pool), EQ, MEM))
+        got = _summary(_families(store, pool, EQ, MEM))
         assert [f for f in got if f[0].startswith(("4 ", "8 ", "10 ", "11 "))] == want
         failing |= {name for name, _, v in want if v}
     assert len(failing) == 4, failing  # the corruptions reach all four
@@ -396,16 +418,86 @@ def _count_products(monkeypatch):
     (make_boolean(3), 2, 2377),
 ], ids=["chain5-cap3", "boolean8-cap2"])
 def test_big_sweeps_within_the_bound(algebra, cap, names, monkeypatch):
-    # both pools build their kernel under the real GRID_BUDGET; every
-    # plane of an intact pool is decided on its classes, with no product
+    # both pools build their kernel under the real GRID_BUDGET, once, and
+    # the families decide every law on its codes: the only grids are the
+    # samples of families 10 and 11, and the peak stays well below the
+    # 2 x 64 MiB that two int64 matrices over chain5's pool would take.
+    # Every plane of an intact pool is decided on its classes, with no
+    # product.
     calls = _count_products(monkeypatch)
-    started = time.perf_counter()
-    rep = valuation_property_suite(algebra, rank=2, max_domain=cap)
-    elapsed = time.perf_counter() - started
+    kernels, grids = [], []
+    build = valuation._build_kernel
+
+    def counted_build(*args):
+        kernels.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(valuation, "_build_kernel", counted_build)
+    for module in (checks, valuation):
+        def recorded(*args, _grid=module.eval_grid):
+            out = _grid(*args)
+            grids.append(out.size)
+            return out
+        monkeypatch.setattr(module, "eval_grid", recorded)
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        rep = valuation_property_suite(algebra, rank=2, max_domain=cap)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rep.config["pool"] == names
     assert len(rep.families) == 11 and rep.ok, rep.render_text()
     assert calls == {}
+    assert len(kernels) == 1
+    assert grids and max(grids) <= (2 * checks.EVAL_SAMPLES) ** 2
+    assert peak < 160 * 2**20, peak
     assert elapsed < 60.0
+
+
+def test_families_refuse_a_fragment_out_of_kernel_order():
+    # the unbounded forms of 10 and 11 range over the fragment and the
+    # families over the kernel, so the two must be the same names in the
+    # same order: a fragment that lacks a child, or is permuted, is
+    # refused before any family runs
+    store = NameStore(make_chain(3))
+    pool = enumerate_names(store, max_rank=2, max_domain=2)
+    child = next(u for x in pool[::-1] for u in store.domain(x) if u != store.empty)
+    for fragment in ([u for u in pool if u != child], pool[::-1]):
+        ctx = EvalContext(store, fragment=fragment)
+        rep = CheckReport("refused")
+        with pytest.raises(ValueError, match="kernel order"):
+            valuation_law_families(rep, ctx, _eq_kernel(ctx, fragment))
+        assert rep.families == []
+    ctx = EvalContext(store, fragment=pool)
+    assert valuation_law_families(CheckReport("pool"), ctx, _eq_kernel(ctx, pool)).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(_names())
+def test_families_on_the_built_kernel_match_the_reference(case):
+    # the families on `_build_kernel`'s own arrays (MEM the transposed
+    # view it returns), then on its codes with a few cells of EQ and MEM
+    # overwritten by the codes of seeded random elements, over ALGEBRAS
+    # (|J| = 1 to 69, codes of one to nine bytes); the fragment is the
+    # kernel's closure in kernel order
+    store, rows, cols = case
+    codes = store.algebra.codes
+    kernel = _build_kernel(store, [store.empty, *rows, *cols])
+    pos, EQ, MEM, K, V, sizes = kernel
+    pool = list(pos)
+    for seed in range(7):
+        EQe, MEMe = _corrupt(store.algebra, codes.decode(EQ), codes.decode(MEM), seed)
+        if seed:
+            kernel = (pos, codes.encode(EQe), codes.encode(MEMe), K, V, sizes)
+        want = _summary(reference_families(store, pool, EQe, MEMe, EvalContext(store),
+                                           eval_samples=checks.EVAL_SAMPLES))
+        got = _summary(valuation_law_families(CheckReport("kernel"),
+                                              EvalContext(store, fragment=pool), kernel))
+        assert got == want, f"seed {seed}"
+        if not seed:
+            assert all(not v for _, _, v in got)
 
 
 @pytest.mark.parametrize("algebra,cap,seeds", CASES, ids=[c[0].name for c in CASES])
@@ -418,8 +510,7 @@ def test_products_run_only_on_failing_planes(algebra, cap, seeds, monkeypatch):
     called = []
     for seed in seeds:
         calls.clear()
-        valuation_law_families(CheckReport("planes"), EvalContext(store, fragment=pool),
-                               *_corrupt(algebra, EQ0, MEM0, seed))
+        _families(store, pool, *_corrupt(algebra, EQ0, MEM0, seed))
         called.append(bool(calls))
     assert called[0] is False
     assert any(called[1:])

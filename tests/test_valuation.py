@@ -54,7 +54,10 @@ from hvmodels.valuation import EvalContext, eq_matrix, eval_grid, mem_matrix
 
 from conftest import FIXTURES
 from oracles import ref_eq, ref_mem, ref_ni
-from test_law_planes import DIAMOND_ON_TOP
+
+DIAMOND_ON_TOP = load_algebra(
+    "elements: 0, a, b, ab, 1\nhasse: 0 < a\nhasse: 0 < b\n"
+    "hasse: a < ab\nhasse: b < ab\nhasse: ab < 1\n", name="diamond_on_top")
 
 
 # -- atomic values against the reference recursion ---------------------------
