@@ -16,10 +16,11 @@ import numpy as np
 
 from . import hset as hs
 from . import transfer as tr
+from . import valuation as va
 from .errors import (BudgetExceeded, Family, HvError, NotAFrame, NotJoinPreserving,
                      NotMeetPreserving)
 from .formula import parse_formula
-from .lattice import BUILTIN_ALGEBRAS, HeytingAlgebra, make_chain
+from .lattice import BUILTIN_ALGEBRAS, HeytingAlgebra, _row_blocks, make_chain
 from .names import (
     NameStore,
     check_project,
@@ -34,13 +35,12 @@ from .valuation import (
     EvalContext,
     _code_fold,
     _eq_kernel,
-    _row_blocks,
     check_kernel_size,
-    eq_matrix,
     eval_grid,
 )
 
 DEFAULT_SEED = 1729
+CORPUS_PER_ALGEBRA = 4  # seeded H-sets per algebra of the category families
 EVAL_SAMPLES = 8  # pool names per axis of the parsed samples of families 10 and 11
 
 
@@ -316,7 +316,7 @@ def valuation_law_families(rep, ctx, kernel):
 
     fam = rep.family("8 equality carries entries")
     carried = np.ones(K.shape, dtype=bool)
-    for rows in _row_blocks(n, EQ[:1].size):
+    for rows in _row_blocks(n, EQ[:1].size, va.FOLD_CELLS):  # read when called
         for s in range(K.shape[1]):
             carried[rows, s] = ~(EQ[rows] & V[rows, s, None]
                                  & ~MEM[K[rows, s]]).any(axis=(1, 2))
@@ -805,29 +805,29 @@ def _category_families(rep, algebras, corpus, graphs):
             fam_eq.record(bool(ok), {"algebra": aname})
 
 
-def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2, budget=None):
+def hset_law_suite(seed=DEFAULT_SEED, rank=2, max_domain=2, budget=None):
     """Category laws, equality from one-sided comparison, dagger and
     completion roundtrips, product/equalizer behavior, bridge coherence,
     and the induced morphism of a witnessed lift.
 
-    The category families run on a seeded corpus of `corpus_per_algebra`
+    The category families run on a seeded corpus of `CORPUS_PER_ALGEBRA`
     H-sets of up to 3 points per algebra and their graph morphisms, each
     family decided as one stack per algebra by `_category_families`.
-    The induced morphisms of every name of the rank-`rank`, domain cap 2
-    pool over `four`, lifted along `f`, are decided as one stack on the
-    equality kernels of the pool and of its images, so a pool whose
-    enumeration or kernel is over its budget raises BudgetExceeded
-    before any work is done."""
+    The induced morphisms of every name of the rank-`rank`, domain cap
+    `max_domain` pool over `four`, lifted along `f`, are decided as one
+    stack on the equality kernels of the pool and of its images, so a
+    pool whose enumeration or kernel is over its budget raises
+    BudgetExceeded before any work is done."""
     import random
 
     alg = test_algebras()
-    check_kernel_size(pool_size(alg["four"].n, rank, 2, budget))
+    check_kernel_size(pool_size(alg["four"].n, rank, max_domain, budget))
     rep = CheckReport(title="H-set category laws",
-                      config={"seed": seed, "corpus_per_algebra": corpus_per_algebra})
+                      config={"seed": seed, "corpus_per_algebra": CORPUS_PER_ALGEBRA})
     rng = random.Random(seed)
     corpus = {}
     for aname, algebra in alg.items():
-        corpus[aname] = [_random_hset(algebra, rng) for _ in range(corpus_per_algebra)]
+        corpus[aname] = [_random_hset(algebra, rng) for _ in range(CORPUS_PER_ALGEBRA)]
     # every call below takes a prefix of one ordered pair's morphisms
     graphs = {(id(X), id(Y)): _graph_morphisms(X, Y)
               for hsets in corpus.values() for X, Y in iproduct(hsets, hsets)}
@@ -862,7 +862,7 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2, budget=None)
     two = alg["chain2"]
     sa, sb = NameStore(alg["four"]), NameStore(two)
     ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)
-    pool = enumerate_names(sa, max_rank=rank, max_domain=2, budget=budget)
+    pool = enumerate_names(sa, max_rank=rank, max_domain=max_domain, budget=budget)
     wls = [tr.lift(f, x, sa, sb) for x in pool]
     ds, dt, phis = tr.epsilon_tables(f, wls, ctx_a, ctx_b)
     lawful = hs.morphism_law_masks(two, ds, dt, phis)
@@ -873,10 +873,13 @@ def hset_law_suite(seed=DEFAULT_SEED, corpus_per_algebra=4, rank=2, budget=None)
         for g in np.flatnonzero(~lawful))
     mono, epi = tr.mono_epi_masks(two, ds, dt, phis)
     # a two-entry name whose witness targets are equal with value top and
-    # whose values f identifies has a second witness: the swapped targets
+    # whose values f identifies has a second witness: the swapped targets,
+    # whose equality is a gather from the kernel epsilon_tables built
     pairs = [g for g, wl in enumerate(wls) if len(wl.witness) == 2]
     left, right = ([wls[g].witness[k][1] for g in pairs] for k in (0, 1))
-    top_equal = eq_matrix(ctx_b, left, right).diagonal() == two.top
+    pos_b, EQ_b = _eq_kernel(ctx_b, left + right)[:2]
+    top_equal = (EQ_b[[pos_b[u] for u in left], [pos_b[v] for v in right]]
+                 == two.codes.top).all(axis=-1)
     swaps, alts = [], []
     for g, equal in zip(pairs, top_equal):
         (u, uv), (v, vv) = sa.entries(pool[g])

@@ -311,44 +311,29 @@ class _MorphismAlgebras:
         return self.session.find(name, near=self.near)
 
 
+# suite name -> the reports it runs for a Session, in `hvm check` order
+SUITES = {
+    "counterexample": lambda s: [
+        checks.counterexample_suite(),
+        checks.injective_suite(rank=s.rank, budget=s.budget)],
+    "properties": lambda s: [
+        checks.valuation_property_suite(a, rank=s.rank, max_domain=s.max_domain,
+                                        budget=s.budget)
+        for a in [s.resolve(n) for n in s.selected] or checks.test_algebras().values()],
+    "preservation": lambda s: [checks.preservation_suite(
+        rank=s.rank, max_domain=s.max_domain, budget=s.budget)],
+    "functoriality": lambda s: [checks.functoriality_suite(
+        rank=s.rank, max_domain=s.max_domain, budget=s.budget)],
+    "hset-laws": lambda s: [checks.hset_law_suite(
+        seed=s.seed, rank=s.rank, max_domain=s.max_domain, budget=s.budget)],
+}
+
+
 def cmd_check(args, session):
-    suite = args.suite
-    reports = []
-    if suite == "properties":
-        table = checks.test_algebras()
-        chosen = session.selected or list(table)
-        for name in chosen:
-            algebra = table.get(name) or session.resolve(name)
-            reports.append(
-                checks.valuation_property_suite(
-                    algebra, rank=session.rank, max_domain=session.max_domain,
-                    budget=session.budget,
-                )
-            )
-    elif suite == "counterexample":
-        reports.append(checks.counterexample_suite())
-        reports.append(checks.injective_suite(rank=session.rank,
-                                              budget=session.budget))
-    elif suite == "preservation":
-        reports.append(
-            checks.preservation_suite(rank=session.rank,
-                                      max_domain=session.max_domain,
-                                      budget=session.budget)
-        )
-    elif suite == "functoriality":
-        reports.append(
-            checks.functoriality_suite(rank=session.rank,
-                                       max_domain=session.max_domain,
-                                       budget=session.budget)
-        )
-    elif suite == "hset-laws":
-        reports.append(checks.hset_law_suite(seed=session.seed, rank=session.rank,
-                                             budget=session.budget))
-    else:
-        raise ParseError(f"unknown suite {suite!r}")
+    reports = SUITES[args.suite](session)
     ok = all(r.ok for r in reports)
     _emit(args, "\n".join(r.render_text() for r in reports), lambda: {
-        "config": session.config(f"check {suite}"),
+        "config": session.config(f"check {args.suite}"),
         "reports": [r.to_json_dict() for r in reports],
         "ok": ok,
     })
@@ -401,11 +386,7 @@ def build_parser():
     p.set_defaults(fn=cmd_lift)
 
     p = sub.add_parser("check", help="run a law suite")
-    p.add_argument(
-        "suite",
-        choices=("counterexample", "properties", "preservation",
-                 "functoriality", "hset-laws"),
-    )
+    p.add_argument("suite", choices=SUITES)
     common(p)
     p.add_argument("--rank", type=_count, default=2,
                    help="name rank ceiling for sweeps (default 2)")

@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
 )
 from . import names as names_mod
-from .lattice import split_arrow_header, text_lines
+from .lattice import _row_blocks, split_arrow_header, text_lines
 
 SINGLETON_BUDGET = 1 << 16
 PRODUCT_CAP = 4096
@@ -151,14 +151,13 @@ def morphism_law_masks(A, ds, dt, phis, first=None):
     G, ns, nt = phis.shape
     ds, dt = (d if d.ndim == 3 else d[None] for d in (ds, dt))
     ok = np.ones(G, dtype=bool)
-    step = max(1, SLAB_CELLS // max(1, G * nt * max(ns, nt)))
-    for x0 in range(0, ns, step):
-        px = phis[:, x0:x0 + step, None, :]      # phi(x, y') for the block
+    for xs in _row_blocks(ns, G * nt * max(ns, nt), SLAB_CELLS):
+        px = phis[:, xs, None, :]      # phi(x, y') for the block
         slabs = (
             # 1. delta'(x',y') /\ phi(x,y') <= phi(x,x')
             (mt[dt[:, None], px], px.swapaxes(2, 3)),
             # 2. delta(x,y) /\ phi(x,y') <= phi(y,y')
-            (mt[ds[:, x0:x0 + step, :, None], px], phis[:, None]),
+            (mt[ds[:, xs, :, None], px], phis[:, None]),
             # 3. phi(x,x') /\ phi(x,y') <= delta'(x',y')
             (mt[px.swapaxes(2, 3), px], dt[:, None]),
         )
@@ -168,7 +167,7 @@ def morphism_law_masks(A, ds, dt, phis, first=None):
             ok &= good
             if first is not None and not good[0] and law not in first:
                 b, i, j = map(int, np.unravel_index(np.argmin(holds[0]), holds[0].shape))
-                first[law] = (x0 + b, i, j, lhs[0, b, i, j],
+                first[law] = (xs.start + b, i, j, lhs[0, b, i, j],
                               np.broadcast_to(rhs, lhs.shape)[0, b, i, j])
     # 4. \/_{z'} phi(x,z') = delta(x,x)
     total = compose_tables(A, phis, np.full((nt, 1), A.top))[..., 0]

@@ -7,14 +7,20 @@ validates the poset axioms, the existence of all binary meets and joins,
 and binary distributivity; for a finite lattice the latter is equivalent
 to the frame law a /\ \/S = \/{a /\ s : s in S}.
 
-Construction is a fixed number of whole-array steps, each run over
-blocks of rows sized so that a slab holds about ``SLAB_CELLS`` cells:
-meets and joins over the pairs a <= b, the frame law on the
-join-irreducibles J, which in a finite lattice is distributivity iff
-every element of J is join-prime (Davey & Priestley, Introduction to
-Lattices and Order, 2nd ed., ch. 2, 5), and the implication.  Memory
-stays O(n^2).  At the cap, a 512-element chain or Boolean algebra builds
-in about 0.2 s on one core with under 10 MiB of numpy buffers at peak.
+Every loop over blocks of rows in the package takes its blocks from
+one rule, ``_row_blocks``, with its own budget of cells:
+``SLAB_CELLS`` = 2^18 here, ``GATHER_CELLS`` = 2^14 for code gathers,
+``valuation.FOLD_CELLS`` = 2^20 for folds over child slots,
+``hset.SLAB_CELLS`` = 2^16 for morphism laws,
+``valuation.GRID_BUDGET`` = 2^24 for ``strict_images`` and
+``eval_grid``.  Construction is a fixed number of whole-array steps,
+each over such blocks: meets and joins over the pairs a <= b, the
+frame law on the join-irreducibles J, which in a finite lattice is
+distributivity iff every element of J is join-prime (Davey &
+Priestley, Introduction to Lattices and Order, 2nd ed., ch. 2, 5),
+and the implication.  Memory stays O(n^2).  At the cap, a 512-element
+chain or Boolean algebra builds in about 0.2 s on one core with under
+10 MiB of numpy buffers at peak.
 """
 
 import hashlib
@@ -41,11 +47,11 @@ SLAB_CELLS = 1 << 18
 GATHER_CELLS = 1 << 14
 
 
-def _row_blocks(n, row_cells, cells=SLAB_CELLS):
-    """(start, stop) ranges that cover the rows 0..n-1, each of at most
-    cells // row_cells rows and of at least one."""
+def _row_blocks(n, row_cells, cells):
+    """The one block rule: slices of max(1, cells // row_cells) rows that
+    cover the rows 0..n-1 in order, the last possibly past n."""
     step = max(1, cells // max(1, row_cells))
-    return [(a, min(a + step, n)) for a in range(0, n, step)]
+    return [slice(a, a + step) for a in range(0, n, step)]
 
 
 def _compose(rel):
@@ -69,8 +75,8 @@ def _join_irreducibles_join_prime(leq, join_table):
     lattice is distributive (Birkhoff).  Decided on rows of J bit-packed
     to bytes, in row blocks: n^2 |J| / 8 bytes in all."""
     below = np.packbits(leq[_join_irreducible_mask(leq)].T, axis=1)
-    return all((below[join_table[a0:a1]] == below[a0:a1, None] | below).all()
-               for a0, a1 in _row_blocks(len(leq), len(leq) * below.shape[1]))
+    return all((below[join_table[rows]] == below[rows, None] | below).all()
+               for rows in _row_blocks(len(leq), len(leq) * below.shape[1], SLAB_CELLS))
 
 
 def _check_size(n):
@@ -167,17 +173,18 @@ class HeytingAlgebra:
         sizes = counts.diagonal(axis1=1, axis2=2)
         kind = np.arange(2)[:, None, None]
         tables = np.empty((2, n, n), dtype=np.int64)
-        for a0, a1 in _row_blocks(n, 2 * n * n):
-            common = ranked[:, a0:a1, None, :] & ranked[:, None, a0:, :]
+        for rows in _row_blocks(n, 2 * n * n, SLAB_CELLS):
+            a0 = rows.start
+            common = ranked[:, rows, None, :] & ranked[:, None, a0:, :]
             best = orders[kind, common.argmax(axis=3)]
-            found = sizes[kind, best] == counts[:, a0:a1, a0:]
+            found = sizes[kind, best] == counts[:, rows, a0:]
             bad = ~(found[0] & found[1])
             if bad.any():
                 a, b = np.unravel_index(int(bad.argmax()), bad.shape)
                 raise NotALattice("join" if found[0, a, b] else "meet",
                                   (self.labels[a0 + a], self.labels[a0 + b]))
-            tables[:, a0:a1, a0:] = best
-            tables[:, a0:a1, :a0] = tables[:, :a0, a0:a1].transpose(0, 2, 1)
+            tables[:, rows, a0:] = best
+            tables[:, rows, :a0] = tables[:, :a0, rows].transpose(0, 2, 1)
         return tables
 
     def _check_frame(self):
@@ -187,12 +194,12 @@ class HeytingAlgebra:
         if _join_irreducibles_join_prime(self.leq, self.join_table):
             return
         mt, jt = self.meet_table, self.join_table
-        for a0, a1 in _row_blocks(self.n, self.n * self.n):
-            rows = mt[a0:a1]
-            bad = rows[:, jt] != jt[rows[:, :, None], rows[:, None, :]]
+        for rows in _row_blocks(self.n, self.n * self.n, SLAB_CELLS):
+            block = mt[rows]
+            bad = block[:, jt] != jt[block[:, :, None], block[:, None, :]]
             if bad.any():
                 a, b, c = map(int, np.argwhere(bad)[0])
-                raise NotAFrame((self.labels[a0 + a], self.labels[b], self.labels[c]))
+                raise NotAFrame((self.labels[rows.start + a], self.labels[b], self.labels[c]))
 
     def _compute_implication(self, order):
         # a -> b is the c with the largest down-set among {c : a /\ c <= b},
@@ -203,8 +210,8 @@ class HeytingAlgebra:
         ranked = self.meet_table[:, order]
         rank = np.arange(1, n + 1, dtype=np.int16)[:, None]
         impl = np.empty((n, n), dtype=np.int64)
-        for a0, a1 in _row_blocks(n, 3 * n * n):
-            impl[a0:a1] = order[(self.leq[ranked[a0:a1]] * rank).max(axis=1) - 1]
+        for rows in _row_blocks(n, 3 * n * n, SLAB_CELLS):
+            impl[rows] = order[(self.leq[ranked[rows]] * rank).max(axis=1) - 1]
         return impl
 
     @cached_property
@@ -317,18 +324,18 @@ class BirkhoffCodes:
 
     def decode(self, codes):
         out = np.empty(codes.shape[:-1], dtype=self._trie[-1].dtype)
-        for a0, a1 in _row_blocks(len(codes), codes[:1].size, GATHER_CELLS):
-            block = codes[a0:a1]
+        for rows in _row_blocks(len(codes), codes[:1].size, GATHER_CELLS):
+            block = codes[rows]
             state = np.take(self._trie[0], block[..., 0])
             for c in range(1, self.width):
                 state = np.take(self._trie[c], state * 256 + block[..., c])
-            out[a0:a1] = state
+            out[rows] = state
         return out
 
     def interior(self, codes):
         """Every code replaced by its interior, in place; returns `codes`."""
-        for a0, a1 in _row_blocks(len(codes), codes[:1].size, GATHER_CELLS):
-            block = codes[a0:a1]
+        for rows in _row_blocks(len(codes), codes[:1].size, GATHER_CELLS):
+            block = codes[rows]
             kept = [reduce(np.bitwise_and, (np.take(t, block[..., c]) for c, t in tables))
                     for tables in self._interior]
             for b, bits in enumerate(kept):

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .formula import Const, free_vars, is_positive_bounded
 from .hset import HSet, HSetMorphism, compose_tables
-from .lattice import split_arrow_header, text_lines
+from .lattice import _row_blocks, split_arrow_header, text_lines
 from .names import _fold_dag, pad_equivalent
 from .valuation import (
     GRID_BUDGET,
@@ -204,9 +204,8 @@ def strict_images(f, xs, candidates, store_a, store_b):
                     continue
                 kb, vb = KB[cols, :m], VB[cols, :m]
                 surj = _surjection_table(k, m)
-                step = max(1, GRID_BUDGET // (len(cols) * k * max(m, len(surj))))
-                for lo in range(0, len(rows), step):
-                    blk = slice(lo, lo + step)
+                for blk in _row_blocks(len(rows), len(cols) * k * max(m, len(surj)),
+                                       GRID_BUDGET):
                     compat = (vb[None, :, None, :] == fa[blk, None, :, None]) \
                         & R[ka[blk, None, :, None], kb[None, :, None, :]]
                     hit = compat[:, :, np.arange(k), surj].all(axis=3).any(axis=2)

@@ -56,6 +56,7 @@ from .formula import (
     Var,
     check_height,
 )
+from .lattice import _row_blocks
 
 
 class EvalContext:
@@ -314,11 +315,6 @@ FOLD_CELLS = 1 << 20
 """Bytes of the widest temporary of a fold over child slots."""
 
 
-def _row_blocks(n, cols):
-    step = max(1, FOLD_CELLS // max(1, cols))
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
-
-
 def _code_fold(codes, K, V, M, implies=False):
     r"""Row x is \/_s V[x, s] /\ M[K[x, s], :], or with `implies`
     /\_s V[x, s] -> M[K[x, s], :], over the Birkhoff codes `codes` of
@@ -327,7 +323,7 @@ def _code_fold(codes, K, V, M, implies=False):
     ~V | M: the interior preserves AND, so it is taken once.  The
     padding code of bottom, 0, is neutral in both."""
     out = np.full((len(K), *M.shape[1:]), 255 if implies else 0, dtype=np.uint8)
-    for rows in _row_blocks(len(K), M[:1].size):
+    for rows in _row_blocks(len(K), M[:1].size, FOLD_CELLS):
         for s in range(K.shape[1]):
             if implies:
                 out[rows] &= ~V[rows, s, None] | M[K[rows, s]]
@@ -454,10 +450,9 @@ def eval_grid(ctx, phi, columns):
             f"over the {GRID_BUDGET}-{unit} budget",
             predicted=row, budget=GRID_BUDGET)
     grid.prepare()
-    step = grid.rows_per_block(GRID_BUDGET)
     out = np.empty(shape, dtype=np.int64)
-    for lo in range(0, shape[0], step):
-        out[lo:lo + step] = grid.run(slice(lo, lo + step))
+    for rows in _row_blocks(shape[0], grid.row_bytes(), GRID_BUDGET):
+        out[rows] = grid.run(rows)
     return out
 
 
@@ -584,11 +579,9 @@ class _Grid:
         when the first column has `rows` entries."""
         return self.width * max(self._cells(free, rows) for free in self.frees)
 
-    def rows_per_block(self, budget):
-        """The most rows of the first column whose blocks fit the budget
-        in bytes."""
-        return min(budget // (self.width * self._cells(free, 1))
-                   for free in self.frees if 0 in free)
+    def row_bytes(self):
+        """Bytes per first-column row of the largest node array on it."""
+        return self.width * max(self._cells(free, 1) for free in self.frees if 0 in free)
 
     # -- evaluation ---------------------------------------------------------
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hvmodels import checks
-from hvmodels.cli import Session, _run_script, build_parser, main
+from hvmodels.cli import SUITES, Session, _run_script, build_parser, main
 from hvmodels.errors import MAX_NESTING, BudgetExceeded, ParseError
 from hvmodels.hset import parse_hset_file
 from hvmodels.lattice import is_boolean, load_algebra, make_boolean, make_chain
@@ -428,6 +428,30 @@ def test_json_reports_match_golden(command, tmp_path, capsys, fixtures_dir):
     assert main(argv + ["--json", str(out)]) == 0
     capsys.readouterr()
     assert out.read_text() == json.dumps(golden, indent=2, sort_keys=True) + "\n"
+
+
+def test_hset_laws_reads_the_domain_cap(capsys, tmp_path):
+    # the lifted pool over four is the cap's own: 21 names at cap 1, where
+    # the cap-2 pool has 181
+    counts = []
+    for cap in ("1", "2"):
+        out = tmp_path / f"cap{cap}.json"
+        assert main(["check", "hset-laws", "--max-domain", cap, "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["max_domain"] == int(cap)
+        families = {f["name"]: f for f in payload["reports"][0]["families"]}
+        counts.append(families["induced morphism of a witnessed lift validates"]["checked"])
+    capsys.readouterr()
+    assert counts == [21, 181]
+
+
+def test_check_takes_its_suites_from_the_suite_table(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["check", "no-such-suite"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'no-such-suite'" in err
+    assert all(repr(name) in err for name in SUITES)
 
 
 def test_check_json_deterministic(capsys, tmp_path):

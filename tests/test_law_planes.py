@@ -37,14 +37,13 @@ from hypothesis import given, settings, strategies as st
 from hvmodels import checks, valuation
 from hvmodels.checks import CheckReport, valuation_law_families, valuation_property_suite
 from hvmodels.formula import parse_formula
-from hvmodels.lattice import make_boolean, make_chain
+from hvmodels.lattice import _row_blocks, make_boolean, make_chain
 from hvmodels.names import NameStore, enumerate_names
 from hvmodels.valuation import (
     EvalContext,
     _build_kernel,
     _element_dtype,
     _eq_kernel,
-    _row_blocks,
     child_arrays,
     eq_matrix,
     eval_grid,
@@ -164,7 +163,7 @@ def _slot_fold(fold, op, unit, K, V, M):
     of x from `unit`, in blocks of rows; the padding value bottom must
     give op(bottom, a) = unit."""
     out = np.full((len(K), M.shape[1]), unit, dtype=fold.dtype)
-    for rows in _row_blocks(len(K), M.shape[1]):
+    for rows in _row_blocks(len(K), M.shape[1], valuation.FOLD_CELLS):
         for s in range(K.shape[1]):
             out[rows] = fold[out[rows], op[V[rows, s, None], M[K[rows, s]]]]
     return out
@@ -193,7 +192,7 @@ def element_table_families(ctx, EQ, MEM):
 
     fam = rep.family("8 equality carries entries")
     carried = np.ones(K.shape, dtype=bool)
-    for rows in _row_blocks(n, n):
+    for rows in _row_blocks(n, n, valuation.FOLD_CELLS):
         for s in range(K.shape[1]):
             carried[rows, s] = leq[mt[EQ[rows], V[rows, s, None]],
                                    MEM[K[rows, s]]].all(axis=1)
