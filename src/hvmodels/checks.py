@@ -662,31 +662,23 @@ def _graph_morphisms(X, Y):
     """All valid morphisms X -> Y of graph shape phi(x, y') =
     delta_Y(g(x), y') for point maps g, in `iproduct` order of g.
 
-    Every instance of a morphism law names at most two source points, so
-    a table is lawful iff its restriction to every pair of source points
-    x <= y is.  The restrictions to x, y with rows g(x) = v, g(y) = w
-    are one `hset.morphism_law_masks` stack, and each of the G = ny^nx
-    maps g gathers its pairs from it.  Above `GRID_BUDGET` cells (the
-    gather and the tables, G*nx*max(nx, ny), or a slab of the stack,
-    npairs*ny^3*max(2, ny)) `BudgetExceeded` is raised first."""
+    The G = ny^nx graph tables Y.delta[g] are one stack, decided whole
+    by one `hset.morphism_law_masks`.  Above `GRID_BUDGET` cells for
+    the slab it builds per source point, G*ny*max(nx, ny), which holds
+    at least as many cells as the tables, `BudgetExceeded` is raised
+    before any table is built."""
     nx, ny = len(X), len(Y)
     G = ny ** nx
-    cells = max(G * nx * max(nx, ny), nx * (nx + 1) // 2 * ny ** 3 * max(2, ny))
+    cells = G * ny * max(nx, ny)
     if cells > GRID_BUDGET:
         raise BudgetExceeded(
             f"{G} point maps of {nx} into {ny} points need {cells} cells, "
             f"over the {GRID_BUDGET}-cell budget",
             predicted=cells, budget=GRID_BUDGET)
-    pts = np.array([(x, y) for x in range(nx) for y in range(x, nx)], dtype=np.intp).reshape(-1, 2)
-    # candidate (p, v, w): the pair pts[p] with rows g(x) = v, g(y) = w
-    pvw = np.indices((len(pts), ny, ny)).reshape(3, -1)
-    xy = pts[pvw[0]]
-    lawful = hs.morphism_law_masks(X.algebra, X.delta[xy[:, :, None], xy[:, None, :]],
-                                   Y.delta, Y.delta[pvw[1:].T])
     gs = np.arange(G)[:, None] // ny ** np.arange(nx - 1, -1, -1) % ny
-    mask = lawful.reshape(len(pts), ny, ny)[
-        np.arange(len(pts)), gs[:, pts[:, 0]], gs[:, pts[:, 1]]].all(axis=1)
-    return [hs.HSetMorphism(X, Y, phi) for phi in Y.delta[gs[mask]]]
+    phis = Y.delta[gs]
+    lawful = hs.morphism_law_masks(X.algebra, X.delta, Y.delta, phis)
+    return [hs.HSetMorphism(X, Y, phi) for phi in phis[lawful]]
 
 
 # -- the category families, one stack per algebra -------------------------------------

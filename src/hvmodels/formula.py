@@ -20,6 +20,10 @@ time.
 A formula may nest "~", parentheses, quantifiers and "->" at most
 `errors.MAX_NESTING` deep, and its syntax tree may be at most that high,
 so a long "/\\" or "\\/" chain counts one level per operator.
+
+The shape helpers (`free_vars`, `is_positive_bounded`, `has_const` and
+the height check) are comprehensions over one walk of the tree without
+recursion, `_walk`; the evaluators and the printer recurse.
 """
 
 import re
@@ -108,54 +112,56 @@ class UExists:
 ATOMS = (Member, Eq)
 BINARY = (And, Or, Implies)
 QUANTIFIERS = (BForall, BExists, UForall, UExists)
+FORMULAS = (*ATOMS, Not, *BINARY, *QUANTIFIERS)
+POSITIVE = (*ATOMS, And, Or, BForall, BExists)
+
+
+def _walk(phi):
+    """Every node of `phi`, in `eval`'s order (a node before its children,
+    left before right), with its depth below the root and the variables
+    bound above it, without recursion.  A node that is not a formula
+    raises `TypeError` when it is reached."""
+    stack = [(phi, 0, frozenset())]
+    while stack:
+        node, depth, bound = stack.pop()
+        if not isinstance(node, FORMULAS):
+            raise TypeError(f"not a formula: {node!r}")
+        yield node, depth, bound
+        if isinstance(node, QUANTIFIERS):
+            stack.append((node.body, depth + 1, bound | {node.var}))
+        elif isinstance(node, Not):
+            stack.append((node.body, depth + 1, bound))
+        elif isinstance(node, BINARY):
+            stack += (node.right, depth + 1, bound), (node.left, depth + 1, bound)
+
+
+def _terms(node):
+    """The terms a node reads: an atom's two, a bounded quantifier's bound."""
+    if isinstance(node, ATOMS):
+        return node.left, node.right
+    return (node.bound,) if isinstance(node, (BForall, BExists)) else ()
 
 
 def free_vars(phi):
-    """Free variable names of a formula.  A formula higher than
-    `MAX_NESTING` raises `BudgetExceeded` before anything recurses."""
+    """Free variable names of a formula; the bound of `Q u in t` is read
+    outside u's scope.  A formula higher than `MAX_NESTING` raises
+    `BudgetExceeded` before it is walked."""
     check_height(phi)
-    return _free_vars(phi)
-
-
-def _free_vars(phi):
-    if isinstance(phi, ATOMS):
-        out = set()
-        for t in (phi.left, phi.right):
-            if isinstance(t, Var):
-                out.add(t.name)
-        return out
-    if isinstance(phi, Not):
-        return _free_vars(phi.body)
-    if isinstance(phi, BINARY):
-        return _free_vars(phi.left) | _free_vars(phi.right)
-    if isinstance(phi, (BForall, BExists)):
-        out = _free_vars(phi.body) - {phi.var}
-        if isinstance(phi.bound, Var):
-            out.add(phi.bound.name)
-        return out
-    if isinstance(phi, (UForall, UExists)):
-        return _free_vars(phi.body) - {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
+    return {t.name for node, _, bound in _walk(phi) for t in _terms(node)
+            if isinstance(t, Var) and t.name not in bound}
 
 
 def is_positive_bounded(phi):
     """True iff built from atoms, /\\, \\/ and bounded quantifiers only.
-    A formula higher than `MAX_NESTING` raises `BudgetExceeded` before
-    anything recurses."""
+    A formula higher than `MAX_NESTING` raises `BudgetExceeded` before it
+    is walked."""
     check_height(phi)
-    return _is_positive_bounded(phi)
+    return all(isinstance(node, POSITIVE) for node, _, _ in _walk(phi))
 
 
-def _is_positive_bounded(phi):
-    if isinstance(phi, ATOMS):
-        return True
-    if isinstance(phi, (And, Or)):
-        return _is_positive_bounded(phi.left) and _is_positive_bounded(phi.right)
-    if isinstance(phi, (BForall, BExists)):
-        return _is_positive_bounded(phi.body)
-    if isinstance(phi, (Not, Implies, UForall, UExists)):
-        return False
-    raise TypeError(f"not a formula: {phi!r}")
+def has_const(phi):
+    """True iff some term of the formula is a constant."""
+    return any(isinstance(t, Const) for node, _, _ in _walk(phi) for t in _terms(node))
 
 
 # -- printer -------------------------------------------------------------------
@@ -349,15 +355,9 @@ class _Parser:
 
 
 def _height(phi):
-    """Height of a syntax tree, atoms at 0, counted without recursion."""
-    best, stack = 0, [(phi, 0)]
-    while stack:
-        node, h = stack.pop()
-        best = max(best, h)
-        if not isinstance(node, ATOMS):
-            stack.extend((getattr(node, attr), h + 1)
-                         for attr in ("left", "right", "body") if hasattr(node, attr))
-    return best
+    """Height of a syntax tree, a lone atom at 0: the greatest depth
+    `_walk` reaches."""
+    return max(depth for _, depth, _ in _walk(phi))
 
 
 def check_height(phi):

@@ -13,6 +13,7 @@ that one formula with H, X and Y assigned.
 """
 
 import math
+import re
 from functools import cache
 from itertools import combinations, islice, product
 
@@ -308,24 +309,8 @@ def pad_equivalent(store, nid, fresh_count):
 
 
 def _tokenize_literal(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "{}(),":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and not text[j].isspace() and text[j] not in "{}(),":
-            j += 1
-        tokens.append((text[i:j], i))
-        i = j
-    tokens.append((None, len(text)))
-    return tokens
+    tokens = [(m.group(), m.start()) for m in re.finditer(r"[{}(),]|[^\s{}(),]+", text)]
+    return tokens + [(None, len(text))]
 
 
 def parse_name_literal(store, text, bindings=None):

@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     TopNotPreserved,
 )
-from .formula import Const, free_vars, is_positive_bounded
+from .formula import free_vars, has_const, is_positive_bounded
 from .hset import HSet, HSetMorphism, compose_tables
 from .lattice import _row_blocks, split_arrow_header, text_lines
 from .names import _fold_dag, pad_equivalent
@@ -352,7 +352,7 @@ def check_positive_bounded_preservation(f, phi, pairs, ctx_a, ctx_b, title=None)
         raise NotPositiveBounded(
             "formula uses negation, implication or an unbounded quantifier"
         )
-    if _has_const(phi):
+    if has_const(phi):
         raise NotPositiveBounded(
             "constants are store-specific; pass parameters through assignments"
         )
@@ -372,16 +372,6 @@ def check_positive_bounded_preservation(f, phi, pairs, ctx_a, ctx_b, title=None)
             "target_value": B.labels[vb[point]],
         })
     return rep
-
-
-def _has_const(phi):
-    if isinstance(phi, Const):
-        return True
-    return any(
-        _has_const(child)
-        for attr in ("left", "right", "bound", "body")
-        if (child := getattr(phi, attr, None)) is not None
-    )
 
 
 # -- the induced H-set morphism ----------------------------------------------------

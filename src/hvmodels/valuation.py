@@ -51,6 +51,7 @@ from .formula import (
     Member,
     Not,
     Or,
+    QUANTIFIERS,
     UExists,
     UForall,
     Var,
@@ -187,31 +188,21 @@ class EvalContext:
             return A.join(self._eval(phi.left, sigma), self._eval(phi.right, sigma))
         if isinstance(phi, Implies):
             return A.imp(self._eval(phi.left, sigma), self._eval(phi.right, sigma))
-        if isinstance(phi, BForall):
-            x = self.term_value(phi.bound, sigma)
-            val = A.top
-            for u, xu in self.store.entries(x):
-                val = A.meet(val, A.imp(xu, self._eval(phi.body, rebind(sigma, phi.var, u))))
-            return val
-        if isinstance(phi, BExists):
-            x = self.term_value(phi.bound, sigma)
-            val = A.bottom
-            for u, xu in self.store.entries(x):
-                val = A.join(val, A.meet(xu, self._eval(phi.body, rebind(sigma, phi.var, u))))
-            return val
-        if isinstance(phi, UForall):
-            if not self.fragment:
-                raise EmptyFragment("unbounded forall with no universe fragment")
-            val = A.top
-            for u in self.fragment:
-                val = A.meet(val, self._eval(phi.body, rebind(sigma, phi.var, u)))
-            return val
-        if isinstance(phi, UExists):
-            if not self.fragment:
-                raise EmptyFragment("unbounded exists with no universe fragment")
-            val = A.bottom
-            for u in self.fragment:
-                val = A.join(val, self._eval(phi.body, rebind(sigma, phi.var, u)))
+        if isinstance(phi, QUANTIFIERS):
+            # unbounded: the bounded rule over the fragment, every member at
+            # extent top, as top -> v = v and top /\ v = v
+            forall = isinstance(phi, (BForall, UForall))
+            if isinstance(phi, (BForall, BExists)):
+                members = self.store.entries(self.term_value(phi.bound, sigma))
+            elif self.fragment:
+                members = zip(self.fragment, repeat(A.top))
+            else:
+                raise EmptyFragment(f"unbounded {'forall' if forall else 'exists'} "
+                                    "with no universe fragment")
+            val = A.top if forall else A.bottom
+            for u, xu in members:
+                body = self._eval(phi.body, rebind(sigma, phi.var, u))
+                val = A.meet(val, A.imp(xu, body)) if forall else A.join(val, A.meet(xu, body))
             return val
         raise TypeError(f"not a formula: {phi!r}")
 
@@ -231,8 +222,8 @@ def rebind(sigma, var, nid):
 GRID_BUDGET = 1 << 24
 """Bytes of the largest array `eval_grid` or the equality kernel builds
 at once, a cell being one Birkhoff code of `width` bytes (one byte, so
-one cell, when |J| <= 8); above it a grid is evaluated in blocks of its
-first column, and a kernel is refused."""
+one cell, when |J| <= 8): a grid runs in blocks of its first column
+that fit in it, and a kernel above it is refused."""
 
 
 def eq_matrix(ctx, ids_row, ids_col=None):
@@ -414,11 +405,13 @@ def eval_grid(ctx, phi, columns):
     `_Grid` for how the variables and their domains are laid out.
 
     The largest intermediate array is predicted before anything is
-    built, in bytes: its cells times the code width.  Above
-    `GRID_BUDGET` bytes the grid is evaluated in blocks of rows of the
-    first column, and when a single row is still too large
-    `BudgetExceeded` is raised; so it is when the kernel's n^2 codes
-    over the closure of the names involved exceed the budget.  With
+    built, in bytes: its cells times the code width.  The grid always
+    runs in blocks of rows of the first column, as many as fit in
+    `GRID_BUDGET` bytes, so one block when the whole grid fits; when a
+    single row is still too large `BudgetExceeded` is raised, and so it
+    is when the kernel's n^2 codes over the closure of the names
+    involved exceed the budget.  A closed formula over no columns runs
+    once, and its prediction counts every axis at its full size.  With
     |J| <= 8 a code is one byte, so the budget counts cells; wider codes
     make it tighter (a 12-chain, |J| = 11, has two bytes a cell).  When
     some assignment would make `eval` raise (an unbound variable, an
@@ -438,9 +431,6 @@ def eval_grid(ctx, phi, columns):
         values = [ref._eval(phi, dict(zip(names, point)))
                   for point in iproduct(*grid.domains[:len(names)])]
         return np.array(values, dtype=np.int64).reshape(shape)
-    if grid.predict(shape[0] if shape else 1) <= GRID_BUDGET:
-        grid.prepare()
-        return grid.run(None)
     row = grid.predict(1)
     if row > GRID_BUDGET:
         unit = "cell" if grid.width == 1 else "byte"
@@ -450,6 +440,8 @@ def eval_grid(ctx, phi, columns):
             f"over the {GRID_BUDGET}-{unit} budget",
             predicted=row, budget=GRID_BUDGET)
     grid.prepare()
+    if not shape:  # a closed formula runs once
+        return grid.run(None).astype(np.int64)
     out = np.empty(shape, dtype=np.int64)
     for rows in _row_blocks(shape[0], grid.row_bytes(), GRID_BUDGET):
         out[rows] = grid.run(rows)
@@ -474,6 +466,9 @@ class _Grid:
     never evaluated, by `eval` or here.  `risky` is set when a reachable
     node would raise, and only reachable nodes count towards the size
     prediction.
+
+    Sizes count axis 0 as the block's rows only when it is a column; with
+    no column it is a quantifier's or a constant's, at its full size.
 
     `prepare` places every domain in the context's kernel: `pos[a]`
     holds the kernel positions of axis a's names.  The child slots of a
@@ -571,17 +566,20 @@ class _Grid:
     def _cells(self, free, rows):
         cells = 1
         for a in free:
-            cells *= rows if a == 0 else len(self.domains[a])
+            cells *= rows if a == 0 and self.ncols else len(self.domains[a])
         return cells
 
     def predict(self, rows):
         """Bytes of the largest node array, cells times the code width,
-        when the first column has `rows` entries."""
+        when the first column has `rows` entries; with no column every
+        axis counts at its full size."""
         return self.width * max(self._cells(free, rows) for free in self.frees)
 
     def row_bytes(self):
-        """Bytes per first-column row of the largest node array on it."""
-        return self.width * max(self._cells(free, 1) for free in self.frees if 0 in free)
+        """Bytes per first-column row of the largest node array on it, 0
+        when no node reads the first column."""
+        return self.width * max((self._cells(free, 1) for free in self.frees if 0 in free),
+                                default=0)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -596,7 +594,8 @@ class _Grid:
 
     def run(self, block):
         """The values over the columns, for the rows `block` of the first
-        column (all rows when None), decoded to an int64 array."""
+        column (all rows when None), decoded to elements, as a read-only
+        view broadcast over the columns: the caller copies it once."""
         self.block = slice(None) if block is None else block
         self.slots = {}
         self.sizes = [len(dom) for dom in self.domains]
@@ -607,7 +606,7 @@ class _Grid:
         kept = [a for a in free if a < self.ncols]
         arr = self.codes.decode(arr.reshape(-1, self.width))
         arr = self._expand(arr.reshape([self.sizes[a] for a in kept]), kept, range(self.ncols))
-        return np.broadcast_to(arr, self.sizes[:self.ncols]).astype(np.int64)
+        return np.broadcast_to(arr, self.sizes[:self.ncols])
 
     def _rows(self, axis, arr):
         return arr[self.block] if axis == 0 else arr

@@ -41,7 +41,7 @@ from hvmodels.formula import (
     parse_formula,
 )
 from hvmodels.lattice import make_chain
-from hvmodels.names import NameStore, function_predicate
+from hvmodels.names import NameStore, enumerate_names, function_predicate
 from hvmodels.valuation import EvalContext, eval_grid
 
 from test_valuation import ALGEBRAS
@@ -297,6 +297,24 @@ def test_one_row_over_budget_raises(pools, monkeypatch):
     with pytest.raises(BudgetExceeded):
         monkeypatch.setattr(valuation, "GRID_BUDGET", 0)
         eval_grid(ctx, closed, {})
+
+
+def test_closed_formula_counts_every_axis(monkeypatch):
+    # with no column, axis 0 is the first quantifier's, not a row of a
+    # column, so it counts at its full size: u = v /\\ v = w spans all
+    # three 13-name fragment axes, as it does beside a one-name column
+    store = NameStore(make_chain(3))
+    pool = enumerate_names(store, 2, 1)
+    assert len(pool) == 13
+    ctx = EvalContext(store, fragment=pool)
+    phi = parse_formula("forall u . forall v . forall w . u = v /\\ v = w")
+    monkeypatch.setattr(valuation, "GRID_BUDGET", 1000)
+    for columns in ({}, {"X": pool[:1]}):
+        with pytest.raises(BudgetExceeded) as err:
+            eval_grid(ctx, phi, columns)
+        assert (err.value.predicted, err.value.budget) == (13 ** 3, 1000)
+    monkeypatch.undo()
+    assert eval_grid(ctx, phi, {}) == _per_assignment(ctx, phi, {})
 
 
 # -- generated formulas over generated stores ------------------------------------
