@@ -37,6 +37,7 @@ from .valuation import (
     _eq_kernel,
     check_kernel_size,
     eval_grid,
+    grid_codes,
 )
 
 DEFAULT_SEED = 1729
@@ -468,6 +469,13 @@ def preservation_suite(rank=2, max_domain=2, budget=None):
     """Atomic and positive-bounded preservation along the standard
     morphisms, over canonical lift pairs for the full pools.
 
+    The six formulas of `POSITIVE_BOUNDED_FAMILY` are parsed once per
+    call.  Per morphism each side is one `grid_codes` plan on all six
+    over the pairs, so a call builds 8 plans.  The atomic family reads
+    the codes of formulas 0 and 1, [X in Y] and [X = Y], and the
+    positive-bounded family all six; both compare on codes, after one
+    `transfer.map_codes` of the source side.
+
     Each source pool gets an equality kernel, so a pool whose
     enumeration or kernel is over its budget raises BudgetExceeded
     before any name is enumerated."""
@@ -482,20 +490,21 @@ def preservation_suite(rank=2, max_domain=2, budget=None):
         config={"rank": rank, "max_domain": max_domain,
                 "morphisms": sorted(morphisms)},
     )
+    phis = [parse_formula(text, free=("X", "Y")) for text in POSITIVE_BOUNDED_FAMILY]
     for mname in order:
         m = morphisms[mname]
         sa, sb = NameStore(m.source), NameStore(m.target)
-        ctx_a, ctx_b = EvalContext(sa), EvalContext(sb)
         pool = _sweep_pool(sa, rank, max_domain, budget)
         pairs = [(x, tr.lift(m, x, sa, sb).image) for x in pool]
-        fam = tr.check_atomic_preservation(m, pairs, ctx_a, ctx_b)
+        xps = [xp for _, xp in pairs]
+        fa = tr.map_codes(m, grid_codes(EvalContext(sa), phis, {"X": pool, "Y": pool}))
+        vb = grid_codes(EvalContext(sb), phis, {"X": xps, "Y": xps})
+        fam = tr.atomic_preservation_family(m, pairs, fa[:2], vb[:2], sa, sb)
         fam.notes["pairs"] = len(pairs)
         rep.families.append(fam)
         fam = rep.family(f"positive bounded preservation along {mname}")
-        for text in POSITIVE_BOUNDED_FAMILY:
-            phi = parse_formula(text, free=("X", "Y"))
-            sub = tr.check_positive_bounded_preservation(
-                m, phi, pairs, ctx_a, ctx_b, title=text)
+        for text, fa_k, vb_k in zip(POSITIVE_BOUNDED_FAMILY, fa, vb):
+            sub = tr.positive_bounded_family(m, ["X", "Y"], pool, fa_k, vb_k, sa, text)
             fam.checked += sub.checked
             if sub.violations:
                 fam.violations.append({"formula": text, "first": sub.violations[0]})
@@ -864,25 +873,33 @@ def hset_law_suite(seed=DEFAULT_SEED, rank=2, max_domain=2, budget=None):
             tr.epsilon_hset_morphism(f, wls[g], ctx_a, ctx_b)).violations[:2]}
         for g in np.flatnonzero(~lawful))
     mono, epi = tr.mono_epi_masks(two, ds, dt, phis)
-    # a two-entry name whose witness targets are equal with value top and
-    # whose values f identifies has a second witness: the swapped targets,
-    # whose equality is a gather from the kernel epsilon_tables built
-    pairs = [g for g, wl in enumerate(wls) if len(wl.witness) == 2]
-    left, right = ([wls[g].witness[k][1] for g in pairs] for k in (0, 1))
+    # a name with two entries whose witness targets are equal with value
+    # top and whose values f identifies has a second witness: those two
+    # targets swapped.  The first such pair of each name, in domain order,
+    # is tried; the equalities are one gather from the kernel
+    # epsilon_tables built
+    cands = [(g, i, j) for g, wl in enumerate(wls)
+             for i, j in combinations(range(len(wl.witness)), 2)]
+    left = [wls[g].witness[i][1] for g, i, _ in cands]
+    right = [wls[g].witness[j][1] for g, _, j in cands]
     pos_b, EQ_b = _eq_kernel(ctx_b, left + right)[:2]
     top_equal = (EQ_b[[pos_b[u] for u in left], [pos_b[v] for v in right]]
                  == two.codes.top).all(axis=-1)
     swaps, alts = [], []
-    for g, equal in zip(pairs, top_equal):
-        (u, uv), (v, vv) = sa.entries(pool[g])
-        if equal and f(uv) == f(vv):
+    for (g, i, j), equal in zip(cands, top_equal):
+        (u, uv), (v, vv) = sa.entries(pool[g])[i], sa.entries(pool[g])[j]
+        if equal and swaps[-1:] != [g] and f(uv) == f(vv):
             tau = dict(wls[g].witness)
             swaps.append(g)
-            alts.append(tr.witnessed_lift_with(f, pool[g], {u: tau[v], v: tau[u]}, sa, ctx_b))
+            alts.append(tr.witnessed_lift_with(f, pool[g], {**tau, u: tau[v], v: tau[u]},
+                                               sa, ctx_b))
     if swaps:
         phis_alt = tr.epsilon_tables(f, alts, ctx_a, ctx_b)[2]
         for g, wl2, phi2 in zip(swaps, alts, phis_alt):
-            same = wl2.image == wls[g].image and np.array_equal(phis[g, :2, :2], phi2)
+            # the whole table, its padding cut off
+            ns, nt = len(wls[g].witness), len(sb.entries(wls[g].image))
+            same = (wl2.image == wls[g].image
+                    and np.array_equal(phis[g, :ns, :nt], phi2[:ns, :nt]))
             fam_wi.record(same, None if same else {"x": sa.to_literal(pool[g])})
     fam_wi.notes["alternate_witness_instances"] = len(swaps)
     fam.notes["mono_probe_passes"] = f"{mono.sum()}/{len(pool)} (experimental, not asserted)"

@@ -40,9 +40,9 @@ from .errors import (
     ParseError,
     TopNotPreserved,
 )
-from .formula import free_vars, has_const, is_positive_bounded
+from .formula import Eq, Member, Var, free_vars, has_const, is_positive_bounded
 from .hset import HSet, HSetMorphism, compose_tables
-from .lattice import _row_blocks, split_arrow_header, text_lines
+from .lattice import GATHER_CELLS, _row_blocks, split_arrow_header, text_lines
 from .names import _fold_dag, pad_equivalent
 from .valuation import (
     GRID_BUDGET,
@@ -50,9 +50,7 @@ from .valuation import (
     _element_dtype,
     _eq_kernel,
     child_arrays,
-    eq_matrix,
-    eval_grid,
-    mem_matrix,
+    grid_codes,
 )
 
 SURJECTION_DOMAIN_CAP = 4
@@ -308,45 +306,93 @@ def is_generalized_related(f, x, xp, store_a, ctx_b):
 # -- preservation ---------------------------------------------------------------------
 
 
+def map_codes(f, codes):
+    """f on Birkhoff codes: an array of A's codes, trailing axis last,
+    decoded and mapped through B's codes of f's values, a table of
+    uint8 codes, in blocks of `GATHER_CELLS` codes.  No int64 array is
+    built, and nothing of the size of `codes` beside the result."""
+    table = f.target.codes.encode(f.table)
+    flat = codes.reshape(-1, codes.shape[-1])
+    out = np.empty((len(flat), table.shape[-1]), dtype=np.uint8)
+    for rows in _row_blocks(len(flat), 1, GATHER_CELLS):
+        np.take(table, f.source.codes.decode(flat[rows]), axis=0, out=out[rows])
+    return out.reshape(*codes.shape[:-1], table.shape[-1])
+
+
+def preservation_failures(f, fa, vb, strict=False):
+    """The cells where f([phi(a)]) <= [phi(a')] fails, from the stacked
+    codes `fa` of f([phi(a)]) (see `map_codes`) and `vb` of [phi(a')] in
+    f's target: fa <= vb iff fa & ~vb is 0, as a code is the set of
+    join-irreducibles below a value.  With `strict`, for an f that
+    preserves implication, equality is required instead.  Returns the
+    failing cells in row-major order as (index tuple, label of f's
+    value, label of the target value); only those cells are decoded."""
+    bad = ((fa != vb) if strict else (fa & ~vb)).any(axis=-1)
+    labels, decode = f.target.labels, f.target.codes.decode
+    return [(tuple(map(int, point)), labels[a], labels[b])
+            for point, a, b in zip(np.argwhere(bad), decode(fa[bad]), decode(vb[bad]))]
+
+
+ATOMIC_FORMULAS = (Member(Var("X"), Var("Y")), Eq(Var("X"), Var("Y")))
+"""[X in Y] and [X = Y], the atoms `check_atomic_preservation` compares."""
+
+
+def atomic_preservation_family(f, pairs, fa, vb, store_a, store_b):
+    """The report of `check_atomic_preservation` from the stacked codes
+    of [X in Y] and [X = Y] over the related list: `fa` those of the
+    source side mapped along f, `vb` those of the target side, both of
+    shape (2, n, n, width of f's target)."""
+    strict = preserves_implication(f)
+    rep = Family(f"atomic preservation along {f.name or 'f'}"
+                 + (" (equality)" if strict else ""), checked=vb[..., 0].size)
+    rep.notes["equality_asserted"] = strict
+    for (k, i, j), fl, tl in preservation_failures(f, fa, vb, strict):
+        rep.violations.append({
+            "relation": ("in", "=")[k],
+            "source_pair": [store_a.to_literal(pairs[i][0]), store_a.to_literal(pairs[j][0])],
+            "target_pair": [store_b.to_literal(pairs[i][1]), store_b.to_literal(pairs[j][1])],
+            "f_of_source_value": fl,
+            "target_value": tl,
+        })
+    return rep
+
+
 def check_atomic_preservation(f, pairs, ctx_a, ctx_b):
     """f([y in x]) <= [y' in x'] and f([x = z]) <= [x' = z'] over all
     ordered pairs drawn from the related list; when f also preserves
-    implication, equality of both sides is asserted instead."""
-    store_a, store_b = ctx_a.store, ctx_b.store
-    B = f.target
-    strict = preserves_implication(f)
+    implication, equality of both sides is asserted instead.  Each side
+    is one `grid_codes` call on `ATOMIC_FORMULAS`, compared on codes by
+    `preservation_failures`; violations come relation by relation, each
+    in row-major order."""
     xs = [x for x, _ in pairs]
     xps = [xp for _, xp in pairs]
-    rep = Family(f"atomic preservation along {f.name or 'f'}"
-                 + (" (equality)" if strict else ""))
-    rep.notes["equality_asserted"] = strict
-    for kind, mat_a, mat_b in (
-        ("in", mem_matrix(ctx_a, xs), mem_matrix(ctx_b, xps)),
-        ("=", eq_matrix(ctx_a, xs), eq_matrix(ctx_b, xps)),
-    ):
-        fa = f.table[mat_a]
-        ok = B.leq[fa, mat_b]
-        if strict:
-            ok &= fa == mat_b
-        rep.checked += ok.size
-        for i, j in np.argwhere(~ok):
-            rep.violations.append({
-                "relation": kind,
-                "source_pair": [store_a.to_literal(xs[i]), store_a.to_literal(xs[j])],
-                "target_pair": [store_b.to_literal(xps[i]), store_b.to_literal(xps[j])],
-                "f_of_source_value": B.labels[fa[i, j]],
-                "target_value": B.labels[mat_b[i, j]],
-            })
+    fa = map_codes(f, grid_codes(ctx_a, ATOMIC_FORMULAS, {"X": xs, "Y": xs}))
+    vb = grid_codes(ctx_b, ATOMIC_FORMULAS, {"X": xps, "Y": xps})
+    return atomic_preservation_family(f, pairs, fa, vb, ctx_a.store, ctx_b.store)
+
+
+def positive_bounded_family(f, names, xs, fa, vb, store_a, title=None):
+    """The report of `check_positive_bounded_preservation` from the codes
+    `fa` of f([phi]) and `vb` of [phi'] over the grid whose axes are the
+    variables `names`, each ranging over the source names `xs`."""
+    rep = Family(title or "positive bounded preservation", checked=vb[..., 0].size)
+    for point, fl, tl in preservation_failures(f, fa, vb):
+        rep.violations.append({
+            "assignment": {v: store_a.to_literal(xs[i]) for v, i in zip(names, point)},
+            "f_of_source_value": fl,
+            "target_value": tl,
+        })
     return rep
 
 
 def check_positive_bounded_preservation(f, phi, pairs, ctx_a, ctx_b, title=None):
     """f([phi(a)]) <= [phi(a')] for positive bounded phi, where each free
     variable of phi, in sorted order, ranges over the lifted pairs
-    (a, a').  Both sides are evaluated over the whole grid at once with
-    `eval_grid`; checks and violations run in row-major order of the
-    grid.  Parameters must come through the pairs: constants are
-    rejected.  A formula higher than `MAX_NESTING` raises
+    (a, a').  Both sides are evaluated over the whole grid at once, one
+    `grid_codes` call each, and compared on codes by
+    `preservation_failures`; checks and violations run in row-major
+    order of the grid.  Parameters must come through the pairs:
+    constants are rejected.  A formula higher than `MAX_NESTING` raises
     `BudgetExceeded` first, from `is_positive_bounded`."""
     if not is_positive_bounded(phi):
         raise NotPositiveBounded(
@@ -356,22 +402,12 @@ def check_positive_bounded_preservation(f, phi, pairs, ctx_a, ctx_b, title=None)
         raise NotPositiveBounded(
             "constants are store-specific; pass parameters through assignments"
         )
-    B = f.target
     names = sorted(free_vars(phi))
     xs = [x for x, _ in pairs]
     xps = [xp for _, xp in pairs]
-    fa = f.table[eval_grid(ctx_a, phi, dict.fromkeys(names, xs))]
-    vb = eval_grid(ctx_b, phi, dict.fromkeys(names, xps))
-    ok = B.leq[fa, vb]
-    rep = Family(title or "positive bounded preservation", checked=ok.size)
-    for point in np.argwhere(~ok):
-        point = tuple(point)
-        rep.violations.append({
-            "assignment": {v: ctx_a.store.to_literal(xs[i]) for v, i in zip(names, point)},
-            "f_of_source_value": B.labels[fa[point]],
-            "target_value": B.labels[vb[point]],
-        })
-    return rep
+    fa = map_codes(f, grid_codes(ctx_a, [phi], dict.fromkeys(names, xs))[0])
+    vb = grid_codes(ctx_b, [phi], dict.fromkeys(names, xps))[0]
+    return positive_bounded_family(f, names, xs, fa, vb, ctx_a.store, title)
 
 
 # -- the induced H-set morphism ----------------------------------------------------
@@ -423,7 +459,7 @@ def epsilon_tables(f, wls, ctx_a, ctx_b):
 
     ext_a = extents(Ka, size_a, MEM_a, rows_a)
     ext_b = extents(Kb, size_b, MEM_b, rows_b)
-    fa = B.codes.encode(f.table[A.codes.decode(ext_a)])
+    fa = map_codes(f, ext_a)
     ds = f.table[A.codes.decode(
         ext_a[:, :, None] & EQ_a[Ka[:, :, None], Ka[:, None, :]] & ext_a[:, None, :])]
     dt = B.codes.decode(

@@ -15,20 +15,22 @@ Equality is memoized under a symmetric key: the definition is
 symmetric in its arguments, and the symmetry is additionally guarded
 against a non-memoized reference implementation in the tests.
 
-`eval_grid` is the one bulk path: it evaluates a whole formula for
-every assignment of a grid of columns, each subformula as an array over
-its free variables.  Atoms are gathers from an array kernel over the
-downward closure of the names involved, laid out by rank in the one
-padded child layout, `child_arrays` (shared with `transfer`), and
-membership, inclusion and equality are filled one rank level at a
-time, each by the one fold over child slots, `_code_fold`.
-The kernel holds every value as its Birkhoff code, the bitmask of the
-join-irreducibles below it (`HeytingAlgebra.codes`), so a fold is
-bitwise AND and OR, and an implication one interior step per fold.
-The grid computes on the same codes: connectives are AND, OR and
-interiors, and bounded quantifiers fold over the kernel's own child
-slots, as do the valuation law families of `checks`.  Values are
-encoded once, in the kernel, and decoded once, at the grid's output.
+`grid_codes` is the one bulk path: it evaluates a batch of formulas
+for every assignment of a grid of columns, as one plan whose nodes are
+shared across the batch, each subformula as an array over its free
+variables; `eval_grid` is it on one formula, decoded.  Atoms are
+gathers from an array kernel over the downward closure of the names
+involved, laid out by rank in the one padded child layout,
+`child_arrays` (shared with `transfer`), and membership, inclusion and
+equality are filled one rank level at a time, each by the one fold
+over child slots, `_code_fold`.  The kernel holds every value as its
+Birkhoff code, the bitmask of the join-irreducibles below it
+(`HeytingAlgebra.codes`), so a fold is bitwise AND and OR, and an
+implication one interior step per fold.  The grid computes on the same
+codes: connectives are AND, OR and interiors, and bounded quantifiers
+fold over the kernel's own child slots, as do the valuation law
+families of `checks`.  Values are encoded once, in the kernel;
+`grid_codes` returns codes, and `eval_grid` decodes them once.
 `eq_matrix` and `mem_matrix` are `eval_grid` on a single atom.  The
 context keeps its last kernel and reuses it while the requested names
 lie in its closure; no cell of a bulk result goes into the memo, which
@@ -47,6 +49,7 @@ from .formula import (
     BForall,
     Const,
     Eq,
+    FORMULAS,
     Implies,
     Member,
     Not,
@@ -385,52 +388,89 @@ def _build_kernel(store, ids):
 
 
 def eval_grid(ctx, phi, columns):
-    r"""[phi] for every assignment of the grid of `columns`, as one array.
+    r"""[phi] for every assignment of the grid of `columns`, as one int64
+    array: `grid_codes` on the batch of one, decoded to elements.
 
     `columns` maps variables to lists of name ids; the axes of the result
     follow the dict's order, and a closed formula over no columns gives
     a 0-d array.  A column the formula does not use is a broadcast axis.
+    Errors, the size prediction and the row blocks are those of
+    `grid_codes`; `ctx`'s memo is neither read nor written, and its
+    kernel is reused or replaced.
+    """
+    codes = grid_codes(ctx, [phi], columns)[0]
+    values = ctx.algebra.codes.decode(codes.reshape(-1, codes.shape[-1]))
+    return values.reshape(codes.shape[:-1]).astype(np.int64)
 
-    Every subformula is evaluated once, as an array over its own free
-    variables (a relation annotated by the algebra) that holds the
-    Birkhoff codes of its values, as the context's kernel does.  Atoms
-    are gathers from the kernel's EQ and MEM over all the names
-    involved.  /\ is AND, \/ is OR, and a -> b and ~a are the interiors
-    of ~a | b and of ~a.  A bounded quantifier folds over the child
-    slots of its bound in the kernel's own child layout, padded with
-    code 0 (bottom), which is neutral in both folds:
+
+def grid_codes(ctx, phis, columns):
+    r"""The Birkhoff codes of [phi] for every formula of `phis` and every
+    assignment of the grid of `columns`, as one uint8 array of shape
+    (len(phis), *shape, width), compiled into one plan (`_Grid`) with
+    one size prediction and one placement in the context's kernel.
+
+    Every subformula is evaluated once per block, as an array over its
+    own free variables (a relation annotated by the algebra) that holds
+    the codes of its values, as the context's kernel does; a subformula
+    that recurs on the same axes, in one formula or across the batch, is
+    one node.  Atoms are gathers from the kernel's EQ and MEM over all
+    the names involved.  /\ is AND, \/ is OR, and a -> b and ~a are the
+    interiors of ~a | b and of ~a.  A bounded quantifier folds over the
+    child slots of its bound in the kernel's own child layout, padded
+    with code 0 (bottom), which is neutral in both folds:
     OR_s V_s & g_s for exists, and the interior of AND_s ~V_s | g_s
     for forall, taken once.  An unbounded one is an AND or OR reduction
-    over the fragment.  The result is decoded to elements once.  See
-    `_Grid` for how the variables and their domains are laid out.
+    over the fragment.  Nothing is decoded.
 
-    The largest intermediate array is predicted before anything is
-    built, in bytes: its cells times the code width.  The grid always
-    runs in blocks of rows of the first column, as many as fit in
-    `GRID_BUDGET` bytes, so one block when the whole grid fits; when a
-    single row is still too large `BudgetExceeded` is raised, and so it
-    is when the kernel's n^2 codes over the closure of the names
-    involved exceed the budget.  A closed formula over no columns runs
-    once, and its prediction counts every axis at its full size.  With
-    |J| <= 8 a code is one byte, so the budget counts cells; wider codes
-    make it tighter (a 12-chain, |J| = 11, has two bytes a cell).  When
-    some assignment would make `eval` raise (an unbound variable, an
-    unbounded quantifier with no fragment, an unknown id), the grid is
-    evaluated assignment by assignment instead, on a private context,
-    so the same error comes from the same assignment.  `ctx`'s memo is
-    neither read nor written; its kernel is reused or replaced.
+    The bytes the plan holds at once are predicted before anything is
+    built (`_Grid.predict`).  The grid runs in blocks of rows of the
+    first column, each as large as `GRID_BUDGET` allows, so one block
+    when the whole grid fits; when a single row is still too large
+    `BudgetExceeded` is raised, and so it is when the kernel's n^2 codes
+    over the closure of the names involved exceed the budget.  A closed
+    formula over no columns runs once, and its prediction counts every
+    axis at its full size.  With |J| <= 8 a code is one byte, so the
+    budget counts cells; wider codes make it tighter (a 12-chain,
+    |J| = 11, has two bytes a cell).  When some assignment would make
+    `eval` raise (an unbound variable, an unbounded quantifier with no
+    fragment, an unknown id), a formula is evaluated assignment by
+    assignment instead, on a private context, so the same error comes
+    from the same assignment.  A batch whose plan would raise, or is
+    over the budget, runs formula by formula, in order, so every error
+    comes from the formula and assignment it comes from alone.  `ctx`'s
+    memo is neither read nor written; its kernel is reused or replaced.
     """
-    check_height(phi)
+    phis = list(phis)
     names = list(columns)
-    shape = tuple(len(columns[v]) for v in names)
-    if 0 in shape:
-        return np.zeros(shape, dtype=np.int64)
-    grid = _Grid(ctx, phi, names, [list(columns[v]) for v in names])
-    if grid.risky:
+    domains = [list(columns[v]) for v in names]
+    shape = tuple(map(len, domains))
+    out = np.zeros((len(phis), *shape, ctx.algebra.codes.width), dtype=np.uint8)
+    if len(phis) != 1:
+        try:
+            if _run_plan(ctx, phis, names, domains, out):
+                return out
+        except BudgetExceeded:
+            pass
+        for k, phi in enumerate(phis):
+            out[k] = grid_codes(ctx, [phi], columns)[0]
+    elif not _run_plan(ctx, phis, names, domains, out):
         ref = EvalContext(ctx.store, ctx.fragment)
-        values = [ref._eval(phi, dict(zip(names, point)))
-                  for point in iproduct(*grid.domains[:len(names)])]
-        return np.array(values, dtype=np.int64).reshape(shape)
+        values = [ref._eval(phis[0], dict(zip(names, point))) for point in iproduct(*domains)]
+        out[0] = ctx.algebra.codes.encode(np.array(values, dtype=np.intp).reshape(shape))
+    return out
+
+
+def _run_plan(ctx, phis, names, domains, out):
+    """Fill `out` with the codes of `phis` over the grid of `domains` on
+    one plan; False, with nothing filled, when the plan is risky."""
+    for phi in phis:
+        check_height(phi)
+    if not out.size:
+        return True
+    grid = _Grid(ctx, phis, names, [list(dom) for dom in domains])
+    if grid.risky:
+        return False
+    shape = out.shape[1:-1]
     row = grid.predict(1)
     if row > GRID_BUDGET:
         unit = "cell" if grid.width == 1 else "byte"
@@ -440,32 +480,51 @@ def eval_grid(ctx, phi, columns):
             f"over the {GRID_BUDGET}-{unit} budget",
             predicted=row, budget=GRID_BUDGET)
     grid.prepare()
-    if not shape:  # a closed formula runs once
-        return grid.run(None).astype(np.int64)
-    out = np.empty(shape, dtype=np.int64)
-    for rows in _row_blocks(shape[0], grid.row_bytes(), GRID_BUDGET):
-        out[rows] = grid.run(rows)
-    return out
+    # blocks of the most rows whose prediction fits; a closed formula runs once
+    for rows in _row_blocks(shape[0], 1, grid.block_rows(shape[0])) if shape else [slice(None)]:
+        for k, codes in enumerate(grid.run(rows)):
+            out[k, rows] = codes
+    return True
 
 
 class _Grid:
-    r"""The plan of one `eval_grid` call.
+    r"""The plan of one `grid_codes` call: a batch of formulas over one
+    grid of columns, compiled into one graph of nodes.  A lone formula
+    is a batch of one.
 
     Variables become integer axes: the columns first, in order, then one
-    axis per constant (of size one) and one per bound variable, renamed
-    apart, so shadowing is harmless.  Each axis has a domain, the list of
-    names it ranges over: a column its list, a constant itself, a
-    variable bound by `Q u in t` the sorted union of the children of
-    t's domain, an unboundedly quantified one the fragment.  Nodes are
-    tuples (formula class, free axes, ...) with the free axes sorted, so
-    the array of a node is laid out on exactly those axes in that order,
-    then one trailing axis of the `width` bytes of a code.
+    axis per constant (of size one) and the axes of bound variables.
+    Each axis has a domain, the list of names it ranges over: a column
+    its list, a constant itself, a variable bound by `Q u in t` the
+    sorted union of the children of t's domain, an unboundedly
+    quantified one the fragment.  Axis reuse: a variable bound by
+    `Q u in t` takes the first axis over t's children that no variable
+    in scope holds, and a new one only when every such axis is held (an
+    unboundedly quantified one likewise among the axes over the
+    fragment).  So shadowing is harmless, and a subformula that recurs
+    under quantifiers over the same bounds lands on the same axes: the
+    three copies of `names._PAIR` in the function predicate share
+    theirs.
+
+    Node sharing: nodes are hash-consed on their class, their axes or
+    the ids of their children, and whether they can be reached, so a
+    subformula that recurs on the same axes, within one formula or
+    across the batch, is one node, evaluated once per block.  A node is
+    a tuple (formula class, free axes, ...) with the free axes sorted, so
+    its array is laid out on exactly those axes in that order, then one
+    trailing axis of the `width` bytes of a code.  `readers[i]` counts
+    the reads of node i by its parents and by the outputs.  A node read
+    by two or more is kept from its first read to its last, then freed
+    (`_value`); any other array lives only as long as its reader needs
+    it.
 
     Compilation follows `eval`'s order and tracks whether a node can be
     reached: the body of a bounded quantifier whose domain is empty is
     never evaluated, by `eval` or here.  `risky` is set when a reachable
     node would raise, and only reachable nodes count towards the size
-    prediction.
+    prediction.  `predict` counts the largest node plus every kept
+    shared node, as if all were alive at once; a plan with no sharing
+    predicts its largest node alone.
 
     Sizes count axis 0 as the block's rows only when it is a column; with
     no column it is a quantifier's or a constant's, at its full size.
@@ -476,23 +535,28 @@ class _Grid:
     with K read through the inverse of u's positions.
     """
 
-    def __init__(self, ctx, phi, names, domains):
+    def __init__(self, ctx, phis, names, domains):
         self.ctx = ctx
         self.store, self.algebra = ctx.store, ctx.algebra
         self.codes = self.algebra.codes
         self.width = self.codes.width
         self.ncols = len(domains)
         self.domains = domains
-        self.frees = []
+        self.nodes, self.readers, self.reached = [], [], []
+        self._ids = {}
         self._const_axes = {}
-        self._children = {}
+        self._bound_axes = {}  # t, or None for the fragment -> the axes over its children
         # every id an int in range, as `NameStore.check_id` requires
         n = len(self.store)
         self.risky = not all(
             all(map(isinstance, dom, repeat(int))) and (not dom or 0 <= min(dom) <= max(dom) < n)
             for dom in domains)
         if not self.risky:
-            self.root = self._compile(phi, dict(zip(names, range(self.ncols))), True)
+            scope = dict(zip(names, range(self.ncols)))
+            self.roots = [self._compile(phi, scope, True)
+                          for phi in ([phis] if isinstance(phis, FORMULAS) else phis)]
+            for root in self.roots:
+                self.readers[root] += 1
 
     # -- compilation --------------------------------------------------------
 
@@ -500,12 +564,23 @@ class _Grid:
         self.domains.append(domain)
         return len(self.domains) - 1
 
-    def _children_of(self, t):
-        """Sorted union of the children of t's domain."""
-        if t not in self._children:
-            kids = {k for u in self.domains[t] for k, _ in self.store.entries(u)}
-            self._children[t] = sorted(kids)
-        return self._children[t]
+    def _bound_axis(self, t, scope):
+        """The first axis over the children of t's domain (over the
+        fragment when t is None) that no variable in `scope` holds; a new
+        one when every such axis is held."""
+        axes = self._bound_axes.setdefault(t, [])
+        held = set(scope.values())
+        for u in axes:
+            if u not in held:
+                return u
+        if axes:
+            domain = self.domains[axes[0]]
+        elif t is None:
+            domain = list(self.ctx.fragment)
+        else:
+            domain = sorted({k for u in self.domains[t] for k, _ in self.store.entries(u)})
+        axes.append(self._axis(domain))
+        return axes[-1]
 
     def _term(self, term, scope, reachable):
         if isinstance(term, Var):
@@ -526,39 +601,51 @@ class _Grid:
         return axis
 
     def _compile(self, phi, scope, reachable):
-        node = self._node(phi, scope, reachable)
-        if reachable:
-            self.frees.append(node[1])
-        return node
+        """The id of phi's node under `scope`, made on its key's first
+        compilation; its children are counted as read once per node."""
+        args, free, kids = self._parts(phi, scope, reachable)
+        key = (type(phi), reachable, *args)
+        nid = self._ids.get(key)
+        if nid is None:
+            nid = self._ids[key] = len(self.nodes)
+            self.nodes.append((type(phi), free, *args))
+            self.readers.append(0)
+            for k in kids:
+                self.readers[k] += 1
+            if reachable:
+                self.reached.append(nid)
+        return nid
 
-    def _node(self, phi, scope, reachable):
+    def _parts(self, phi, scope, reachable):
+        """The axes and child ids of phi's node, its free axes, and its
+        child ids."""
         kind = type(phi)
         if kind in (Eq, Member):
             l = self._term(phi.left, scope, reachable)
             r = self._term(phi.right, scope, reachable)
-            return (kind, tuple(sorted({l, r})), l, r)
+            return (l, r), tuple(sorted({l, r})), ()
         if kind is Not:
             body = self._compile(phi.body, scope, reachable)
-            return (kind, body[1], body)
+            return (body,), self.nodes[body][1], (body,)
         if kind in (And, Or, Implies):
             a = self._compile(phi.left, scope, reachable)
             b = self._compile(phi.right, scope, reachable)
-            return (kind, tuple(sorted({*a[1], *b[1]})), a, b)
+            return (a, b), tuple(sorted({*self.nodes[a][1], *self.nodes[b][1]})), (a, b)
         if kind in (BForall, BExists):
             t = self._term(phi.bound, scope, reachable)
-            u = self._axis(self._children_of(t))
+            u = self._bound_axis(t, scope)
             body = self._compile(phi.body, {**scope, phi.var: u},
                                  reachable and bool(self.domains[u]))
             # with no child anywhere the value is the unit, whatever the body
-            free = tuple(sorted({*body[1], t} - {u})) if self.domains[u] else (t,)
-            return (kind, free, u, t, body)
+            free = (tuple(sorted({*self.nodes[body][1], t} - {u})) if self.domains[u]
+                    else (t,))
+            return (u, t, body), free, (body,)
         if kind in (UForall, UExists):
-            fragment = list(self.ctx.fragment)
-            self.risky |= reachable and not fragment
-            u = self._axis(fragment)
+            u = self._bound_axis(None, scope)
+            self.risky |= reachable and not self.domains[u]
             body = self._compile(phi.body, {**scope, phi.var: u},
-                                 reachable and bool(fragment))
-            return (kind, tuple(a for a in body[1] if a != u), u, body)
+                                 reachable and bool(self.domains[u]))
+            return (u, body), tuple(a for a in self.nodes[body][1] if a != u), (body,)
         raise TypeError(f"not a formula: {phi!r}")
 
     # -- sizes --------------------------------------------------------------
@@ -570,16 +657,27 @@ class _Grid:
         return cells
 
     def predict(self, rows):
-        """Bytes of the largest node array, cells times the code width,
-        when the first column has `rows` entries; with no column every
-        axis counts at its full size."""
-        return self.width * max(self._cells(free, rows) for free in self.frees)
+        """Bytes of the largest node array plus those of every kept
+        shared node, cells times the code width, when the first column
+        has `rows` entries; with no column every axis counts at its full
+        size."""
+        cells = [self._cells(self.nodes[i][1], rows) for i in self.reached]
+        shared = sum(c for i, c in zip(self.reached, cells) if self.readers[i] > 1)
+        return self.width * (max(cells) + shared)
 
-    def row_bytes(self):
-        """Bytes per first-column row of the largest node array on it, 0
-        when no node reads the first column."""
-        return self.width * max((self._cells(free, 1) for free in self.frees if 0 in free),
-                                default=0)
+    def block_rows(self, n):
+        """The most rows of the first column, at most n, whose prediction
+        fits in `GRID_BUDGET`; at least 1."""
+        if self.predict(n) <= GRID_BUDGET:
+            return n
+        lo, hi = 1, n
+        while lo < hi:  # predict grows with the rows
+            mid = (lo + hi + 1) // 2
+            if self.predict(mid) <= GRID_BUDGET:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
 
     # -- evaluation ---------------------------------------------------------
 
@@ -593,20 +691,22 @@ class _Grid:
                     for dom in self.domains]
 
     def run(self, block):
-        """The values over the columns, for the rows `block` of the first
-        column (all rows when None), decoded to elements, as a read-only
-        view broadcast over the columns: the caller copies it once."""
-        self.block = slice(None) if block is None else block
-        self.slots = {}
+        """The codes of every formula of the batch over the columns, for
+        the rows `block` (a slice) of the first column, one after the
+        other, each a read-only view broadcast over the columns: the
+        caller copies each once."""
+        self.block = block
+        self.slots, self.kept = {}, {}
         self.sizes = [len(dom) for dom in self.domains]
         if self.ncols:
             self.sizes[0] = len(self.domains[0][self.block])
-        arr, free = self._eval(self.root), self.root[1]
-        # drop the size-one constant axes, then lay the rest out on the columns
-        kept = [a for a in free if a < self.ncols]
-        arr = self.codes.decode(arr.reshape(-1, self.width))
-        arr = self._expand(arr.reshape([self.sizes[a] for a in kept]), kept, range(self.ncols))
-        return np.broadcast_to(arr, self.sizes[:self.ncols])
+        for root in self.roots:
+            arr, free = self._value(root), self.nodes[root][1]
+            # drop the size-one constant axes, then lay the rest out on the columns
+            cols = [a for a in free if a < self.ncols]
+            arr = arr.reshape([self.sizes[a] for a in cols] + [self.width])
+            arr = self._expand(arr, cols, range(self.ncols))
+            yield np.broadcast_to(arr, self.sizes[:self.ncols] + [self.width])
 
     def _rows(self, axis, arr):
         return arr[self.block] if axis == 0 else arr
@@ -643,6 +743,20 @@ class _Grid:
                              np.ascontiguousarray(self.V[rows, :wide].transpose(1, 0, 2)))
         return self.slots[u]
 
+    def _value(self, nid):
+        """The array of node `nid` in this block.  A node with two or more
+        readers is kept from its first read and freed at its last."""
+        hit = self.kept.get(nid)
+        if hit is None:
+            arr = self._eval(self.nodes[nid])
+            if self.readers[nid] > 1:
+                self.kept[nid] = [arr, self.readers[nid] - 1]
+            return arr
+        hit[1] -= 1
+        if not hit[1]:
+            del self.kept[nid]
+        return hit[0]
+
     def _eval(self, node):
         kind, free = node[0], node[1]
         if kind in (Eq, Member):
@@ -651,11 +765,11 @@ class _Grid:
             table = self.EQ if kind is Eq else self.MEM
             return table[self._at(pl, l, free), self._at(pr, r, free)]
         if kind is Not:
-            return self._interior(~self._eval(node[2]))
+            return self._interior(~self._value(node[2]))
         if kind in (And, Or, Implies):
             a, b = node[2:]
-            a = self._expand(self._eval(a), a[1], free)
-            b = self._expand(self._eval(b), b[1], free)
+            a = self._expand(self._value(a), self.nodes[a][1], free)
+            b = self._expand(self._value(b), self.nodes[b][1], free)
             if kind is And:
                 return a & b
             return a | b if kind is Or else self._interior(~a | b)
@@ -663,7 +777,7 @@ class _Grid:
             return self._bounded(kind is BForall, free, *node[2:])
         # unbounded: the fragment is not empty, or the plan is risky
         u, body = node[2:]
-        arr, have = self._eval(body), body[1]
+        arr, have = self._value(body), self.nodes[body][1]
         if u not in have:  # meet and join are idempotent
             return arr
         fold = np.bitwise_and if kind is UForall else np.bitwise_or
@@ -676,7 +790,7 @@ class _Grid:
         K, V = self._slots(u, t)
         out = self._full(free, 255 if forall else 0)
         if len(K):  # with no child anywhere the body is never reached
-            arr, have = self._eval(body), body[1]
+            arr, have = self._value(body), self.nodes[body][1]
             at = free.index(t)
             gather = u in have
             if not gather:

@@ -22,6 +22,7 @@ from hvmodels.checks import (
     DEFAULT_SEED,
     POSITIVE_BOUNDED_FAMILY,
     _random_hset,
+    preservation_suite,
     test_algebras as builtin_test_algebras,
 )
 from hvmodels.errors import BudgetExceeded, EmptyFragment, UnboundVariable
@@ -38,11 +39,12 @@ from hvmodels.formula import (
     UExists,
     UForall,
     Var,
+    _walk as formula_walk,
     parse_formula,
 )
 from hvmodels.lattice import make_chain
-from hvmodels.names import NameStore, enumerate_names, function_predicate
-from hvmodels.valuation import EvalContext, eval_grid
+from hvmodels.names import _PAIR, NameStore, enumerate_names, function_predicate
+from hvmodels.valuation import EvalContext, eval_grid, grid_codes
 
 from test_valuation import ALGEBRAS
 
@@ -364,3 +366,168 @@ def _cases(draw):
 @given(_cases())
 def test_generated_formulas_match_eval(case):
     _assert_agrees(*case)
+
+
+# -- batches: grid_codes against one formula at a time ---------------------------
+
+
+def _pair(p, u, v):
+    """`names._PAIR` with its variables renamed."""
+    return parse_formula(_PAIR.format(p=p, u=u, v=v), free=("a", "b", "X", p, u, v))
+
+
+# formulas every batch may draw besides the generated ones: a recurring
+# subformula, one text on other axes, `_PAIR` under renamed variables,
+# shadowing, and an unbounded quantifier, which is risky when the
+# fragment is empty
+_FIXED = (
+    "(exists u in X . u in a) /\\ (exists u in X . u in a) \\/ (forall v in b . v = a)",
+    "(exists u in X . u in a) /\\ (forall u in b . u in a)",
+    "forall u in X . (exists v in X . v = u) /\\ (forall u in a . exists v in X . v = u)",
+    "exists u in X . forall u in u . forall v in X . u in v \\/ v = a",
+    "forall u in X . forall u in u . u = a",
+    "forall u in X . exists v in X . u = v /\\ (forall u in v . u in a)",
+    "forall u . u in X -> (exists v in u . v = a)",
+)
+_PAIRS = (("X", "a", "b"), ("X", "b", "a"), ("a", "b", "b"), ("b", "X", "a"))
+# an unbound variable, which raises wherever it is reached
+_RISKY = "exists u in X . Z in u"
+
+
+@st.composite
+def _batches(draw):
+    """A context, columns and a batch of one to five formulas from
+    `_cases`, `_FIXED`, renamed `_PAIR`s and the case itself, sometimes
+    with the risky formula at a drawn position."""
+    ctx, phi, columns = draw(_cases())
+    ids = sorted({u for col in columns.values() for u in col} | set(ctx.fragment))
+    fixed = st.one_of(
+        st.sampled_from(_FIXED).map(lambda t: parse_formula(t, free=("a", "b", "X"))),
+        st.sampled_from(_PAIRS).map(lambda p: _pair(*p)),
+        st.builds(lambda t, c: parse_formula(t, free=("a", "b", "X"), constants={"c": c}),
+                  st.sampled_from(("c in X /\\ (forall u in c . u = a)", "exists u in c . u = u")),
+                  st.sampled_from(ids)),
+    )
+    phis = draw(st.lists(st.one_of(fixed, st.just(phi)), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        phis.insert(draw(st.integers(0, len(phis))),
+                    parse_formula(_RISKY, free=("a", "b", "X", "Z")))
+    return ctx, phis, columns
+
+
+def _first_error(ctx, phis, columns):
+    """The per-formula values, or the first error in batch order."""
+    try:
+        return [_per_assignment(ctx, phi, columns) for phi in phis], None
+    except Exception as ex:
+        return None, ex
+
+
+def _assert_batch_agrees(ctx, phis, columns):
+    expected, error = _first_error(ctx, phis, columns)
+    if error is not None:
+        with pytest.raises(type(error)) as got:
+            grid_codes(ctx, phis, columns)
+        assert str(got.value) == str(error)
+        return None
+    codes = grid_codes(ctx, phis, columns)
+    A = ctx.algebra
+    assert codes.dtype == np.uint8
+    assert codes.shape == (len(phis), *(len(c) for c in columns.values()), A.codes.width)
+    for k, phi in enumerate(phis):
+        np.testing.assert_array_equal(codes[k], A.codes.encode(expected[k]))
+        np.testing.assert_array_equal(codes[k], A.codes.encode(eval_grid(ctx, phi, columns)))
+    return codes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_batches())
+def test_generated_batches_match_one_formula_at_a_time(case):
+    ctx, phis, columns = case
+    whole = _assert_batch_agrees(ctx, phis, columns)
+    if whole is None:
+        return
+    # the smallest budget a batch may run under: blocks of one row
+    grid = valuation._Grid(ctx, phis, list(columns), [list(c) for c in columns.values()])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(valuation, "GRID_BUDGET", grid.predict(1))  # the kernel is kept
+        np.testing.assert_array_equal(grid_codes(ctx, phis, columns), whole)
+
+
+def test_recurring_subformulas_are_one_node():
+    # a recurring subformula is one node however often it recurs, in one
+    # formula or across the batch, and it is evaluated once
+    store, names = _chain3_names()
+    ctx = EvalContext(store)
+    cols = {"a": names, "b": names, "X": names}
+    pair = _pair("X", "a", "b")
+    twice = And(pair, pair)
+    grid = valuation._Grid(ctx, [pair, twice, pair], list(cols), list(cols.values()))
+    alone = valuation._Grid(ctx, [pair], list(cols), list(cols.values()))
+    assert len(grid.nodes) == len(alone.nodes) + 1
+    assert grid.roots[0] == grid.roots[2] and grid.readers[grid.roots[0]] == 4
+    # shadowed and renamed: u over X twice in scope, then one axis again
+    shadow = parse_formula("forall u in X . forall v in X . forall u in u . u = v",
+                           free=("X",))
+    reuse = parse_formula("(forall u in X . u = u) /\\ (forall v in X . v = v)", free=("X",))
+    for phi, axes in ((shadow, 4), (reuse, 2)):
+        assert len(valuation._Grid(ctx, phi, ["X"], [names]).domains) == axes
+    _assert_batch_agrees(ctx, [pair, twice, shadow, reuse], {"a": names, "b": names,
+                                                             "X": names})
+
+
+def test_function_predicate_pairs_are_evaluated_once(monkeypatch):
+    # the three copies of the pair (p, u, v) in the function predicate sit
+    # on the same axes, so they are one node; every node is evaluated at
+    # most once per block
+    algebra = builtin_test_algebras()["four"]
+    store = NameStore(algebra)
+    ctx = EvalContext(store)
+    X = _random_hset(algebra, random.Random(DEFAULT_SEED), max_points=3)
+    cols = {"H": [hs.dagger_morphism(store, hs.identity(X))], "X": [hs.dagger_hset(store, X)]}
+    cols["Y"] = cols["X"]
+    phi = function_predicate()
+    grid = valuation._Grid(ctx, phi, list(cols), list(cols.values()))
+    puv = _pair("p", "u", "v")
+    tree = sum(1 for _ in formula_walk(phi))
+    assert tree - len(grid.nodes) >= 2 * sum(1 for _ in formula_walk(puv))
+    seen = []
+    real_eval = valuation._Grid._eval
+    monkeypatch.setattr(valuation._Grid, "_eval",
+                        lambda self, node: seen.append(id(node)) or real_eval(self, node))
+    out = eval_grid(ctx, phi, cols)
+    assert out[0, 0, 0] == algebra.top
+    assert len(seen) == len(set(seen))
+
+
+def test_preservation_suite_builds_eight_plans(monkeypatch):
+    # one plan per side and standard morphism, on all six family formulas
+    plans = []
+    real_init = valuation._Grid.__init__
+    monkeypatch.setattr(valuation._Grid, "__init__",
+                        lambda self, *a: plans.append(a[1]) or real_init(self, *a))
+    assert preservation_suite().ok
+    assert len(plans) == 8 and all(len(phis) == 6 for phis in plans)
+
+
+def test_batch_over_budget_runs_formula_by_formula(pools, monkeypatch):
+    # the batch's prediction counts its shared nodes; over the budget it
+    # falls back to one plan per formula, so the error, when there is
+    # one, is the first formula's own
+    store, ctx, pool = pools["chain3"]
+    cols = {"X": pool, "Y": pool}
+    phis = [parse_formula(t, free=("X", "Y")) for t in POSITIVE_BOUNDED_FAMILY]
+    whole = grid_codes(ctx, phis, cols)
+    batch = valuation._Grid(ctx, phis, list(cols), list(cols.values()))
+    alone = [valuation._Grid(ctx, [phi], list(cols), list(cols.values())).predict(1)
+             for phi in phis]
+    assert batch.predict(1) > max(alone)
+    monkeypatch.setattr(valuation, "GRID_BUDGET", max(alone))
+    np.testing.assert_array_equal(grid_codes(ctx, phis, cols), whole)
+    monkeypatch.setattr(valuation, "GRID_BUDGET", max(alone) - 1)
+    big = alone.index(max(alone))
+    with pytest.raises(BudgetExceeded) as err:
+        grid_codes(ctx, phis, cols)
+    with pytest.raises(BudgetExceeded) as own:
+        eval_grid(ctx, phis[big], cols)
+    assert str(err.value) == str(own.value)

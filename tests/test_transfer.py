@@ -20,6 +20,7 @@ from hvmodels import transfer
 from hvmodels.checks import (
     POSITIVE_BOUNDED_FAMILY,
     counterexample_names,
+    hset_law_suite,
     standard_morphisms,
 )
 from hvmodels.errors import (
@@ -36,6 +37,7 @@ from hvmodels.formula import free_vars, parse_formula
 from hvmodels.hset import HSet, HSetMorphism, morphism_law_masks, validate_morphism
 from hvmodels.lattice import make_boolean, make_chain
 from hvmodels.names import NameStore, enumerate_names, pad_equivalent
+from hvmodels.lattice import load_algebra
 from hvmodels.transfer import (
     LocaleMorphism,
     check_atomic_preservation,
@@ -47,6 +49,7 @@ from hvmodels.transfer import (
     identity_morphism,
     is_generalized_related,
     lift,
+    map_codes,
     mono_epi_experiment,
     mono_epi_masks,
     parse_morphism,
@@ -58,6 +61,7 @@ from hvmodels.transfer import (
 )
 from hvmodels.valuation import EvalContext
 
+from conftest import FIXTURES
 from oracles import (
     brute_generalized_closed,
     brute_generalized_related,
@@ -508,6 +512,43 @@ def test_atomic_preservation_reports_violations(chain2, chain3):
             "f_of_source_value", "target_value"} <= set(v)
 
 
+def _fixture_morphisms():
+    """Every `fixtures/*.mor` table, as an unvalidated `LocaleMorphism`
+    over the fixture frames, so the non-morphisms l and r are kept."""
+    frames = {p.stem: load_algebra(p.read_text(), name=p.stem)
+              for p in FIXTURES.glob("*.alg") if p.stem != "m3"}
+    out = []
+    for path in sorted(FIXTURES.glob("*.mor")):
+        lines = [ln for ln in path.read_text().splitlines() if ln and not ln.startswith("#")]
+        _, name, _, a, _, b = lines[0].split()
+        A, B = frames[a], frames[b]
+        table = dict(ln[len("map:"):].replace(" ", "").split("->") for ln in lines[1:])
+        out.append(LocaleMorphism(A, B, [B.index(table[lab]) for lab in A.labels], name=name))
+    return out
+
+
+def test_map_codes_is_f_on_every_code(morphisms, chain2, chain3):
+    # the standard morphisms, the fixture tables (l and r are not locale
+    # morphisms), the unvalidated tables of the violation tests, and a
+    # 12-chain onto the two-chain, whose source codes are two bytes wide
+    chain12 = make_chain(12)
+    cases = [*morphisms.values(), *_fixture_morphisms(),
+             LocaleMorphism(chain3, chain2, np.array([0, 1, 1]), name="bogus"),
+             LocaleMorphism(chain3, chain2, np.array([0, 1, 0]), name="broken"),
+             LocaleMorphism(chain12, chain2, np.array([0] * 11 + [1]), name="top")]
+    assert len(cases) == 13 and chain12.codes.width == 2
+    for f in cases:
+        A, B = f.source, f.target
+        got = map_codes(f, A.codes.encode(np.arange(A.n)))
+        assert got.dtype == np.uint8
+        np.testing.assert_array_equal(got, B.codes.encode(f.table[np.arange(A.n)]))
+        # any leading shape, every element in every cell
+        stack = A.codes.encode(np.arange(A.n)[::-1].reshape(1, A.n, 1).repeat(3, axis=2))
+        np.testing.assert_array_equal(map_codes(f, stack),
+                                      B.codes.encode(f.table[::-1].reshape(1, A.n, 1)
+                                                     .repeat(3, axis=2)))
+
+
 def test_positive_bounded_preservation(morphisms):
     f = morphisms["f"]
     sa, sb = NameStore(f.source), NameStore(f.target)
@@ -585,6 +626,27 @@ def test_functoriality_report(morphisms, four):
 
 
 # -- the induced H-set morphism -------------------------------------------------------
+
+
+def test_witness_independence_grows_with_the_domain_cap(morphisms):
+    # every name with two or more entries whose witness has a pair of
+    # top-equal targets with values f identifies gets a second witness,
+    # counted here one name at a time on the one-off path
+    f = morphisms["f"]
+    for cap, pinned in ((2, 32), (3, 384)):
+        sa, sb = NameStore(f.source), NameStore(f.target)
+        ctx_b = EvalContext(sb)
+        swappable = 0
+        for x in enumerate_names(sa, max_rank=2, max_domain=cap):
+            wl, entries = lift(f, x, sa, sb), sa.entries(x)
+            swappable += any(
+                ctx_b.atomic_eq(wl.witness[i][1], wl.witness[j][1]) == sb.algebra.top
+                and f(entries[i][1]) == f(entries[j][1])
+                for i, j in itertools.combinations(range(len(entries)), 2))
+        fam = next(fam for fam in hset_law_suite(max_domain=cap).families
+                   if fam.name == "induced morphism is witness independent")
+        assert fam.ok and fam.checked == fam.notes["alternate_witness_instances"]
+        assert fam.checked == swappable == pinned
 
 
 def test_epsilon_morphism_validates_and_ignores_the_witness(morphisms):
