@@ -178,6 +178,24 @@ def _classes(E):
     return None
 
 
+def _quotient(codes, EQ, MEM):
+    """(reps, cls): the first member of each class of [x = y] = top and
+    each name's class, when the relation is an equivalence with fewer
+    classes than names and EQ and MEM are constant on its classes; else
+    the identity, two `slice(None)`, whose gathers are views.  Let f(x)
+    be the first name top-equal to x and R = f(names).  When X[x] =
+    X[f(x)] and X[r, y] = X[r, f(y)] for r in R, X[x, y] = X[f(x), f(y)],
+    so the relation is the kernel of f iff it is the identity on R."""
+    top = (EQ == codes.top).all(axis=2)
+    first = top.argmax(axis=1)
+    reps, cls = np.unique(first, return_inverse=True)
+    if (len(reps) < len(first) and np.array_equal(top[reps][:, reps], np.eye(len(reps), dtype=bool))
+            and all(np.array_equal(X, X[first]) and np.array_equal(X[reps], X[reps][:, first])
+                    for X in (EQ, MEM))):
+        return reps, cls
+    return slice(None), slice(None)
+
+
 def _plane_failures(E, M):
     """On one plane: the middles failing families 5, 6 and 7, and for
     family 9 one row of failing middles per substituted formula (w in z,
@@ -241,20 +259,25 @@ def valuation_law_families(rep, ctx, kernel):
     unbounded forms of 10 and 11 range over, is not the kernel's names
     in that order.
 
-    The order laws 5, 6, 7 and 9 quantify over a middle name k, n^2
-    checks per middle.  They are decided on join-irreducible bitplanes
+    V(H) is extensional: `_quotient` reads the classes of [x = y] = top
+    off EQ and checks that EQ and MEM are constant on them.  Then each
+    law over pool^3 is the same statement over classes^3, counted with
+    multiplicity: a middle fails iff its class does, and the w of one
+    class add identical rows to an OR or AND.  So the free axes run over
+    the c representatives: families 3, 5, 6, 7, 9 and the fragment forms
+    on the c x c quotient, failing middles gathered back to the pool, and
+    families 4, 8 and the bounded forms with columns on them (n x c).
+    Else the quotient is the identity, given as views.
+
+    The order laws 5, 6, 7 and 9 quantify over a middle name k.  They
+    are decided on join-irreducible bitplanes
     (Birkhoff): a /\\ b <= c holds iff for every join-irreducible p,
     p <= a and p <= b imply p <= c, and a = b iff they have the same
     join-irreducibles below.  The planes E_p = (p <= EQ) and
     M_p = (p <= MEM) are bit p of the codes, and the families are
-    decided on the classes of E_p, in O(n^2) per p: when E_p is an
-    equivalence relation, family 5 holds on it, family 6 holds iff every
-    row of M_p is constant on the classes, family 7 iff every column is,
-    and the columns k of M_p, M_p^T and E_p that are not constant on the
-    classes are the middles failing family 9.  The 0/1 matrix products
-    `_failing_middles` and `_unequal_columns` run only on a plane whose
-    E_p is not an equivalence (all four families) or where family 6 or
-    7 fails (that family), to name the failing middles.
+    decided on the classes of E_p, in O(c^2) per p, by `_plane_failures`;
+    its 0/1 matrix products run only where E_p is not an equivalence
+    relation or family 6 or 7 fails, to name the failing middles.
 
     Families 2, 4 and 8 and the bounded forms of 10 and 11 are folds
     over the kernel's child slots K, V: families 4, 10 and 11 by
@@ -274,6 +297,9 @@ def valuation_law_families(rep, ctx, kernel):
     # one contiguous copy: the kernel's MEM is a transposed view, and the
     # families gather its rows
     MEM = np.ascontiguousarray(MEM)
+    reps, cls = _quotient(codes, EQ, MEM)
+    EQc, MEMc = EQ[:, reps], MEM[:, reps]  # columns on the representatives
+    EQq, MEMq = EQc[reps], MEMc[reps]
 
     def lit(p):
         return store.to_literal(pool[p])
@@ -289,20 +315,20 @@ def valuation_law_families(rep, ctx, kernel):
                           for j, s in np.argwhere(~below))
 
     fam = rep.family("3 symmetry [x = y] = [y = x]")
-    fam.bulk(n * n, np.array_equal(EQ, EQ.transpose(1, 0, 2)), "asymmetric pair")
+    fam.bulk(n * n, np.array_equal(EQq, EQq.transpose(1, 0, 2)), "asymmetric pair")
 
     fam = rep.family("4 mirrored membership [x in y] = [y ni x]")
-    mirrored = (_code_fold(codes, K, V, EQ) == MEM.transpose(1, 0, 2)).all(axis=(1, 2))
+    mirrored = (_code_fold(codes, K, V, EQc) == MEM[reps].transpose(1, 0, 2)).all(axis=(1, 2))
     fam.checked += n * n
     fam.violations.extend({"x": lit(i)} for i in np.flatnonzero(~mirrored))
 
     # family 9 substitutes into w in z, z in w and w = z: on a plane the
     # value at (w, z) is M[w, z], M^T[w, z] and E[w, z]
     substituted = ("w in z", "z in w", "w = z")
-    fail5, fail6, fail7 = (np.zeros(n, dtype=bool) for _ in range(3))
-    fail9 = np.zeros((len(substituted), n), dtype=bool)
+    fail5, fail6, fail7 = (np.zeros(len(EQq), dtype=bool) for _ in range(3))
+    fail9 = np.zeros((len(substituted), len(EQq)), dtype=bool)
     for p in range(codes.size):
-        f5, f6, f7, f9 = _plane_failures(codes.plane(EQ, p), codes.plane(MEM, p))
+        f5, f6, f7, f9 = _plane_failures(codes.plane(EQq, p), codes.plane(MEMq, p))
         fail5 |= f5
         fail6 |= f6
         fail7 |= f7
@@ -313,14 +339,14 @@ def valuation_law_families(rep, ctx, kernel):
                        ("7 membership then equality", fail7)):
         fam = rep.family(name)
         fam.checked += n * n * n
-        fam.violations.extend({"middle": lit(k)} for k in np.flatnonzero(fail))
+        fam.violations.extend({"middle": lit(k)} for k in np.flatnonzero(fail[cls]))
 
     fam = rep.family("8 equality carries entries")
     carried = np.ones(K.shape, dtype=bool)
-    for rows in _row_blocks(n, EQ[:1].size, va.FOLD_CELLS):  # read when called
+    for rows in _row_blocks(n, EQc[:1].size, va.FOLD_CELLS):  # read when called
         for s in range(K.shape[1]):
-            carried[rows, s] = ~(EQ[rows] & V[rows, s, None]
-                                 & ~MEM[K[rows, s]]).any(axis=(1, 2))
+            carried[rows, s] = ~(EQc[rows] & V[rows, s, None]
+                                 & ~MEMc[K[rows, s]]).any(axis=(1, 2))
     fam.checked += n * int(sizes.sum())
     fam.violations.extend({"x": lit(i), "u": lit(K[i, s])}
                           for i, s in np.argwhere(~carried))
@@ -328,13 +354,13 @@ def valuation_law_families(rep, ctx, kernel):
     fam = rep.family("9 substitution under equality")
     fam.checked += len(substituted) * n * n * n
     fam.violations.extend({"family": substituted[t], "z": lit(k)}
-                          for k, t in np.argwhere(fail9.T))
+                          for k, t in np.argwhere(fail9[:, cls].T))
 
     # bounded-quantifier expansion over dom x, with the value of the
     # unbounded form over the full pool as fragment for comparison
-    bex = _code_fold(codes, K, V, MEM)
-    bfa = _code_fold(codes, K, V, MEM, implies=True)
-    fex, ffa = _fragment_codes(codes, MEM)
+    bex = _code_fold(codes, K, V, MEMc)
+    bfa = _code_fold(codes, K, V, MEMc, implies=True)
+    fex, ffa = _fragment_codes(codes, MEMq)
 
     step = max(1, n // EVAL_SAMPLES)
     sample = pool[::step]
@@ -348,8 +374,8 @@ def valuation_law_families(rep, ctx, kernel):
         unbounded = eval_grid(ctx, parse_formula(unbounded, free=("X", "Z")),
                               {"X": sample, "Z": sample})
         fam = rep.family(name)
-        fam.bulk(n * n, np.array_equal(value, form), "fragment form differs")
-        value = codes.decode(value[::step, ::step])
+        fam.bulk(n * n, np.array_equal(value, form[cls]), "fragment form differs")
+        value = codes.decode(value[::step][:, cls][:, ::step])
         for (i, x), (j, z) in iproduct(enumerate(sample), repeat=2):
             b = ctx.eval(bounded, {"X": x, "Z": z})
             ok = b == value[i, j] == unbounded[i, j]

@@ -392,7 +392,7 @@ def build_parser():
                    help="name rank ceiling for sweeps (default 2)")
     p.add_argument("--max-domain", type=_count, default=2,
                    help="domain-size cap for enumerated names (default 2)")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_count, default=None,
                    help="hard ceiling on enumeration/search work")
     p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED,
                    help="seed for sampled corpora (default %(default)s)")

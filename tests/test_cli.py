@@ -316,7 +316,7 @@ def test_suites_take_the_enumeration_budget(suite):
     assert err.value.predicted > err.value.budget
 
 
-@pytest.mark.parametrize("flag", ["--rank", "--max-domain"])
+@pytest.mark.parametrize("flag", ["--rank", "--max-domain", "--budget"])
 def test_a_negative_sweep_flag_is_a_usage_error(flag):
     proc = subprocess.run(
         [sys.executable, "-m", "hvmodels", "check", "properties", flag, "-1"],
@@ -341,7 +341,7 @@ def test_sweep_flags_at_zero_and_below_end_in_an_exit_code(suite, flag, value, c
     assert code in (0, 1, 2)
     if code == 1:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    if flag in ("--rank", "--max-domain") and value == "-1":
+    if flag in ("--rank", "--max-domain", "--budget") and value == "-1":
         assert code == 2
 
 
@@ -352,7 +352,7 @@ def test_sweep_flags_at_zero_and_below_end_in_an_exit_code(suite, flag, value, c
                               ("--rank", "--max-domain", "--budget", "--seed")}))
 def test_small_sweep_flag_values_end_in_an_exit_code(suite, flags):
     # every call is answered or refused at once: rank 3 is refused by the
-    # enumeration prediction, a negative rank or cap by the parser
+    # enumeration prediction, a negative rank, cap or budget by the parser
     argv = ["check", suite]
     for flag, value in flags.items():
         if value is not None:
@@ -362,7 +362,7 @@ def test_small_sweep_flag_values_end_in_an_exit_code(suite, flags):
     except SystemExit as exit_:
         code = exit_.code
     assert code in (0, 1, 2)
-    negative = any((flags[f] or 0) < 0 for f in ("--rank", "--max-domain"))
+    negative = any((flags[f] or 0) < 0 for f in ("--rank", "--max-domain", "--budget"))
     assert (code == 2) == negative
 
 

@@ -23,6 +23,13 @@ On each plane the families are decided on the classes of E_p, and the
 0/1 matrix products run only where E_p is not an equivalence or a
 family fails.  Hypothesis planes compare the two paths mask for mask,
 and counted calls pin which path runs.
+
+Before the planes, the families quotient the pool by the classes of
+[x = y] = top (`checks._quotient`) when EQ and MEM are constant on
+them.  The live families are compared with the same families with the
+quotient forced to the identity, on intact and corrupted kernels;
+counted calls pin which of the two runs, and the class counts of the
+intact pools are pinned.
 """
 
 import random
@@ -279,6 +286,25 @@ def _summary(rep):
     return [(f.name, f.checked, f.violations) for f in rep.families]
 
 
+def _identity(codes, EQ, MEM):
+    """`checks._quotient` forced to the identity."""
+    return slice(None), slice(None)
+
+
+def _count_quotients(monkeypatch):
+    """Wrap `checks._quotient` so that the returned list records, per
+    call, whether the families ran on a quotient (True) or on the
+    identity (False)."""
+    paths = []
+
+    def counted(*args, _quotient=checks._quotient):
+        reps, cls = _quotient(*args)
+        paths.append(not isinstance(reps, slice))
+        return reps, cls
+    monkeypatch.setattr(checks, "_quotient", counted)
+    return paths
+
+
 def _kernel(store, pool, EQ, MEM):
     """The kernel tuple (pos, EQ, MEM, K, V, sizes) of `pool`, in pool
     order, with the element matrices EQ and MEM and the entry values
@@ -421,9 +447,10 @@ def test_big_sweeps_within_the_bound(algebra, cap, names, monkeypatch):
     # the families decide every law on its codes: the only grids are the
     # samples of families 10 and 11, and the peak stays well below the
     # 2 x 64 MiB that two int64 matrices over chain5's pool would take.
-    # Every plane of an intact pool is decided on its classes, with no
-    # product.
+    # The families run on the quotient by [x = y] = top, and every plane
+    # of an intact pool is decided on its classes, with no product.
     calls = _count_products(monkeypatch)
+    paths = _count_quotients(monkeypatch)
     kernels, grids = [], []
     build = valuation._build_kernel
 
@@ -449,9 +476,10 @@ def test_big_sweeps_within_the_bound(algebra, cap, names, monkeypatch):
     assert rep.config["pool"] == names
     assert len(rep.families) == 11 and rep.ok, rep.render_text()
     assert calls == {}
+    assert paths == [True]
     assert len(kernels) == 1
     assert grids and max(grids) <= (2 * checks.EVAL_SAMPLES) ** 2
-    assert peak < 160 * 2**20, peak
+    assert peak < 80 * 2**20, peak
     assert elapsed < 60.0
 
 
@@ -497,6 +525,114 @@ def test_families_on_the_built_kernel_match_the_reference(case):
         assert got == want, f"seed {seed}"
         if not seed:
             assert all(not v for _, _, v in got)
+
+
+def _corrupt_classes(algebra, EQ, MEM, seed):
+    """`_corrupt` on the first member of each class of [x = y] = top of
+    the element matrices EQ and MEM, spread back over the classes, so
+    both stay constant on them; None when `checks._quotient` gives the
+    identity."""
+    codes = algebra.codes
+    reps, cls = checks._quotient(codes, codes.encode(EQ), codes.encode(MEM))
+    if isinstance(reps, slice):
+        return None
+    EQq, MEMq = _corrupt(algebra, EQ[np.ix_(reps, reps)], MEM[np.ix_(reps, reps)], seed)
+    return EQq[np.ix_(cls, cls)], MEMq[np.ix_(cls, cls)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_names())
+def test_the_quotient_matches_the_identity_on_the_built_kernel(case):
+    # the families on the quotient against the same families with the
+    # quotient forced to the identity, on `_build_kernel`'s arrays and on
+    # its codes with seeded corrupted cells, over ALGEBRAS (codes of one
+    # to nine bytes); corrupting whole classes keeps EQ and MEM constant
+    # on them, so the quotient also runs on failing families
+    store, rows, cols = case
+    algebra, codes = store.algebra, store.algebra.codes
+    pos, EQ, MEM, K, V, sizes = _build_kernel(store, [store.empty, *rows, *cols])
+    pool = list(pos)
+    EQ, MEM = codes.decode(EQ), codes.decode(MEM)
+    cases = [_corrupt(algebra, EQ, MEM, seed) for seed in range(7)]
+    cases += filter(None, (_corrupt_classes(algebra, EQ, MEM, seed) for seed in range(1, 7)))
+    for k, (EQe, MEMe) in enumerate(cases):
+        kernel = (pos, codes.encode(EQe), codes.encode(MEMe), K, V, sizes)
+
+        def families():
+            return _summary(valuation_law_families(
+                CheckReport("kernel"), EvalContext(store, fragment=pool), kernel))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(checks, "_quotient", _identity)
+            want = families()
+        assert families() == want, f"case {k}"
+
+
+@pytest.mark.parametrize("algebra,cap,seeds", CASES, ids=[c[0].name for c in CASES])
+def test_intact_pools_take_the_quotient_and_corruptions_the_identity(algebra, cap, seeds,
+                                                                     monkeypatch):
+    # every report equals the identity's.  The intact pool runs on its
+    # classes, some corruption of each case on the identity, and some
+    # corruption of whole classes on its classes with a failing family,
+    # so both paths stay covered
+    store, pool, EQ0, MEM0 = _matrices(algebra, cap)
+    monkeypatch.setattr(checks, "EVAL_SAMPLES", 3)
+    cases = [_corrupt(algebra, EQ0, MEM0, seed) for seed in seeds]
+    cases.append((EQ0, _lower_entry(store, pool, MEM0, len(seeds))))
+    cases += [_corrupt_classes(algebra, EQ0, MEM0, seed) for seed in seeds[1:]]
+    paths = _count_quotients(monkeypatch)
+    failing = []
+    for k, (EQ, MEM) in enumerate(cases):
+        got = _summary(_families(store, pool, EQ, MEM))
+        with monkeypatch.context() as patch:
+            patch.setattr(checks, "_quotient", _identity)
+            assert got == _summary(_families(store, pool, EQ, MEM)), f"case {k}"
+        failing.append(any(v for _, _, v in got))
+    assert len(paths) == len(cases)
+    plain = len(seeds) + 1
+    assert paths[0] is True and not all(paths[1:plain])
+    assert any(p and f for p, f in zip(paths[plain:], failing[plain:]))
+
+
+def test_the_quotient_is_the_identity_unless_every_condition_holds():
+    # over chain3 (0 < 1 < 2): names 1 and 2 are equal with value top,
+    # and EQ and MEM are constant on the classes {0} and {1, 2}
+    codes = make_chain(3).codes
+    EQ = np.array([[2, 0, 0], [0, 2, 2], [0, 2, 2]])
+    MEM = np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]])
+    reps, cls = checks._quotient(codes, codes.encode(EQ), codes.encode(MEM))
+    assert reps.tolist() == [0, 1] and cls.tolist() == [0, 1, 1]
+    for which, cells, value in (
+        ("EQ", [(0, 0)], 1),          # not reflexive; the rows stay constant
+        ("EQ", [(0, 2), (2, 0)], 1),  # an equivalence, EQ not constant
+        ("MEM", [(0, 2)], 2),         # an equivalence, MEM not constant
+        ("EQ", [(1, 2), (2, 1)], 0),  # every class a singleton
+    ):
+        E, M = EQ.copy(), MEM.copy()
+        for cell in cells:
+            (E if which == "EQ" else M)[cell] = value
+        reps, cls = checks._quotient(codes, codes.encode(E), codes.encode(M))
+        assert isinstance(reps, slice) and isinstance(cls, slice), (which, cells)
+
+
+@pytest.mark.parametrize("algebra,rank,cap,classes", [
+    (make_chain(2), 2, 2, 4),
+    (make_chain(3), 2, 2, 13),
+    (make_boolean(2), 2, 2, 16),
+    (make_chain(5), 2, 2, 80),
+    (make_chain(5), 2, 3, 203),
+    (make_boolean(3), 2, 2, 64),
+], ids=["chain2", "chain3-cap2", "four-cap2", "chain5-cap2", "chain5-cap3",
+        "boolean8-cap2"])
+def test_the_kernel_classes_of_intact_pools(algebra, rank, cap, classes):
+    # the number of classes of [x = y] = top that the families run on;
+    # each class's representative is its first member in kernel order
+    store = NameStore(algebra)
+    pool = enumerate_names(store, max_rank=rank, max_domain=cap)
+    ctx = EvalContext(store, fragment=pool)
+    _, EQ, MEM, *_ = _eq_kernel(ctx, pool)
+    reps, cls = checks._quotient(algebra.codes, EQ, np.ascontiguousarray(MEM))
+    assert len(reps) == classes < len(pool)
+    assert reps[cls].tolist() == [min(np.flatnonzero(cls == c)) for c in cls]
 
 
 @pytest.mark.parametrize("algebra,cap,seeds", CASES, ids=[c[0].name for c in CASES])
