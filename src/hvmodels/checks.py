@@ -744,13 +744,24 @@ def _verdicts(A, checks):
             for mors, laws in checks]
 
 
+def _coherence_seeds(store):
+    """The names u of the name-bridge coherence family, each with its
+    pads u1 and u2, interned in `store` in the order the family asks."""
+    A, e = store.algebra, store.empty
+    one = store.intern({e: A.top})
+    return [(u, pad_equivalent(store, u, 1), pad_equivalent(store, u, 2))
+            for u in (one, store.intern({e: A.bottom}), store.intern({one: A.top}))]
+
+
 def _category_families(rep, algebras, corpus, graphs):
     """Add the H-set category families, identity to equalizer, to `rep`,
     over the H-sets `corpus[aname]` of each algebra `algebras[aname]` and
     the morphisms `graphs[id(X), id(Y)]`.  Each is a fixed number of
     whole-array calls per algebra on stacks of its tables (the function
     predicate one `eval_grid` read on its diagonal); checks are recorded
-    in the order of the per-morphism loops these replace."""
+    in the order of the per-morphism loops these replace.  Returns the
+    context of each algebra, which the coherence family reads too."""
+    contexts = {}
     fam_id = rep.family("identity is neutral for composition")
     fam_assoc = rep.family("composition is associative")
     fam_onesided = rep.family("one-sided comparison already implies equality")
@@ -781,18 +792,21 @@ def _category_families(rep, algebras, corpus, graphs):
         rhs = hs.compose_tables(A, M1, hs.compose_tables(A, M2, M3))
         for ok in A.leq[lhs, rhs].all(axis=(1, 2)):
             fam_assoc.record(bool(ok), {"algebra": aname})
+        # every name of the dagger and coherence families is interned
+        # first, so one kernel over the whole store serves them all
+        firsts, store = hsets[:2], NameStore(A)
+        dots = [hs.dagger_hset(store, X) for X in firsts]
+        funs = [hs.dagger_morphism(store, hs.identity(X)) for X in firsts]
+        _coherence_seeds(store)
+        ctx = contexts[aname] = EvalContext(store)
+        _eq_kernel(ctx, range(len(store)))
         # the dagger isos phi: X -> Y and psi: Y -> X are lawful and inverse
-        store = NameStore(A)
-        ctx = EvalContext(store)
-        firsts = hsets[:2]
         isos = [(X,) + hs.dagger_iso(ctx, X) for X in firsts]
         roundtrips = [((phi, psi), [(phi.phi, psi.phi, X.delta),
                                     (psi.phi, phi.phi, phi.target.delta)]) for X, phi, psi in isos]
         for X, ok in zip(firsts, _verdicts(A, roundtrips)):
             fam_dagger.record(ok, {"algebra": aname, "points": len(X)})
-        dots = [hs.dagger_hset(store, X) for X in firsts]
-        fun = eval_grid(ctx, function_predicate(), {
-            "H": [hs.dagger_morphism(store, hs.identity(X)) for X in firsts], "X": dots, "Y": dots})
+        fun = eval_grid(ctx, function_predicate(), {"H": funs, "X": dots, "Y": dots})
         for k, X in enumerate(firsts):
             fam_fun.record(fun[k, k, k] == A.top, {"algebra": aname, "points": len(X)})
         # fwd: X -> C and bwd: C -> X are lawful and inverse, C is complete,
@@ -830,6 +844,7 @@ def _category_families(rep, algebras, corpus, graphs):
         for ok in hs.morphism_law_masks(A, tau, D, inc) & A.leq[
                 hs.compose_tables(A, inc, M), hs.compose_tables(A, inc, M2)].all(axis=(1, 2)):
             fam_eq.record(bool(ok), {"algebra": aname})
+    return contexts
 
 
 def hset_law_suite(seed=DEFAULT_SEED, rank=2, max_domain=2, budget=None):
@@ -838,8 +853,8 @@ def hset_law_suite(seed=DEFAULT_SEED, rank=2, max_domain=2, budget=None):
     and the induced morphism of a witnessed lift.
 
     The category families run on a seeded corpus of `CORPUS_PER_ALGEBRA`
-    H-sets of up to 3 points per algebra and their graph morphisms, each
-    family decided as one stack per algebra by `_category_families`.
+    H-sets of up to 3 points per algebra and their graph morphisms; with
+    coherence, they take one kernel per algebra (`_category_families`).
     The induced morphisms of every name of the rank-`rank`, domain cap
     `max_domain` pool over `four`, lifted along `f`, are decided as one
     stack on the equality kernels of the pool and of its images, so a
@@ -859,29 +874,18 @@ def hset_law_suite(seed=DEFAULT_SEED, rank=2, max_domain=2, budget=None):
     graphs = {(id(X), id(Y)): _graph_morphisms(X, Y)
               for hsets in corpus.values() for X, Y in iproduct(hsets, hsets)}
 
-    _category_families(rep, alg, corpus, graphs)
+    contexts = _category_families(rep, alg, corpus, graphs)
 
     fam = rep.family("name bridge coherence (identity and composition)")
-    for aname, algebra in alg.items():
-        store = NameStore(algebra)
-        ctx = EvalContext(store)
-        e = store.intern({})
-        seeds = [store.intern({e: algebra.top}),
-                 store.intern({e: algebra.bottom}),
-                 store.intern({store.intern({e: algebra.top}): algebra.top})]
-        for u in seeds:
-            u1 = pad_equivalent(store, u, 1)
-            u2 = pad_equivalent(store, u, 2)
-            lam_uu = hs.lambda_iso(ctx, u, u)
+    for aname, ctx in contexts.items():
+        for u, u1, u2 in _coherence_seeds(ctx.store):
+            lam = {(a, b): hs.lambda_iso(ctx, a, b)
+                   for a, b in ((u, u), (u, u1), (u1, u2), (u, u2), (u1, u))}
             ident = hs.identity(hs.from_name(ctx, u))
-            ok = hs.morphisms_equal(lam_uu, ident)
-            a_b = hs.lambda_iso(ctx, u, u1)
-            b_c = hs.lambda_iso(ctx, u1, u2)
-            a_c = hs.lambda_iso(ctx, u, u2)
-            ok = ok and hs.morphisms_equal(hs.compose(b_c, a_b), a_c)
-            back = hs.lambda_iso(ctx, u1, u)
-            ok = ok and hs.morphisms_equal(hs.compose(back, a_b), ident)
-            fam.record(ok, {"algebra": aname, "u": store.to_literal(u)})
+            ok = (hs.morphisms_equal(lam[u, u], ident)
+                  and hs.morphisms_equal(hs.compose(lam[u1, u2], lam[u, u1]), lam[u, u2])
+                  and hs.morphisms_equal(hs.compose(lam[u1, u], lam[u, u1]), ident))
+            fam.record(ok, {"algebra": aname, "u": ctx.store.to_literal(u)})
 
     fam = rep.family("induced morphism of a witnessed lift validates")
     fam_wi = rep.family("induced morphism is witness independent")

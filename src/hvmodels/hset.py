@@ -7,8 +7,8 @@ relations.  The bridges: from_name turns a name u into the H-set
 (or morphism) into a name; lambda tables give the canonical isomorphisms
 between from_name images of equal names and the morphism induced by an
 internal function name.  Each bridge takes the `EvalContext` of its
-store, and its table is one `name_table` between the extents, the
-diagonals of from_name images.
+store and gathers its tables from the context's equality kernel
+(`valuation._extents`); no table is filled one cell at a time.
 
 The table kernels decide a whole stack of tables at once, and each
 single-morphism operation is its kernel on a stack of one:
@@ -41,6 +41,7 @@ from .errors import (
 )
 from . import names as names_mod
 from .lattice import _row_blocks, split_arrow_header, text_lines
+from .valuation import _bridge, _extents
 
 SINGLETON_BUDGET = 1 << 16
 PRODUCT_CAP = 4096
@@ -367,53 +368,48 @@ def equalizer_tables(A, delta, phi, psi):
 # -- bridges to the name universe ----------------------------------------------------
 
 
-def name_table(A, left, cell, rows, cols, right):
-    """The bridge table T(i, j) = left[i] /\\ cell(rows[i], cols[j]) /\\ right[j]
-    over the algebra A, as an int64 array: one `cell` value per pair and
-    two broadcast meets.  Every name bridge is this table, with `left`
-    and `right` the extents of its two carriers."""
-    R = np.array([[cell(r, c) for c in cols] for r in rows],
-                 dtype=np.int64).reshape(len(rows), len(cols))
-    mt = A.meet_table
-    left, right = (np.asarray(v, dtype=np.intp) for v in (left, right))
-    return mt[mt[left[:, None], R], right[None, :]]
+def _images(ctx, owners, D):
+    """The from_name image of each owner, its table decoded from the stack
+    of codes D of `valuation._extents` with the padding cut off."""
+    doms = [ctx.store.domain(u) for u in owners]
+    return [HSet(ctx.algebra, dom, ctx.algebra.codes.decode(d[:len(dom), :len(dom)]))
+            for dom, d in zip(doms, D)]
 
 
 def from_name(ctx, u):
     """The H-set (dom u, delta_u) with
     delta_u(x, y) = [x in u] /\\ [x = y] /\\ [y in u]; its diagonal holds
     the extents [x in u], as [x = x] = top."""
-    dom = ctx.store.domain(u)
-    mem = [ctx.atomic_mem(x, u) for x in dom]
-    delta = name_table(ctx.algebra, mem, ctx.atomic_eq, dom, dom, mem)
-    return HSet(ctx.algebra, dom, delta)
+    return _images(ctx, [u], _extents(ctx, [u])[3])[0]
 
 
 def lambda_iso(ctx, u, uprime):
     """The canonical iso from_name(u) -> from_name(u') for names equal
-    with value top; its inverse is lambda_iso(u', u)."""
-    if ctx.atomic_eq(u, uprime) != ctx.algebra.top:
+    with value top, phi(x, y) = [x in u] /\\ [x = y] /\\ [y in u']; its
+    inverse is lambda_iso(u', u)."""
+    (pos, EQ, *_), K, E, D = _extents(ctx, [u, uprime])
+    if (EQ[pos[u], pos[uprime]] != ctx.algebra.codes.top).any():
         raise NotEquivalent("[u = u'] < top")
-    X, Y = from_name(ctx, u), from_name(ctx, uprime)
-    phi = name_table(ctx.algebra, X.delta.diagonal(), ctx.atomic_eq,
-                     X.points, Y.points, Y.delta.diagonal())
-    return HSetMorphism(X, Y, phi)
+    X, Y = _images(ctx, [u, uprime], D)
+    phi = ctx.algebra.codes.decode(_bridge(E[0], EQ[K[0, :, None], K[1, None, :]], E[1]))
+    return HSetMorphism(X, Y, phi[:len(X), :len(Y)])
 
 
 def lambda_f(ctx, h, x, y):
     """The H-set morphism from_name(x) -> from_name(y) induced by an
-    internal function name h; requires [fun(h: x -> y)] = top, the
-    value of `names.function_predicate` at H = h, X = x, Y = y."""
+    internal function name h, phi(u, v) = [u in x] /\\ [pair(u, v) in h]
+    /\\ [v in y]; requires [fun(h: x -> y)] = top, the value of
+    `names.function_predicate` at H = h, X = x, Y = y."""
     if not ctx.models(names_mod.function_predicate(), {"H": h, "X": x, "Y": y}):
         raise NotAFunctionName("[fun(h)] < top")
-    X, Y = from_name(ctx, x), from_name(ctx, y)
-
-    def in_h(u, v):
-        return ctx.atomic_mem(names_mod.ordered_pair_h(ctx.store, u, v), h)
-
-    phi = name_table(ctx.algebra, X.delta.diagonal(), in_h,
-                     X.points, Y.points, Y.delta.diagonal())
-    return HSetMorphism(X, Y, phi)
+    store = ctx.store
+    pairs = [names_mod.ordered_pair_h(store, u, v)
+             for u in store.domain(x) for v in store.domain(y)]
+    (pos, _, MEM, *_), _, E, D = _extents(ctx, [x, y], pairs + [h])
+    X, Y = _images(ctx, [x, y], D)
+    n, m = len(X), len(Y)
+    in_h = MEM[np.array([pos[p] for p in pairs], dtype=np.intp).reshape(n, m), pos[h]]
+    return HSetMorphism(X, Y, ctx.algebra.codes.decode(_bridge(E[0, :n], in_h, E[1, :m])))
 
 
 def dagger_points(store, X):
@@ -450,14 +446,18 @@ def dagger_morphism(store, m):
 
 
 def dagger_iso(ctx, X):
-    """The inverse isomorphism pair between X and from_name(dagger_hset(X)):
-    phi(x, k) = delta(x,x) /\\ [x-dot = k].  Its `name_table` also meets
-    in the target extents [k in u], which change nothing: u(x-dot) is
-    delta(x,x), so delta(x,x) /\\ [x-dot = k] <= [k in u]."""
+    """The inverse isomorphism pair between X and Y = from_name(u), where
+    u = dagger_hset(X): phi(x, k) = delta(x,x) /\\ [x-dot = k] /\\ [k in u].
+    The last factor changes nothing, as u(x-dot) is delta(x,x), so
+    delta(x,x) /\\ [x-dot = k] <= [k in u].  The dots are u's children,
+    so every table is one gather from the context's kernel over u."""
     dots = dagger_points(ctx.store, X)
-    Y = from_name(ctx, dagger_hset(ctx.store, X))
-    phi = name_table(ctx.algebra, X.delta.diagonal(), ctx.atomic_eq,
-                     dots, Y.points, Y.delta.diagonal())
+    u = dagger_hset(ctx.store, X)
+    (pos, EQ, *_), K, E, D = _extents(ctx, [u])
+    (Y,) = _images(ctx, [u], D)
+    rows = np.array([pos[d] for d in dots], dtype=np.intp)[:, None]
+    codes = ctx.algebra.codes
+    phi = codes.decode(_bridge(codes.encode(X.delta.diagonal()), EQ[rows, K[0]], E[0]))
     return HSetMorphism(X, Y, phi), HSetMorphism(Y, X, phi.T.copy())
 
 

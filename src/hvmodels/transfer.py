@@ -46,9 +46,10 @@ from .lattice import GATHER_CELLS, _row_blocks, split_arrow_header, text_lines
 from .names import _fold_dag, pad_equivalent
 from .valuation import (
     GRID_BUDGET,
+    _bridge,
     _closure,
     _element_dtype,
-    _eq_kernel,
+    _extents,
     child_arrays,
     grid_codes,
 )
@@ -232,7 +233,7 @@ def first_proposal_images(f, x, candidates, store_a, store_b):
 class WitnessedLift:
     x: int
     image: int
-    witness: tuple  # pairs (u, tau(u)), tau a bijection dom x -> dom image
+    witness: tuple  # pairs (u, tau(u)) in domain order; tau: dom x -> dom image, a bijection
 
 
 def lift(f, x, store_a, store_b):
@@ -418,55 +419,28 @@ def epsilon_tables(f, wls, ctx_a, ctx_b):
     `wls`, one stack per table: (ds, dt, phis) of shapes (G, ns, ns),
     (G, nt, nt) and (G, ns, nt), with ns the widest source domain and
     nt the widest image domain.  For a lift of x with image x' and
-    witness tau, over dom x and dom x' in domain order:
+    witness tau, over dom x and dom x' in domain order, ds is f applied
+    to the from_name table of x, dt is the from_name table of x', and
 
-        ds(u, v)   = f([u in x] /\\ [u = v] /\\ [v in x])
-        dt(v', w') = [v' in x'] /\\ [v' = w'] /\\ [w' in x']
         phi(u, v') = f([u in x]) /\\ [tau(u) = v'] /\\ [v' in x']
 
-    Every [u = v] and [u in x] is a gather of codes from the kernel of
-    `ctx_a` over the closure of the sources, and every [tau(u) = v'] and
-    [v' in x'] one from the kernel of `ctx_b` over the closure of the
-    images and the witness targets, at the kernel's child positions of
-    the names.  The meets are ANDs of the gathered Birkhoff codes, each
-    table decoded once (and f([u in x]) re-encoded in B).  A narrower
-    domain is padded with bottom, code 0, its padded points last, which
+    All three are gathers (`valuation._extents`) from the kernels of
+    `ctx_a` over the closure of the sources and of `ctx_b` over that of
+    the images, whose children are the witness targets, met as ANDs of
+    Birkhoff codes and decoded once.  A narrower domain is padded with
+    bottom, code 0, its padded points last, which
     `hset.morphism_law_masks` and `mono_epi_masks` read as vacuous
     (f(bottom) = bottom).
     """
     A, B = f.source, f.target
-    xs = [wl.x for wl in wls]
-    images = [wl.image for wl in wls]
-    taus = [dict(wl.witness) for wl in wls]
-    pos_a, EQ_a, MEM_a, K_a, _, kids_a = _eq_kernel(ctx_a, xs)
-    pos_b, EQ_b, MEM_b, K_b, _, kids_b = _eq_kernel(
-        ctx_b, images + [t for tau in taus for t in tau.values()])
-
-    def slots(pos, K, kids, names):
-        rows = np.array([pos[x] for x in names], dtype=np.intp)
-        sizes = kids[rows]
-        return rows, K[rows, :sizes.max(initial=0)], sizes
-
-    rows_a, Ka, size_a = slots(pos_a, K_a, kids_a, xs)
-    rows_b, Kb, size_b = slots(pos_b, K_b, kids_b, images)
-    T = np.zeros(Ka.shape, dtype=np.intp)   # tau(u) at the slot of u
-    for g, (x, tau) in enumerate(zip(xs, taus)):
-        T[g, :size_a[g]] = [pos_b[tau[u]] for u in ctx_a.store.domain(x)]
-
-    def extents(K, sizes, MEM, owners):
-        live = np.arange(K.shape[1]) < sizes[:, None]
-        return np.where(live[:, :, None], MEM[K, owners[:, None]], 0)
-
-    ext_a = extents(Ka, size_a, MEM_a, rows_a)
-    ext_b = extents(Kb, size_b, MEM_b, rows_b)
-    fa = map_codes(f, ext_a)
-    ds = f.table[A.codes.decode(
-        ext_a[:, :, None] & EQ_a[Ka[:, :, None], Ka[:, None, :]] & ext_a[:, None, :])]
-    dt = B.codes.decode(
-        ext_b[:, :, None] & EQ_b[Kb[:, :, None], Kb[:, None, :]] & ext_b[:, None, :])
-    phis = B.codes.decode(
-        fa[:, :, None] & EQ_b[T[:, :, None], Kb[:, None, :]] & ext_b[:, None, :])
-    return ds, dt.astype(np.int64), phis.astype(np.int64)
+    _, _, ext_a, ds = _extents(ctx_a, [wl.x for wl in wls])
+    (pos_b, EQ_b, *_), K_b, ext_b, dt = _extents(ctx_b, [wl.image for wl in wls])
+    T = np.zeros(ext_a.shape[:2], dtype=np.intp)   # tau(u) at the slot of u
+    for g, wl in enumerate(wls):
+        T[g, :len(wl.witness)] = [pos_b[t] for _, t in wl.witness]
+    phis = _bridge(map_codes(f, ext_a), EQ_b[T[:, :, None], K_b[:, None, :]], ext_b)
+    return (f.table[A.codes.decode(ds)], B.codes.decode(dt).astype(np.int64),
+            B.codes.decode(phis).astype(np.int64))
 
 
 def epsilon_hset_morphism(f, wl, ctx_a, ctx_b):

@@ -7,13 +7,14 @@ the entries of one name:
     [x sub y] =  /\\_{u in dom x} x(u) -> [u in y]
     [x = y]   =  [x sub y] /\\ [y sub x]
 
-and [x ni y] = [y in x].  The recursion is well-founded because every
-sub-pair strictly drops in rank on both coordinates.  The one-off path
-(`atomic_eq`, `atomic_mem`, `eval`) realizes it with an explicit stack
-and a memo table, so deep names cannot overflow the interpreter stack.
-Equality is memoized under a symmetric key: the definition is
-symmetric in its arguments, and the symmetry is additionally guarded
-against a non-memoized reference implementation in the tests.
+and [x ni y] = [y in x], well-founded as every sub-pair drops in rank
+on both sides.  The one-off path (`atomic_eq`, `atomic_mem`, `eval`)
+runs it on an explicit stack with a symmetric memo, for single cells
+only: `EvalContext.eval` (the CLI's `eval`, the bounded samples of law
+families 10 and 11, `hset.lambda_f`'s predicate check),
+`transfer.witnessed_lift_with`, `transfer.is_generalized_related`, and
+the per-name checks of `checks.functoriality_suite` and
+`checks.immersion_suite`.
 
 `grid_codes` is the one bulk path: it evaluates a batch of formulas
 for every assignment of a grid of columns, as one plan whose nodes are
@@ -27,15 +28,13 @@ over child slots, `_code_fold`.  The kernel holds every value as its
 Birkhoff code, the bitmask of the join-irreducibles below it
 (`HeytingAlgebra.codes`), so a fold is bitwise AND and OR, and an
 implication one interior step per fold.  The grid computes on the same
-codes: connectives are AND, OR and interiors, and bounded quantifiers
-fold over the kernel's own child slots, as do the valuation law
-families of `checks`.  Values are encoded once, in the kernel;
-`grid_codes` returns codes, and `eval_grid` decodes them once.
-`eq_matrix` and `mem_matrix` are `eval_grid` on a single atom.  The
-context keeps its last kernel and reuses it while the requested names
-lie in its closure; no cell of a bulk result goes into the memo, which
-only the one-off path fills.  `EvalContext.eval` stays the path for
-one assignment, where compiling a grid would cost more than it saves.
+codes, and bounded quantifiers fold over the kernel's child slots, as
+do the law families of `checks`.  Every H-set bridge table (`hset`,
+`transfer.epsilon_tables`) is a gather too: `_extents` reads the child
+slots and extents of the names it bridges, and `_bridge` meets them
+with EQ or MEM.  `eq_matrix` and `mem_matrix` are `eval_grid` on one
+atom.  The context keeps its last kernel and reuses it while the names
+asked for lie in its closure; no bulk result goes into the memo.
 """
 
 from itertools import product as iproduct, repeat
@@ -74,11 +73,10 @@ class EvalContext:
 
     The memo is filled by the one-off path (`atomic_eq`, `atomic_mem`
     and `eval`), which recurses on equality as mutual inclusion one
-    pair at a time.  The kernel is the one `eval_grid` last built, and
-    with it `eq_matrix` and `mem_matrix`: the same definition, decided
-    a rank level at a time over whole arrays (see `_build_kernel`).  It
-    is reused while the names a grid asks for lie in its closure, and
-    replaced otherwise.
+    pair at a time.  The kernel is the one a grid or a bridge last built
+    (`_eq_kernel`): the same definition, decided a rank level at a time
+    over whole arrays (see `_build_kernel`).  It is reused while the
+    names asked for lie in its closure, and replaced otherwise.
     """
 
     def __init__(self, store, fragment=()):
@@ -257,6 +255,28 @@ def _eq_kernel(ctx, ids):
         ctx._kernel = None  # free the old arrays before the new ones exist
         ctx._kernel = kernel = _build_kernel(ctx.store, ids)
     return kernel
+
+
+def _extents(ctx, owners, names=()):
+    r"""The H-set bridges' gather, on the context's kernel over the closure
+    of `owners` and `names`: the kernel; the kernel positions K (G, w) of
+    each owner's children, in domain order; the codes E (G, w, width) of
+    their extents [u in owner], off MEM; and D = E /\ EQ[K, K] /\ E, the
+    codes of the owners' `hset.from_name` tables.  Padded to the widest
+    owner with position 0 and code 0 (bottom).  Owner ids are checked."""
+    kernel = _eq_kernel(ctx, [*map(ctx.store.check_id, owners), *names])
+    pos, EQ, MEM, K, _, sizes = kernel
+    rows = np.array([pos[u] for u in owners], dtype=np.intp)
+    sizes = sizes[rows]
+    K = K[rows, :sizes.max(initial=0)]
+    E = MEM[K, rows[:, None]]
+    E[np.arange(K.shape[1]) >= sizes[:, None]] = 0
+    return kernel, K, E, _bridge(E, EQ[K[..., :, None], K[..., None, :]], E)
+
+
+def _bridge(left, M, right):
+    r"""left[i] /\ M[i, j] /\ right[j] on codes, over leading stack axes."""
+    return left[..., :, None, :] & M & right[..., None, :, :]
 
 
 def _closure(store, ids):

@@ -8,6 +8,7 @@ on small carriers.
 import itertools
 import json
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hvmodels import checks, cli, hset
+from hvmodels import checks, cli, hset, valuation
 from hvmodels.errors import (
     BudgetExceeded,
     CrossAlgebra,
@@ -24,6 +25,7 @@ from hvmodels.errors import (
     NotComposable,
     NotEquivalent,
     ParseError,
+    UnknownId,
 )
 from hvmodels.hset import (
     HSet,
@@ -52,16 +54,18 @@ from hvmodels.hset import (
     validate_morphism,
 )
 from hvmodels.lattice import make_boolean, make_chain
-from hvmodels.names import NameStore, enumerate_names, pad_equivalent
+from hvmodels.names import NameStore, enumerate_names, ordered_pair_h, pad_equivalent
 from hvmodels.transfer import (
     epsilon_hset_morphism,
     identity_morphism,
     lift,
     validate_locale_morphism,
+    witnessed_lift_with,
 )
 from hvmodels.valuation import GRID_BUDGET, EvalContext
 
 from oracles import ref_eq, ref_mem
+from test_valuation import ALGEBRAS as WIDTH_ALGEBRAS
 
 GOLDEN = Path(__file__).parent / "data" / "hset_laws_golden.json"
 
@@ -454,54 +458,94 @@ def test_lambda_f_rejects_non_functional_names(store3):
         lambda_f(EvalContext(store3), h, x, y)
 
 
-BRIDGE_ALGEBRAS = (make_chain(3), make_boolean(2), make_chain(5))
 TWO = make_chain(2)
 
 
 @st.composite
-def _bridge_cases(draw):
-    """A store over chain3, four or chain5 with hypothesis-built names,
-    one name u of it, an equivalence-pad index, and a locale morphism out
-    of its algebra: the identity, or x -> [p <= x] onto the two-chain for
-    a join-irreducible p."""
-    A = draw(st.sampled_from(BRIDGE_ALGEBRAS))
+def _stores(draw):
+    """A store over one of `test_valuation.ALGEBRAS` (Birkhoff codes of 1
+    to 9 bytes) with up to 8 hypothesis-built names, and those names."""
+    A = draw(st.sampled_from(WIDTH_ALGEBRAS))
     store = NameStore(A)
     ids = [store.empty]
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, 8))):
         kids = draw(st.lists(st.sampled_from(ids), max_size=3))
-        vals = draw(st.lists(st.integers(0, A.n - 1),
-                             min_size=len(kids), max_size=len(kids)))
+        vals = draw(st.lists(st.integers(0, A.n - 1), min_size=len(kids), max_size=len(kids)))
         ids.append(store.intern(dict(zip(kids, vals))))
+    return store, ids
+
+
+@st.composite
+def _bridge_cases(draw):
+    """A `_stores` store, one name u of it (the empty name one time in
+    four), an equivalence-pad index, and a locale morphism out of its
+    algebra: the identity, or x -> [p <= x] onto the two-chain for a
+    join-irreducible p."""
+    store, ids = draw(_stores())
+    A = store.algebra
     f = draw(st.sampled_from([identity_morphism(A)] + [
         validate_locale_morphism(A, TWO, A.leq[p].astype(np.int64))
         for p in A.join_irreducibles]))
-    return store, draw(st.sampled_from(ids)), draw(st.integers(1, 2)), f
+    u = store.empty if draw(st.integers(0, 3)) == 0 else draw(st.sampled_from(ids))
+    return store, u, draw(st.integers(1, 2)), f
+
+
+def _cells(A, left, rows, cols, right, cell):
+    """left(x) /\\ cell(x, y) /\\ right(y) over the rows x and columns y,
+    one oracle call per cell."""
+    return [[A.big_meet([left(x), cell(x, y), right(y)]) for y in cols] for x in rows]
+
+
+def _from_name_cells(store, u):
+    mem = lambda x: ref_mem(store, x, u)
+    dom = store.domain(u)
+    return _cells(store.algebra, mem, dom, dom, mem, lambda x, y: ref_eq(store, x, y))
+
+
+def _lambda_iso_cells(store, u, up):
+    return _cells(store.algebra, lambda x: ref_mem(store, x, u), store.domain(u),
+                  store.domain(up), lambda y: ref_mem(store, y, up),
+                  lambda x, y: ref_eq(store, x, y))
+
+
+def _dagger_iso_cells(store, X):
+    dots, u = dagger_points(store, X), dagger_hset(store, X)
+    return _cells(store.algebra, lambda i: X.delta[i, i], range(len(X)), store.domain(u),
+                  lambda k: ref_mem(store, k, u), lambda i, k: ref_eq(store, dots[i], k))
+
+
+def _lambda_f_cells(store, h, x, y):
+    return _cells(store.algebra, lambda u: ref_mem(store, u, x), store.domain(x),
+                  store.domain(y), lambda v: ref_mem(store, v, y),
+                  lambda u, v: ref_mem(store, ordered_pair_h(store, u, v), h))
+
+
+def _with_a_twin(X):
+    """X with a copy of its first point appended: a lawful X stays lawful,
+    and the two points have equal delta rows, so their dots collide."""
+    idx = [*range(len(X)), 0]
+    return HSet(X.algebra, range(len(idx)), X.delta[np.ix_(idx, idx)])
 
 
 @settings(max_examples=80, deadline=None)
 @given(_bridge_cases())
 def test_bridges_match_their_cell_by_cell_definitions(case):
     store, u, k, f = case
-    A, ctx = store.algebra, EvalContext(store)
-
-    def table(left, rows, cols, right, algebra=A, cell=lambda x, y: ref_eq(store, x, y)):
-        return [[algebra.big_meet([left(x), cell(x, y), right(y)]) for y in cols]
-                for x in rows]
+    ctx = EvalContext(store)
+    up = pad_equivalent(store, u, k)
+    for v in (u, up):
+        X = from_name(ctx, v)
+        assert X.points == list(store.domain(v))
+        assert X.delta.tolist() == _from_name_cells(store, v)
+    for a, b in ((u, up), (up, u), (u, u)):
+        lam = lambda_iso(ctx, a, b)
+        assert lam.source.points == list(store.domain(a))
+        assert lam.target.points == list(store.domain(b))
+        assert lam.phi.tolist() == _lambda_iso_cells(store, a, b)
 
     X = from_name(ctx, u)
-    assert X.points == list(store.domain(u))
-    mem_u = lambda x: ref_mem(store, x, u)
-    assert X.delta.tolist() == table(mem_u, X.points, X.points, mem_u)
-
-    up = pad_equivalent(store, u, k)
-    lam = lambda_iso(ctx, u, up)
-    assert lam.phi.tolist() == table(mem_u, X.points, lam.target.points,
-                                     lambda y: ref_mem(store, y, up))
-
     fwd, bwd = dagger_iso(ctx, X)
-    dots = dagger_points(store, X)   # points with equal rows share a dot
-    want = table(lambda i: X.delta[i, i], range(len(X)), fwd.target.points,
-                 lambda _: A.top, cell=lambda i, y: ref_eq(store, dots[i], y))
+    want = _dagger_iso_cells(store, X)
     assert fwd.phi.tolist() == want and bwd.phi.T.tolist() == want
 
     sb = NameStore(f.target)
@@ -509,10 +553,113 @@ def test_bridges_match_their_cell_by_cell_definitions(case):
     tau = dict(wl.witness)
     eps = epsilon_hset_morphism(f, wl, ctx, EvalContext(sb))
     assert eps.source.delta.tolist() == f.table[X.delta].tolist()
-    assert eps.phi.tolist() == table(
-        lambda x: f(ref_mem(store, x, u)), X.points, eps.target.points,
-        lambda y: ref_mem(sb, y, wl.image), algebra=f.target,
-        cell=lambda x, y: ref_eq(sb, tau[x], y))
+    assert eps.phi.tolist() == _cells(
+        f.target, lambda x: f(ref_mem(store, x, u)), X.points, eps.target.points,
+        lambda y: ref_mem(sb, y, wl.image), lambda x, y: ref_eq(sb, tau[x], y))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(WIDTH_ALGEBRAS), st.integers(0, 2**32 - 1), st.booleans())
+def test_dagger_iso_and_lambda_f_match_oracle_cells(A, seed, twin):
+    # up to 3 points with the twin: lambda_f's predicate check is one-off
+    X = checks._random_hset(A, random.Random(seed), max_points=2)
+    if twin:
+        X = _with_a_twin(X)
+    store = NameStore(A)
+    ctx = EvalContext(store)
+    fwd, bwd = dagger_iso(ctx, X)
+    u = dagger_hset(store, X)
+    assert len(store.domain(u)) == len(set(dagger_points(store, X)))
+    assert len(store.domain(u)) < len(X) or not twin
+    assert fwd.target.delta.tolist() == _from_name_cells(store, u)
+    want = _dagger_iso_cells(store, X)
+    assert fwd.phi.tolist() == want and bwd.phi.T.tolist() == want
+    h = dagger_morphism(store, identity(X))
+    m = lambda_f(ctx, h, u, u)
+    assert m.phi.tolist() == _lambda_f_cells(store, h, u, u)
+    assert morphisms_equal(m, identity(from_name(ctx, u)))
+
+
+def test_dagger_iso_meets_in_the_target_extents(chain3):
+    # equal delta rows, but not symmetric: the two dots collide, the dagger
+    # keeps the last extent, 1, and the table meets the first row's 2 with it
+    X = HSet(chain3, ["p", "q"], [[2, 1], [2, 1]])
+    store = NameStore(chain3)
+    fwd, _ = dagger_iso(EvalContext(store), X)
+    assert fwd.phi.tolist() == _dagger_iso_cells(store, X) == [[1], [1]]
+
+
+def test_bridges_raise_their_errors_on_a_kept_kernel(store3):
+    e = store3.empty
+    u = store3.intern({e: 2})
+    x, y = store3.intern({e: 2}), store3.intern({e: 2, u: 2})
+    h = store3.intern({ordered_pair_h(store3, e, e): 2, ordered_pair_h(store3, e, u): 2})
+    ctx = EvalContext(store3)
+    from_name(ctx, y)   # a kernel is kept from here on
+    with pytest.raises(NotEquivalent):
+        lambda_iso(ctx, e, u)
+    with pytest.raises(NotAFunctionName):
+        lambda_f(ctx, h, x, y)
+    for bad in (len(store3), -1, "u", None, 1.0):
+        for call in (lambda: from_name(ctx, bad), lambda: lambda_iso(ctx, u, bad),
+                     lambda: lambda_iso(ctx, bad, u), lambda: lambda_f(ctx, h, x, bad),
+                     lambda: lambda_f(ctx, bad, x, y)):
+            with pytest.raises(UnknownId):
+                call()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_stores(), st.data())
+def test_bridges_interleaved_with_interning_match_fresh_contexts(case, data):
+    store, ids = case
+    A = store.algebra
+    ctx = EvalContext(store)
+    for _ in range(data.draw(st.integers(1, 8))):
+        step = data.draw(st.sampled_from(("intern", "from_name", "lambda_iso", "dagger")))
+        u = data.draw(st.sampled_from(ids))
+        if step == "intern":
+            ids.append(store.intern({u: data.draw(st.integers(0, A.n - 1))}))
+            continue
+        if step == "dagger":
+            X = checks._random_hset(A, random.Random(data.draw(st.integers(0, 99))))
+            request = lambda c: dagger_iso(c, X)[0].phi
+        elif step == "lambda_iso":
+            up = pad_equivalent(store, u, data.draw(st.integers(1, 2)))
+            request = lambda c: lambda_iso(c, up, u).phi
+        else:
+            request = lambda c: from_name(c, u).delta
+        assert np.array_equal(request(ctx), request(EvalContext(store)))
+
+
+def test_hset_law_suite_reads_its_bridges_off_five_kernels(monkeypatch):
+    # the one-off path is left to the alternate witnesses of the induced
+    # morphism family: every bridge table is a gather from a kernel
+    builds, outside = [], []
+    build = valuation._build_kernel
+
+    def counted(store, ids):
+        builds.append(store.algebra)
+        return build(store, ids)
+
+    def watched(method):
+        def call(self, x, y):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not witnessed_lift_with.__code__:
+                frame = frame.f_back
+            if frame is None:
+                outside.append(method.__name__)
+            return method(self, x, y)
+        return call
+
+    monkeypatch.setattr(valuation, "_build_kernel", counted)
+    for name in ("atomic_eq", "atomic_mem"):
+        monkeypatch.setattr(EvalContext, name, watched(getattr(EvalContext, name)))
+    for seed in (0, 1729, 4242):
+        builds.clear()
+        assert checks.hset_law_suite(seed=seed).ok
+        # one per algebra for the category and coherence families, two for epsilon
+        assert len(builds) <= 5
+        assert outside == []
 
 
 def test_dagger_transfers_cross_algebra(chain3, four):
